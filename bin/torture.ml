@@ -5,7 +5,7 @@
    tag registry, post-fault recovery.  Deterministic for a given --seed. *)
 
 open Cmdliner
-module Fault = Nbq_primitives.Fault
+module Hook = Nbq_primitives.Hook
 module Injector = Nbq_fault.Injector
 module Torture = Nbq_fault.Torture
 
@@ -35,7 +35,7 @@ let run_wait_matrix iterations csv =
           if not ok then incr failures;
           Nbq_harness.Table.add_row table
             [
-              Fault.to_string o.WT.point;
+              Hook.to_string o.WT.point;
               Injector.action_to_string o.WT.action;
               Printf.sprintf "%d/%d" o.WT.triggered o.WT.iterations;
               Printf.sprintf "%d/%d" o.WT.completed o.WT.iterations;
@@ -119,7 +119,7 @@ let run_queue_matrix queue_filter seconds seed workers ops with_crash csv
                   "NBQ-FAULT-REPRO v1-torture queue=%s point=%s action=%s \
                    workers=%d ops=%d trigger=%d seed=%d\n"
                   o.Torture.target
-                  (Fault.to_string o.Torture.point)
+                  (Hook.to_string o.Torture.point)
                   (Injector.action_to_string o.Torture.action)
                   workers ops trigger_after seed;
                 Nbq_trace.Export.dump tracer stdout
@@ -128,7 +128,7 @@ let run_queue_matrix queue_filter seconds seed workers ops with_crash csv
                 let path =
                   Printf.sprintf "results/trace-torture-%s-%s-%s.json"
                     o.Torture.target
-                    (Fault.to_string o.Torture.point)
+                    (Hook.to_string o.Torture.point)
                     (Injector.action_to_string o.Torture.action)
                 in
                 Nbq_trace.Export.write_chrome
@@ -143,7 +143,7 @@ let run_queue_matrix queue_filter seconds seed workers ops with_crash csv
               Nbq_harness.Table.add_row table
                 [
                   o.Torture.target;
-                  Fault.to_string o.Torture.point;
+                  Hook.to_string o.Torture.point;
                   Injector.action_to_string o.Torture.action;
                   (if o.Torture.triggered then "yes" else "NO");
                   string_of_int o.Torture.min_survivor_ops;
@@ -230,7 +230,7 @@ let replay_torture line =
         exit 2
   in
   let point =
-    match Fault.of_string (need "point") with
+    match Hook.of_string (need "point") with
     | Some p -> p
     | None ->
         Printf.eprintf "unknown injection point %s\n" (need "point");

@@ -75,12 +75,17 @@ let enqueue t x =
     let tn = node_of tl in
     match L.ll tn.next hs.inner with
     | None ->
-        if L.sc tn.next hs.inner (Some node) then
+        (* Tail still [tn] after [tn.next] was reserved as None: [tn] is the
+           last node, not a recycled one that another enqueuer has yet to
+           link (linking behind it would put our item after later ones). *)
+        if L.vl t.tail hs.outer && L.sc tn.next hs.inner (Some node) then
           (* Linked: [tn.next] was None continuously since the reservation,
-             so [tn] was the last node throughout.  Swing Tail (helped by
-             others if our reservation was stolen). *)
+             and [tn] was in the list at the validation.  Swing Tail (helped
+             by others if our reservation was stolen). *)
           ignore (L.sc t.tail hs.outer (Some node))
         else begin
+          (* Release the link reservation if the validation failed. *)
+          ignore (L.sc tn.next hs.inner None);
           ignore (L.sc t.tail hs.outer tl);
           loop ()
         end
@@ -91,6 +96,19 @@ let enqueue t x =
         loop ()
   in
   loop ()
+
+(* Swing a lagging Tail one node forward.  The successor is read under the
+   Tail reservation, never carried over from an earlier read: by the time a
+   stale successor would be installed, its predecessor may have been
+   recycled and relinked as the tail, and Tail would jump backwards. *)
+let help_tail t hs =
+  let tl = L.ll t.tail hs.outer in
+  let tn = node_of tl in
+  let next = L.ll tn.next hs.inner in
+  ignore (L.sc tn.next hs.inner next);
+  match next with
+  | Some _ -> ignore (L.sc t.tail hs.outer next)
+  | None -> ignore (L.sc t.tail hs.outer tl)
 
 let try_dequeue t =
   let hs = get_handles t in
@@ -112,10 +130,7 @@ let try_dequeue t =
         ignore (L.sc t.tail hs.inner tl);
         if node_of tl == hn then begin
           ignore (L.sc t.head hs.outer hd);
-          (* Help swing Tail to hn's successor, then retry. *)
-          let tl2 = L.ll t.tail hs.outer in
-          if node_of tl2 == hn then ignore (L.sc t.tail hs.outer (Some n))
-          else ignore (L.sc t.tail hs.outer tl2);
+          help_tail t hs;
           loop ()
         end
         else begin

@@ -1,23 +1,18 @@
 module Atomic_intf = Nbq_primitives.Atomic_intf
-module Probe = Nbq_primitives.Probe
-module Fault = Nbq_primitives.Fault
+module Hook = Nbq_primitives.Hook
 
 (* The unified ring over the Blelloch-Wei constant-time LL/SC backend
    (arXiv:1911.09671): same Algorithm-1 structure as the paper rows, but
    the per-operation ReRegister is a literal no-op — the hot path touches
    no registry at all.  See Nbq_primitives.Llsc_bw. *)
-module Make_injected (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) =
-struct
-  module Backend = Nbq_primitives.Llsc_bw.Make_injected (A) (P) (F)
-  include Evequoz_ring.Make_injected (Backend) (P) (F)
+module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
+  module Backend = Nbq_primitives.Llsc_bw.Make_probed (A) (H)
+  include Evequoz_ring.Make_probed (Backend) (H)
 
   let space t = Backend.space t.registry
 end
 
-module Make_probed (A : Atomic_intf.ATOMIC) (P : Probe.S) =
-  Make_injected (A) (P) (Fault.Noop)
-
-module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Probe.Noop)
+module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Hook.Noop)
 
 module Core = Make (Atomic_intf.Real)
 

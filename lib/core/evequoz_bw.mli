@@ -7,29 +7,21 @@
     [ReRegister] of the paper's tag-variable protocol is a literal no-op:
     a registered thread's announcement slot protects whatever buffer it is
     reading, and reclamation is an amortized scan.  On the hot path the
-    [tag_reregister] probe never fires; registry traffic is zero.
+    [Tag_reregister] point never fires; registry traffic is zero.
 
     Space: O(capacity + threads·retire_threshold) buffers; the
     {!Core.space} snapshot exposes the pools for the bounded-space
     tests. *)
 
-(** The algorithm core with fault injection: [Ll_reserve] on LL entry,
+(** The algorithm core with its hook points: [Ll_reserve] on LL entry,
     [Slot_swap] between announcement publication and cell revalidation,
-    [Sc_attempt] before install CASes, [Tag_register]/[Tag_deregister]
-    around (amortized-only) registration, [Counter_bump] at the
-    slot-update/counter-bump windows.  [Tag_reregister] never fires. *)
-module Make_injected
-    (A : Nbq_primitives.Atomic_intf.ATOMIC)
-    (P : Nbq_primitives.Probe.S)
-    (F : Nbq_primitives.Fault.S) : sig
-  include Evequoz_cas.CORE
-
-  val space : 'a t -> Nbq_primitives.Llsc_bw.space
-end
-
+    [Ll_reserved] once revalidated, [Sc_attempt] before install CASes,
+    [Tag_register]/[Tag_deregister] around (amortized-only) registration,
+    [Counter_bump] at the slot-update/counter-bump windows, and the ring's
+    [Sc_fail]/[Tail_help]/[Head_help].  [Tag_reregister] never fires. *)
 module Make_probed
     (A : Nbq_primitives.Atomic_intf.ATOMIC)
-    (P : Nbq_primitives.Probe.S) : sig
+    (H : Nbq_primitives.Hook.S) : sig
   include Evequoz_cas.CORE
 
   val space : 'a t -> Nbq_primitives.Llsc_bw.space

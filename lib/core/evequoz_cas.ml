@@ -1,22 +1,16 @@
 module Atomic_intf = Nbq_primitives.Atomic_intf
-module Probe = Nbq_primitives.Probe
-module Fault = Nbq_primitives.Fault
+module Hook = Nbq_primitives.Hook
 
 (* The algorithm core (paper Fig. 5, right column): the unified ring
-   functor over the tag-variable CAS backend, over any atomics, any
-   instrumentation probe (Noop by default; the observability layer supplies
-   counting probes) and any fault hook (Noop by default; the torture
-   harness supplies stalling/crashing ones). *)
-module Make_injected (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) =
-struct
-  module Backend = Nbq_primitives.Llsc_cas.Backend_injected (A) (P) (F)
-  include Evequoz_ring.Make_injected (Backend) (P) (F)
+   functor over the tag-variable CAS backend, over any atomics and any
+   hook (Noop by default; the observability, trace and torture layers
+   supply counting, recording and stalling ones). *)
+module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
+  module Backend = Nbq_primitives.Llsc_cas.Backend (A) (H)
+  include Evequoz_ring.Make_probed (Backend) (H)
 end
 
-module Make_probed (A : Atomic_intf.ATOMIC) (P : Probe.S) =
-  Make_injected (A) (P) (Fault.Noop)
-
-module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Probe.Noop)
+module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Hook.Noop)
 
 (* --- The domain-local implicit-handle layer, over any core --- *)
 
@@ -139,7 +133,7 @@ module With_implicit_handles (Core : CORE) = struct
     if k <= 0 then [] else Core.dequeue_batch_with t.core (implicit_handle t) k
 end
 
-(* --- Default instantiation with real atomics and no-op probes --- *)
+(* --- Default instantiation with real atomics and the no-op hook --- *)
 
 module Core = Make (Atomic_intf.Real)
 

@@ -74,29 +74,19 @@ module type CORE = sig
   val tail_index : 'a t -> int
 end
 
-(** The algorithm core with fault injection on top of instrumentation:
-    [F.hit] fires at every linearization-critical window —
-    {!Nbq_primitives.Fault.Counter_bump} between a slot update (or the
-    decision to help) and the Head/Tail CAS it mandates (paper E11-E13 /
-    D11-D13: a thread frozen there forces everyone else into the helping
-    path), plus the [Ll_reserve] / [Slot_swap] / [Sc_attempt] /
-    [Tag_register] / [Tag_reregister] / [Tag_deregister] windows fired
-    inside {!Nbq_primitives.Llsc_cas.Make_injected}. *)
-module Make_injected
-    (A : Nbq_primitives.Atomic_intf.ATOMIC)
-    (P : Nbq_primitives.Probe.S)
-    (F : Nbq_primitives.Fault.S) : CORE
-
 (** The algorithm core, parameterized over the atomics (for the model
-    checker) and an instrumentation probe (for the observability layer).
-    Probe events: [sc_fail] on failed update-path store-conditionals,
-    [tail_help]/[head_help] when helping a lagging counter, plus the tag
-    registry events fired by {!Nbq_primitives.Llsc_cas.Make_probed}. *)
+    checker) and a hook.  Points: [Counter_bump] between a slot update (or
+    the decision to help) and the Head/Tail CAS it mandates (paper
+    E11-E13 / D11-D13: a thread frozen there forces everyone else into the
+    helping path), [Sc_fail] on failed update-path store-conditionals,
+    [Tail_help]/[Head_help] when helping a lagging counter, plus the
+    [Ll_reserve] / [Slot_swap] / [Ll_reserved] / [Sc_attempt] / tag
+    registry points hit inside {!Nbq_primitives.Llsc_cas.Make_probed}. *)
 module Make_probed
     (A : Nbq_primitives.Atomic_intf.ATOMIC)
-    (P : Nbq_primitives.Probe.S) : CORE
+    (H : Nbq_primitives.Hook.S) : CORE
 
-(** [Make_probed] with {!Nbq_primitives.Probe.Noop}: the uninstrumented
+(** [Make_probed] with {!Nbq_primitives.Hook.Noop}: the uninstrumented
     core. *)
 module Make (A : Nbq_primitives.Atomic_intf.ATOMIC) : CORE
 

@@ -21,15 +21,9 @@ end
    handles, empty registry, counters as ll/sc variables.  [Of_cell] keeps
    the handle plumbing monomorphic to [unit], so the handle-free QUEUE
    surface costs nothing. *)
-module Make_injected
-    (Cell : CELL)
-    (P : Nbq_primitives.Probe.S)
-    (F : Nbq_primitives.Fault.S) =
-struct
+module Make_probed (Cell : CELL) (H : Nbq_primitives.Hook.S) = struct
   module Ring =
-    Evequoz_ring.Make_injected (Nbq_primitives.Llsc_backend.Of_cell (Cell))
-      (P)
-      (F)
+    Evequoz_ring.Make_probed (Nbq_primitives.Llsc_backend.Of_cell (Cell)) (H)
 
   let name = "evequoz-llsc"
 
@@ -45,10 +39,7 @@ struct
   let tail_index = Ring.tail_index
 end
 
-module Make_probed (Cell : CELL) (P : Nbq_primitives.Probe.S) =
-  Make_injected (Cell) (P) (Nbq_primitives.Fault.Noop)
-
-module Make (Cell : CELL) = Make_probed (Cell) (Nbq_primitives.Probe.Noop)
+module Make (Cell : CELL) = Make_probed (Cell) (Nbq_primitives.Hook.Noop)
 
 include Make (Nbq_primitives.Llsc)
 

@@ -40,25 +40,17 @@ module type QUEUE = sig
   (** Raw monotonic counters, for tests and scenario replays. *)
 end
 
-(** The algorithm with fault injection on top of instrumentation:
-    [F.hit Counter_bump] fires on entry to the counter-advance helper —
-    between a slot update and the Head/Tail bump it mandates, the window
-    where a frozen thread forces everyone else into the helping path
-    (paper E11-E13 / D11-D13).  The [Ll_reserve]/[Sc_attempt] windows live
-    in the cell; inject there via {!Nbq_primitives.Llsc.Make_injected}. *)
-module Make_injected
-    (Cell : CELL)
-    (P : Nbq_primitives.Probe.S)
-    (F : Nbq_primitives.Fault.S) : QUEUE
+(** The algorithm over any cell type and hook.  Points: [Counter_bump]
+    on entry to the counter-advance helper — between a slot update and the
+    Head/Tail bump it mandates, the window where a frozen thread forces
+    everyone else into the helping path (paper E11-E13 / D11-D13) —
+    [Sc_fail] on failed update-path store-conditionals and
+    [Tail_help]/[Head_help] when the operation helps a lagging counter.
+    The [Ll_reserve]/[Ll_reserved]/[Sc_attempt] points live in the cell;
+    hook them via {!Nbq_primitives.Llsc.Make_probed}. *)
+module Make_probed (Cell : CELL) (H : Nbq_primitives.Hook.S) : QUEUE
 
-(** The algorithm over any cell type and instrumentation probe.  Probe
-    events: [sc_fail] on failed update-path store-conditionals,
-    [tail_help]/[head_help] when the operation helps a lagging counter on
-    behalf of a delayed thread ([ll_reserve] is fired by the cell itself —
-    see {!Nbq_primitives.Llsc.Make_probed}). *)
-module Make_probed (Cell : CELL) (P : Nbq_primitives.Probe.S) : QUEUE
-
-(** [Make_probed] with {!Nbq_primitives.Probe.Noop}: uninstrumented. *)
+(** [Make_probed] with {!Nbq_primitives.Hook.Noop}: uninstrumented. *)
 module Make (Cell : CELL) : QUEUE
 
 include module type of Make (Nbq_primitives.Llsc)

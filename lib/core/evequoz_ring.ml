@@ -4,13 +4,9 @@
    are now thin instantiations of this functor, as is the Blelloch-Wei
    row. *)
 
-module Fault = Nbq_primitives.Fault
+module Hook = Nbq_primitives.Hook
 
-module Make_injected
-    (B : Nbq_primitives.Llsc_backend.S)
-    (P : Nbq_primitives.Probe.S)
-    (F : Nbq_primitives.Fault.S) =
-struct
+module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
   (* [Consumed] only ever appears in single-lap (segment) mode, where a
      dequeue retires its slot instead of emptying it; the classic ring
      mode never produces it. *)
@@ -63,7 +59,7 @@ struct
      decided to help on) a slot but not yet bumped the counter — the window
      that forces every other thread through the helping path. *)
   let help counter expected =
-    F.hit Fault.Counter_bump;
+    H.hit Hook.Counter_bump;
     B.counter_advance counter expected
 
   (* Paper Fig. 3/Fig. 5 Enqueue.  [h] must have been re-registered for
@@ -84,7 +80,7 @@ struct
             (* E11-E13: a delayed enqueuer filled the slot but has not yet
                advanced Tail; undo the reservation, help, retry. *)
             B.release cell h res;
-            P.tail_help ();
+            H.hit Hook.Tail_help;
             help t.tail tl;
             enqueue_loop t h x
         | Empty ->
@@ -95,7 +91,7 @@ struct
               true
             end
             else begin
-              P.sc_fail ();
+              H.hit Hook.Sc_fail;
               enqueue_loop t h x
             end
       else begin
@@ -117,7 +113,7 @@ struct
         | Empty | Consumed ->
             (* D11-D13: the item was removed but Head lags; help. *)
             B.release cell h res;
-            P.head_help ();
+            H.hit Hook.Head_help;
             help t.head hd;
             dequeue_loop t h
         | Item x ->
@@ -126,7 +122,7 @@ struct
               Some x
             end
             else begin
-              P.sc_fail ();
+              H.hit Hook.Sc_fail;
               dequeue_loop t h
             end
       else begin
@@ -148,7 +144,7 @@ struct
         | Item x -> Some x
         | Empty | Consumed ->
             (* Removed but Head lagging: help and retry. *)
-            P.head_help ();
+            H.hit Hook.Head_help;
             help t.head hd;
             peek_loop t h
       else peek_loop t h
@@ -205,7 +201,7 @@ struct
             (* The slot Tail designates was already filled this lap (and
                possibly consumed since); Tail lags — help (E11-E13). *)
             B.release cell h res;
-            P.tail_help ();
+            H.hit Hook.Tail_help;
             help t.tail tl;
             fill_loop t h x
         | Empty ->
@@ -214,7 +210,7 @@ struct
               true
             end
             else begin
-              P.sc_fail ();
+              H.hit Hook.Sc_fail;
               fill_loop t h x
             end
       else begin
@@ -237,7 +233,7 @@ struct
                unreachable in a well-formed lap (Tail only passes filled
                slots), kept as the same helping arm defensively. *)
             B.release cell h res;
-            P.head_help ();
+            H.hit Hook.Head_help;
             help t.head hd;
             take_loop t h
         | Item x ->
@@ -246,7 +242,7 @@ struct
               Some x
             end
             else begin
-              P.sc_fail ();
+              H.hit Hook.Sc_fail;
               take_loop t h
             end
       else begin
@@ -299,7 +295,7 @@ struct
      every intermediate bump is one the paper's helping rule would
      perform. *)
   let publish counter from target =
-    F.hit Fault.Counter_bump;
+    H.hit Hook.Counter_bump;
     B.counter_publish counter ~from ~target
 
   let enqueue_batch_with t h items =
@@ -339,7 +335,7 @@ struct
                     (Item (Array.unsafe_get items (accepted + j)))
                 then fill (j + 1)
                 else begin
-                  P.sc_fail ();
+                  H.hit Hook.Sc_fail;
                   j
                 end
               else j
@@ -388,7 +384,7 @@ struct
                     x :: fill (j + 1)
                   end
                   else begin
-                    P.sc_fail ();
+                    H.hit Hook.Sc_fail;
                     clean := false;
                     []
                   end
@@ -419,10 +415,4 @@ struct
     if n < 0 then 0 else if n > t.mask + 1 then t.mask + 1 else n
 end
 
-module Make_probed
-    (B : Nbq_primitives.Llsc_backend.S)
-    (P : Nbq_primitives.Probe.S) =
-  Make_injected (B) (P) (Nbq_primitives.Fault.Noop)
-
-module Make (B : Nbq_primitives.Llsc_backend.S) =
-  Make_probed (B) (Nbq_primitives.Probe.Noop)
+module Make (B : Nbq_primitives.Llsc_backend.S) = Make_probed (B) (Hook.Noop)

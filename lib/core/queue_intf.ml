@@ -8,8 +8,7 @@
     builds the unified view from a {!SOURCE} capability description (use
     the {!Capability} constructors to describe a bounded, batched or
     unbounded implementation); {!Blocking} layers parked blocking
-    semantics on top via the eventcounts of [Nbq_wait], and
-    {!Blocking_spin} is the spin-only baseline it replaced. *)
+    semantics on top via the eventcounts of [Nbq_wait]. *)
 
 (** A multi-producer multi-consumer bounded FIFO. *)
 module type BOUNDED = sig
@@ -281,124 +280,6 @@ module Make (S : SOURCE) : CONC with type 'a t = 'a S.t = struct
   let length = S.length
 end
 
-(** Spin-only blocking operations over any {!CONC} queue: the baseline
-    {!Blocking} replaced, kept because it is the right tool when waits are
-    known to be short (sub-microsecond hand-offs between pinned domains)
-    and as the "spin" arm of the oversubscription benchmark
-    ([bin/park_sweep.exe]).  Every variant burns CPU for its whole wait;
-    under oversubscription (more runnable domains than cores) that CPU is
-    stolen from the very producers being waited on — prefer {!Blocking}.
-
-    All loops attempt first and back off (exponentially, with jitter)
-    {e between} attempts, so a call never sleeps once its deadline has
-    passed or its budget is exhausted — the [`Timeout] return is prompt. *)
-module Blocking_spin (Q : CONC) : sig
-  val enqueue : 'a Q.t -> 'a -> unit
-  (** Spin (with exponential backoff) until the item is accepted. *)
-
-  val dequeue : 'a Q.t -> 'a
-  (** Spin (with exponential backoff) until an item is available. *)
-
-  val enqueue_until : 'a Q.t -> deadline:float -> 'a -> [ `Ok | `Timeout ]
-  (** Retry until accepted or until [Unix.gettimeofday () >= deadline]
-      (absolute seconds, as returned by [Unix.gettimeofday]).  Always makes
-      at least one attempt, so a past deadline still succeeds on an
-      uncontended queue. *)
-
-  val dequeue_until : 'a Q.t -> deadline:float -> [ `Ok of 'a | `Timeout ]
-  (** Retry until an item arrives or the absolute deadline passes. *)
-
-  val enqueue_budget : 'a Q.t -> retries:int -> 'a -> [ `Ok | `Timeout ]
-  (** Make at most [1 + max retries 0] attempts, backing off between them.
-      A budget instead of a clock: deterministic under simulation and
-      immune to wall-time stalls of the caller itself. *)
-
-  val dequeue_budget : 'a Q.t -> retries:int -> [ `Ok of 'a | `Timeout ]
-  (** Make at most [1 + max retries 0] attempts, backing off between
-      them. *)
-end = struct
-  let enqueue t x =
-    if not (Q.try_enqueue t x) then begin
-      let b = Nbq_primitives.Backoff.create () in
-      while not (Q.try_enqueue t x) do
-        Nbq_primitives.Backoff.once b
-      done
-    end
-
-  let dequeue t =
-    match Q.try_dequeue t with
-    | Some x -> x
-    | None ->
-        let b = Nbq_primitives.Backoff.create () in
-        let rec spin () =
-          match Q.try_dequeue t with
-          | Some x -> x
-          | None ->
-              Nbq_primitives.Backoff.once b;
-              spin ()
-        in
-        spin ()
-
-  let jittered () = Nbq_primitives.Backoff.create ~jitter:true ()
-
-  (* Attempt-first loops: the deadline/budget check sits between the failed
-     attempt and the backoff, so exhaustion returns without a parting
-     sleep, and a backoff that straddles the deadline is followed only by
-     one (cheap, lock-free) attempt before the `Timeout. *)
-
-  let enqueue_until t ~deadline x =
-    let b = jittered () in
-    let rec spin () =
-      if Q.try_enqueue t x then `Ok
-      else if Unix.gettimeofday () >= deadline then `Timeout
-      else begin
-        Nbq_primitives.Backoff.once b;
-        spin ()
-      end
-    in
-    spin ()
-
-  let dequeue_until t ~deadline =
-    let b = jittered () in
-    let rec spin () =
-      match Q.try_dequeue t with
-      | Some x -> `Ok x
-      | None ->
-          if Unix.gettimeofday () >= deadline then `Timeout
-          else begin
-            Nbq_primitives.Backoff.once b;
-            spin ()
-          end
-    in
-    spin ()
-
-  let enqueue_budget t ~retries x =
-    let b = jittered () in
-    let rec spin left =
-      if Q.try_enqueue t x then `Ok
-      else if left <= 0 then `Timeout
-      else begin
-        Nbq_primitives.Backoff.once b;
-        spin (left - 1)
-      end
-    in
-    spin (max retries 0)
-
-  let dequeue_budget t ~retries =
-    let b = jittered () in
-    let rec spin left =
-      match Q.try_dequeue t with
-      | Some x -> `Ok x
-      | None ->
-          if left <= 0 then `Timeout
-          else begin
-            Nbq_primitives.Backoff.once b;
-            spin (left - 1)
-          end
-    in
-    spin (max retries 0)
-end
-
 (** What the blocking wrapper needs from a wait layer: exactly the
     eventcount surface it uses.  [Nbq_wait.Eventcount] matches it; so does
     the model checker's simulated instantiation
@@ -407,14 +288,7 @@ end
 module type EVENTCOUNT = sig
   type t
 
-  val create :
-    ?on_park:(unit -> unit) ->
-    ?on_wake:(unit -> unit) ->
-    ?on_cancel:(unit -> unit) ->
-    ?park_window:(unit -> unit) ->
-    ?wake_window:(unit -> unit) ->
-    unit ->
-    t
+  val create : ?hook:(module Nbq_primitives.Hook.S) -> unit -> t
 
   val await :
     ?spin:int ->
@@ -428,12 +302,11 @@ module type EVENTCOUNT = sig
 end
 
 (** Parked blocking operations over any {!CONC} queue, with the wait layer
-    and the probe and fault-injection hooks exposed as functor parameters —
-    {!Blocking_hooked} fixes the wait layer to the production
-    [Nbq_wait.Eventcount], and {!Blocking} additionally fixes the hooks to
-    no-ops.
+    and the hook exposed as functor parameters — {!Blocking_hooked} fixes
+    the wait layer to the production [Nbq_wait.Eventcount], and
+    {!Blocking} additionally fixes the hook to a no-op.
 
-    Unlike {!Blocking_spin}, a blocked operation here spins only briefly
+    Unlike a spin loop, a blocked operation here spins only briefly
     and then {e parks its domain} on an eventcount (one for "became
     non-empty", one for "became non-full"), so waiting costs no CPU and —
     crucially under oversubscription — no scheduler slices that the
@@ -445,8 +318,7 @@ end
     milliseconds), never hang. *)
 module Blocking_ec
     (EC : EVENTCOUNT)
-    (P : Nbq_primitives.Probe.S)
-    (F : Nbq_primitives.Fault.S)
+    (H : Nbq_primitives.Hook.S)
     (Q : CONC) : sig
   type 'a t
   (** A queue plus its two eventcounts. *)
@@ -483,12 +355,7 @@ module Blocking_ec
 end = struct
   type 'a t = { q : 'a Q.t; not_empty : EC.t; not_full : EC.t }
 
-  let mk_ec () =
-    EC.create ~on_park:P.wait_park ~on_wake:P.wait_wake
-      ~on_cancel:P.wait_cancel
-      ~park_window:(fun () -> F.hit Nbq_primitives.Fault.Park_window)
-      ~wake_window:(fun () -> F.hit Nbq_primitives.Fault.Wake_lost)
-      ()
+  let mk_ec () = EC.create ~hook:(module H) ()
 
   let of_queue q = { q; not_empty = mk_ec (); not_full = mk_ec () }
   let create ~capacity = of_queue (Q.create ~capacity)
@@ -570,11 +437,10 @@ end
 (** {!Blocking_ec} over the production wait layer. *)
 module Blocking_hooked = Blocking_ec (Nbq_wait.Eventcount)
 
-(** {!Blocking_hooked} with no-op probe and fault hooks: the default
-    parked blocking wrapper.  See DESIGN.md §10 for why a parked waiter
-    can neither miss a wakeup nor be stranded by a crashed waker. *)
-module Blocking (Q : CONC) =
-  Blocking_hooked (Nbq_primitives.Probe.Noop) (Nbq_primitives.Fault.Noop) (Q)
+(** {!Blocking_hooked} with the no-op hook: the default parked blocking
+    wrapper.  See DESIGN.md §10 for why a parked waiter can neither miss a
+    wakeup nor be stranded by a crashed waker. *)
+module Blocking (Q : CONC) = Blocking_hooked (Nbq_primitives.Hook.Noop) (Q)
 
 (** The largest capacity {!round_capacity} accepts: the biggest power of two
     representable in OCaml's native [int] (2{^61} on 64-bit platforms).

@@ -1,4 +1,4 @@
-module Fault = Nbq_primitives.Fault
+module Hook = Nbq_primitives.Hook
 
 exception Crashed
 
@@ -7,7 +7,7 @@ type action = Stall | Crash
 let action_to_string = function Stall -> "stall" | Crash -> "crash"
 
 type t = {
-  point : Fault.point option Atomic.t;
+  point : Hook.point option Atomic.t;
   action : action Atomic.t;
   trigger_at : int Atomic.t;
   hits : int Atomic.t;
@@ -69,7 +69,7 @@ let hit t p =
       end
   | Some _ | None -> ()
 
-let hook t : (module Fault.S) =
+let hook t : (module Hook.S) =
   (module struct
     let hit p = hit t p
   end)

@@ -1,6 +1,6 @@
-(** Runtime fault controller behind a {!Nbq_primitives.Fault.S} hook.
+(** Runtime fault controller behind a {!Nbq_primitives.Hook.S} hook.
 
-    An injector is armed for one {e injection point} and fires exactly once,
+    An injector is armed for one {e fault window} and fires exactly once,
     on the [after]-th hit of that point (counted across all domains with a
     fetch-and-add, so the victim is unique even under races).  What firing
     does is the {!action}:
@@ -33,7 +33,7 @@ type t
 val create : unit -> t
 (** A fresh, disarmed injector: every {!hit} is a no-op. *)
 
-val arm : t -> point:Nbq_primitives.Fault.point -> action:action -> after:int -> unit
+val arm : t -> point:Nbq_primitives.Hook.point -> action:action -> after:int -> unit
 (** [arm t ~point ~action ~after] resets all counters and arms the [after]-th
     ([>= 1], across all domains) hit of [point] to perform [action].  Raises
     [Invalid_argument] if [after < 1]. *)
@@ -45,14 +45,15 @@ val release : t -> unit
 (** Let a {!Stall}ed victim resume.  Idempotent; harmless when nothing is
     stalled. *)
 
-val hit : t -> Nbq_primitives.Fault.point -> unit
+val hit : t -> Nbq_primitives.Hook.point -> unit
 (** The hook body: count the hit and act if it is the armed one.  Exposed
     directly (besides {!hook}) so harness-level points like
-    {!Nbq_primitives.Fault.Op_gap} can be fired from plain code. *)
+    {!Nbq_primitives.Hook.Op_gap} can be fired from plain code. *)
 
-val hook : t -> (module Nbq_primitives.Fault.S)
-(** First-class fault module for instantiating [Make_injected] functors:
-    [let (module F) = Injector.hook t in ...]. *)
+val hook : t -> (module Nbq_primitives.Hook.S)
+(** First-class hook for instantiating [Make_probed] functors:
+    [let module H = (val Injector.hook t) in ...].  Points other than the
+    armed one pass through untouched. *)
 
 val hits : t -> int
 (** Hits of the armed point since {!arm} (including the triggering one). *)

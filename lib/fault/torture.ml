@@ -1,4 +1,4 @@
-module Fault = Nbq_primitives.Fault
+module Hook = Nbq_primitives.Hook
 module Registry = Nbq_harness.Registry
 
 type built = {
@@ -9,39 +9,31 @@ type built = {
 
 type target = {
   name : string;
-  deep_points : Fault.point list;
+  deep_points : Hook.point list;
   build : ?tracer:Nbq_trace.Recorder.t -> Injector.t -> capacity:int -> built;
 }
 
-(* With a tracer, the flight recorder rides the same seams the injector
-   uses: its fault hook is composed LEFT of the injector (the "entered the
-   window" record must land before the stall/crash fires) and its probe
-   replaces [Probe.Noop] inside the algorithm, so a post-mortem dump shows
-   the protocol steps leading into the armed window. *)
+(* With a tracer, the flight recorder rides the same hook the injector
+   uses, composed LEFT of it (the "entered the window" record must land
+   before the stall/crash fires), so a post-mortem dump shows the protocol
+   steps leading into the armed window. *)
 let hook ?tracer inj =
   let h = Injector.hook inj in
   match tracer with
   | None -> h
-  | Some tr -> Fault.compose (Nbq_trace.Recorder.fault_hook tr) h
-
-let probe ?tracer () =
-  match tracer with
-  | None -> (module Nbq_primitives.Probe.Noop : Nbq_primitives.Probe.S)
-  | Some tr -> Nbq_trace.Recorder.probe tr
+  | Some tr -> Hook.compose (Nbq_trace.Recorder.hook tr) h
 
 let name t = t.name
 
 (* Every target additionally supports the harness-level between-operations
    stall; it is the only point available on uninstrumented (including
    lock-based) queues. *)
-let points t = t.deep_points @ [ Fault.Op_gap ]
+let points t = t.deep_points @ [ Hook.Op_gap ]
 
 let build_cas ?tracer inj ~capacity =
-  let module F = (val hook ?tracer inj) in
-  let module P = (val probe ?tracer ()) in
+  let module H = (val hook ?tracer inj) in
   let module Q =
-    Nbq_core.Evequoz_cas.Make_injected (Nbq_primitives.Atomic_intf.Real) (P)
-      (F)
+    Nbq_core.Evequoz_cas.Make_probed (Nbq_primitives.Atomic_intf.Real) (H)
   in
   let q = Q.create ~capacity in
   (* Register and deregister around every operation so all three
@@ -69,11 +61,9 @@ let build_cas ?tracer inj ~capacity =
    its point list: the constant-time protocol has no revalidation step, so
    there is no window to arm — that absence IS the claim under test. *)
 let build_bw ?tracer inj ~capacity =
-  let module F = (val hook ?tracer inj) in
-  let module P = (val probe ?tracer ()) in
+  let module H = (val hook ?tracer inj) in
   let module Q =
-    Nbq_core.Evequoz_bw.Make_injected (Nbq_primitives.Atomic_intf.Real) (P)
-      (F)
+    Nbq_core.Evequoz_bw.Make_probed (Nbq_primitives.Atomic_intf.Real) (H)
   in
   let q = Q.create ~capacity in
   {
@@ -93,13 +83,11 @@ let build_bw ?tracer inj ~capacity =
   }
 
 let build_llsc ?tracer inj ~capacity =
-  let module F = (val hook ?tracer inj) in
-  let module P = (val probe ?tracer ()) in
+  let module H = (val hook ?tracer inj) in
   let module Cell =
-    Nbq_primitives.Llsc.Make_injected (Nbq_primitives.Atomic_intf.Real) (P)
-      (F)
+    Nbq_primitives.Llsc.Make_probed (Nbq_primitives.Atomic_intf.Real) (H)
   in
-  let module Q = Nbq_core.Evequoz_llsc.Make_injected (Cell) (P) (F) in
+  let module Q = Nbq_core.Evequoz_llsc.Make_probed (Cell) (H) in
   let q = Q.create ~capacity in
   {
     enqueue = (fun v -> Q.try_enqueue q v);
@@ -112,13 +100,13 @@ let evequoz_cas =
     name = "evequoz-cas";
     deep_points =
       [
-        Fault.Ll_reserve;
-        Fault.Slot_swap;
-        Fault.Sc_attempt;
-        Fault.Tag_register;
-        Fault.Tag_reregister;
-        Fault.Tag_deregister;
-        Fault.Counter_bump;
+        Hook.Ll_reserve;
+        Hook.Slot_swap;
+        Hook.Sc_attempt;
+        Hook.Tag_register;
+        Hook.Tag_reregister;
+        Hook.Tag_deregister;
+        Hook.Counter_bump;
       ];
     build = build_cas;
   }
@@ -128,12 +116,12 @@ let evequoz_bw =
     name = "evequoz-bw";
     deep_points =
       [
-        Fault.Ll_reserve;
-        Fault.Slot_swap;
-        Fault.Sc_attempt;
-        Fault.Tag_register;
-        Fault.Tag_deregister;
-        Fault.Counter_bump;
+        Hook.Ll_reserve;
+        Hook.Slot_swap;
+        Hook.Sc_attempt;
+        Hook.Tag_register;
+        Hook.Tag_deregister;
+        Hook.Counter_bump;
       ];
     build = build_bw;
   }
@@ -141,7 +129,7 @@ let evequoz_bw =
 let evequoz_llsc =
   {
     name = "evequoz-llsc";
-    deep_points = [ Fault.Ll_reserve; Fault.Sc_attempt; Fault.Counter_bump ];
+    deep_points = [ Hook.Ll_reserve; Hook.Sc_attempt; Hook.Counter_bump ];
     build = build_llsc;
   }
 
@@ -151,11 +139,9 @@ let evequoz_llsc =
    first foreign probe, where the victim holds no reservation on any ring
    and the steal-path progress claim is on trial. *)
 let build_sharded_cas ~shards ?tracer inj ~capacity =
-  let module F = (val hook ?tracer inj) in
-  let module P = (val probe ?tracer ()) in
+  let module H = (val hook ?tracer inj) in
   let module Q =
-    Nbq_core.Evequoz_cas.Make_injected (Nbq_primitives.Atomic_intf.Real) (P)
-      (F)
+    Nbq_core.Evequoz_cas.Make_probed (Nbq_primitives.Atomic_intf.Real) (H)
   in
   let per = max 1 ((capacity + shards - 1) / shards) in
   let rings = Array.init shards (fun _ -> Q.create ~capacity:per) in
@@ -169,7 +155,7 @@ let build_sharded_cas ~shards ?tracer inj ~capacity =
   let t =
     Nbq_scale.Sharded.create ~shards
       ~home:(fun () -> Atomic.fetch_and_add rr 1)
-      ~steal_window:(fun () -> F.hit Fault.Shard_steal)
+      ~hook:(module H)
       (fun i ->
         let q = rings.(i) in
         (* Register/deregister per op, as in [build_cas]: all tag windows
@@ -212,14 +198,14 @@ let evequoz_cas_sharded =
     name = "evequoz-cas-shard4";
     deep_points =
       [
-        Fault.Ll_reserve;
-        Fault.Slot_swap;
-        Fault.Sc_attempt;
-        Fault.Tag_register;
-        Fault.Tag_reregister;
-        Fault.Tag_deregister;
-        Fault.Counter_bump;
-        Fault.Shard_steal;
+        Hook.Ll_reserve;
+        Hook.Slot_swap;
+        Hook.Sc_attempt;
+        Hook.Tag_register;
+        Hook.Tag_reregister;
+        Hook.Tag_deregister;
+        Hook.Counter_bump;
+        Hook.Shard_steal;
       ];
     build = build_sharded_cas ~shards:4;
   }
@@ -236,10 +222,10 @@ let evequoz_cas_sharded =
    so the chain appends and retires every few operations regardless of
    the harness capacity. *)
 let build_seg ?tracer inj ~capacity =
-  let module F = (val hook ?tracer inj) in
-  let module P = (val probe ?tracer ()) in
+  let module H = (val hook ?tracer inj) in
   let module Q =
-    Nbq_segmented.Segmented.Make_cas (Nbq_primitives.Atomic_intf.Real) (P) (F)
+    Nbq_segmented.Segmented.Make_probed_cas (Nbq_primitives.Atomic_intf.Real)
+      (H)
   in
   let q = Q.create ~capacity:(min capacity 8) () in
   {
@@ -263,15 +249,15 @@ let evequoz_seg =
     name = "evequoz-seg";
     deep_points =
       [
-        Fault.Ll_reserve;
-        Fault.Slot_swap;
-        Fault.Sc_attempt;
-        Fault.Tag_register;
-        Fault.Tag_reregister;
-        Fault.Tag_deregister;
-        Fault.Counter_bump;
-        Fault.Seg_append;
-        Fault.Seg_retire;
+        Hook.Ll_reserve;
+        Hook.Slot_swap;
+        Hook.Sc_attempt;
+        Hook.Tag_register;
+        Hook.Tag_reregister;
+        Hook.Tag_deregister;
+        Hook.Counter_bump;
+        Hook.Seg_append;
+        Hook.Seg_retire;
       ];
     build = build_seg;
   }
@@ -284,7 +270,9 @@ let evequoz_seg =
    re-arming the dequeuers' retry budget), and [Catchup] inside the tail-
    repair loop.  No registry: the ring is index-based, so [audit] is
    [None]; a crashed enqueuer can strand one credit, which the ±1 crash
-   tolerance and the recovery roundtrip both absorb.
+   tolerance and the recovery roundtrip both absorb.  A crashed or frozen
+   operation also stays counted in flight at the admission gate, so the
+   survivors' "full" verdicts spin out the gate's bound before conceding.
 
    Capacity is clamped to 2: the catchup window only opens when a dequeue
    ticket misses with the ring near-empty (head about to overrun tail),
@@ -292,10 +280,9 @@ let evequoz_seg =
    default 64 the paired workload opens neither often enough to arm a
    trigger, at 2 both fire hundreds of times per second. *)
 let build_scq ?tracer inj ~capacity =
-  let module F = (val hook ?tracer inj) in
-  let module P = (val probe ?tracer ()) in
+  let module H = (val hook ?tracer inj) in
   let module S =
-    Nbq_scq.Scq.Make_injected (Nbq_primitives.Atomic_intf.Real) (P) (F)
+    Nbq_scq.Scq.Make_probed (Nbq_primitives.Atomic_intf.Real) (H)
   in
   let q = S.Scq.create ~capacity:(min capacity 2) in
   {
@@ -308,10 +295,9 @@ let build_scq ?tracer inj ~capacity =
    inside its slow-path announcement must not block helpers, and a helper
    frozen mid-help must not block the announcer. *)
 let build_scq_wcq ?tracer inj ~capacity =
-  let module F = (val hook ?tracer inj) in
-  let module P = (val probe ?tracer ()) in
+  let module H = (val hook ?tracer inj) in
   let module S =
-    Nbq_scq.Scq.Make_wcq_injected (Nbq_primitives.Atomic_intf.Real) (P) (F)
+    Nbq_scq.Scq.Make_wcq_probed (Nbq_primitives.Atomic_intf.Real) (H)
   in
   let q = S.Scq.create ~capacity:(min capacity 2) in
   {
@@ -320,7 +306,7 @@ let build_scq_wcq ?tracer inj ~capacity =
     audit = (fun () -> None);
   }
 
-let scq_points = [ Fault.Faa_cycle; Fault.Threshold_reset; Fault.Catchup ]
+let scq_points = [ Hook.Faa_cycle; Hook.Threshold_reset; Hook.Catchup ]
 let scq = { name = "scq"; deep_points = scq_points; build = build_scq }
 
 let scq_wcq =
@@ -374,7 +360,7 @@ let find name' =
 
 type outcome = {
   target : string;
-  point : Fault.point;
+  point : Hook.point;
   action : Injector.action;
   triggered : bool;
   survivors : int;
@@ -401,9 +387,10 @@ let run ?(workers = 4) ?(target_ops = 10_000) ?(capacity = 64)
   if not (List.mem point (points t)) then
     invalid_arg
       (Printf.sprintf "Torture.run: %s has no %s point" t.name
-         (Fault.to_string point));
+         (Hook.to_string point));
   let inj = Injector.create () in
   let b = t.build ?tracer inj ~capacity in
+  let module H = (val hook ?tracer inj) in
   Option.iter Nbq_trace.Recorder.arm tracer;
   let stop = Atomic.make false in
   let ws =
@@ -423,14 +410,9 @@ let run ?(workers = 4) ?(target_ops = 10_000) ?(capacity = 64)
     try
       while not (Atomic.get stop) do
         (* Op_gap is harness-level: fired here, between operations, rather
-           than inside the queue's protocol.  Record it before hitting the
-           injector — same order the composed deep hooks guarantee. *)
-        if point = Fault.Op_gap then begin
-          Option.iter
-            (fun tr -> Nbq_trace.Recorder.fault tr Fault.Op_gap)
-            tracer;
-          Injector.hit inj Fault.Op_gap
-        end;
+           than inside the queue's protocol, through the same composed hook
+           (recorded before the injector acts). *)
+        if point = Hook.Op_gap then H.hit Hook.Op_gap;
         v := !v + workers;
         if b.enqueue !v then Atomic.incr w.enq;
         Atomic.incr w.ops;

@@ -15,10 +15,11 @@
       mid-protocol (the paper-§5 adversary);
     - {b recovery} — a post-fault enqueue/dequeue roundtrip succeeds.
 
-    Deep targets (the two Evéquoz queues) are rebuilt through their
-    [Make_injected] functors so faults fire {e inside} the algorithm; every
+    Deep targets (the Evéquoz, segmented and SCQ queues) are rebuilt
+    through their [Make_probed] functors with the injector's hook, so
+    faults fire {e inside} the algorithm; every
     other registry queue is a generic target supporting only the
-    harness-level {!Nbq_primitives.Fault.Op_gap} point (stalling between
+    harness-level {!Nbq_primitives.Hook.Op_gap} point (stalling between
     operations — the strongest fault one can inject without instrumenting
     the implementation, and the only one lock-based queues survive). *)
 
@@ -39,8 +40,8 @@ type target
 
 val name : target -> string
 
-val points : target -> Nbq_primitives.Fault.point list
-(** The target's deep points plus {!Nbq_primitives.Fault.Op_gap} (always
+val points : target -> Nbq_primitives.Hook.point list
+(** The target's deep points plus {!Nbq_primitives.Hook.Op_gap} (always
     last). *)
 
 val evequoz_cas : target
@@ -64,15 +65,15 @@ val evequoz_cas_sharded : target
     default domain-affine placement never opens the steal window under
     the paired torture workload).  All of {!evequoz_cas}'s points fire on
     whichever ring an operation lands, plus
-    {!Nbq_primitives.Fault.Shard_steal} — a victim frozen there holds no
+    {!Nbq_primitives.Hook.Shard_steal} — a victim frozen there holds no
     reservation on any ring.  [audit] sums the per-ring tag registries. *)
 
 val evequoz_seg : target
 (** ["evequoz-seg"]: the segmented unbounded queue over fault-injected
     CAS cells, small segments so the chain churns constantly.  All of
     {!evequoz_cas}'s points fire inside whichever segment an operation
-    lands, plus {!Nbq_primitives.Fault.Seg_append} (tail observed full,
-    successor not yet linked) and {!Nbq_primitives.Fault.Seg_retire}
+    lands, plus {!Nbq_primitives.Hook.Seg_append} (tail observed full,
+    successor not yet linked) and {!Nbq_primitives.Hook.Seg_retire}
     (successor observed, head not yet swung).  A crash abandons the
     per-op hazard record, so reclamation runs against a permanently
     published hazard. *)
@@ -99,7 +100,7 @@ val find : string -> target option
 
 type outcome = {
   target : string;
-  point : Nbq_primitives.Fault.point;
+  point : Nbq_primitives.Hook.point;
   action : Injector.action;
   triggered : bool;  (** the armed point actually fired *)
   survivors : int;  (** workers not selected as the victim *)
@@ -121,7 +122,7 @@ val run :
   ?timeout:float ->
   ?tracer:Nbq_trace.Recorder.t ->
   target ->
-  point:Nbq_primitives.Fault.point ->
+  point:Nbq_primitives.Hook.point ->
   action:Injector.action ->
   outcome
 (** [run t ~point ~action] executes one torture round: build a fresh

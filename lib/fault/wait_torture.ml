@@ -5,11 +5,11 @@
    probe 10k independent first-fault schedules rather than one long
    history. *)
 
-module Fault = Nbq_primitives.Fault
+module Hook = Nbq_primitives.Hook
 module EC = Nbq_wait.Eventcount
 
 type outcome = {
-  point : Fault.point;
+  point : Hook.point;
   action : Injector.action;
   iterations : int;
   triggered : int;
@@ -17,7 +17,7 @@ type outcome = {
   max_wait : float;
 }
 
-let points = [ Fault.Park_window; Fault.Wake_lost ]
+let points = [ Hook.Park_window; Hook.Wake_lost ]
 
 let now = Unix.gettimeofday
 
@@ -54,8 +54,8 @@ let published ?(n = 1) ec () = fst (EC.audit ec) >= n
    but before signalling.  The consumer must still return [`Ok]. *)
 let wake_lost_round ~action ~slack () =
   let inj = Injector.create () in
-  Injector.arm inj ~point:Fault.Wake_lost ~action ~after:1;
-  let ec = EC.create ~wake_window:(fun () -> Injector.hit inj Fault.Wake_lost) () in
+  Injector.arm inj ~point:Hook.Wake_lost ~action ~after:1;
+  let ec = EC.create ~hook:(Injector.hook inj) () in
   let slot = Atomic.make 0 in
   let deadline = now () +. slack in
   let consumer =
@@ -90,8 +90,8 @@ let wake_lost_round ~action ~slack () =
    consumer must still get an item. *)
 let park_window_round ~action ~slack () =
   let inj = Injector.create () in
-  Injector.arm inj ~point:Fault.Park_window ~action ~after:1;
-  let ec = EC.create ~park_window:(fun () -> Injector.hit inj Fault.Park_window) () in
+  Injector.arm inj ~point:Hook.Park_window ~action ~after:1;
+  let ec = EC.create ~hook:(Injector.hook inj) () in
   let slot = Atomic.make 0 in
   let deadline = now () +. slack in
   let victim =
@@ -124,12 +124,12 @@ let park_window_round ~action ~slack () =
 let run ?(iterations = 300) ?(deadline_slack = 2.0) ~point ~action () =
   let round =
     match point with
-    | Fault.Wake_lost -> wake_lost_round ~action ~slack:deadline_slack
-    | Fault.Park_window -> park_window_round ~action ~slack:deadline_slack
+    | Hook.Wake_lost -> wake_lost_round ~action ~slack:deadline_slack
+    | Hook.Park_window -> park_window_round ~action ~slack:deadline_slack
     | p ->
         invalid_arg
           (Printf.sprintf "Wait_torture.run: %s is not a wait-layer point"
-             (Fault.to_string p))
+             (Hook.to_string p))
   in
   let triggered = ref 0 and completed = ref 0 and max_wait = ref 0.0 in
   for _ = 1 to iterations do

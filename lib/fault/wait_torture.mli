@@ -7,13 +7,13 @@
     round arms one of the two wait-layer injection points and checks that
     claim with real parked domains:
 
-    - {!Nbq_primitives.Fault.Wake_lost} — the victim is a {e waker} that
+    - {!Nbq_primitives.Hook.Wake_lost} — the victim is a {e waker} that
       stalls or dies after bumping the eventcount's sequence counter but
       before delivering any signal.  The parked consumer must still
       obtain its item and return [`Ok] before a generous deadline: the
       seq-bump-first discipline plus bounded park slices convert the lost
       signal into a one-tick delay.
-    - {!Nbq_primitives.Fault.Park_window} — the victim is a {e waiter}
+    - {!Nbq_primitives.Hook.Park_window} — the victim is a {e waiter}
       that stalls or dies between publishing its waiter node and going to
       sleep, leaving a claimable node on the stack.  A {e second}, live
       consumer must still obtain an item even when a wake is swallowed by
@@ -23,7 +23,7 @@
     spawn/join), so the lost-wakeup acceptance gate runs 10k of them. *)
 
 type outcome = {
-  point : Nbq_primitives.Fault.point;
+  point : Nbq_primitives.Hook.point;
   action : Injector.action;
   iterations : int;  (** rounds executed *)
   triggered : int;  (** rounds in which the armed point actually fired *)
@@ -39,7 +39,7 @@ type outcome = {
 val run :
   ?iterations:int ->
   ?deadline_slack:float ->
-  point:Nbq_primitives.Fault.point ->
+  point:Nbq_primitives.Hook.point ->
   action:Injector.action ->
   unit ->
   outcome
@@ -50,5 +50,5 @@ val run :
     suite.  Raises [Invalid_argument] unless [point] is [Park_window] or
     [Wake_lost]. *)
 
-val points : Nbq_primitives.Fault.point list
+val points : Nbq_primitives.Hook.point list
 (** [[Park_window; Wake_lost]] — what {!run} accepts. *)

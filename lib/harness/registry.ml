@@ -27,21 +27,11 @@ type impl = {
   relaxed_fifo : bool;
   create : capacity:int -> instance;
   create_probed : metrics:Nbq_obs.Metrics.t -> capacity:int -> instance;
-      (** Like [create], but with the queue's operations feeding the given
-          metrics hub; Evéquoz queues are rebuilt with probes inside the
-          algorithm ({!Nbq_obs.Instrumented.deep}), everything else gets
-          the shallow retry/latency wrapper. *)
   create_traced :
     metrics:Nbq_obs.Metrics.t option ->
     tracer:Nbq_trace.Recorder.t ->
     capacity:int ->
     instance;
-      (** Like [create_probed] but additionally feeding the flight
-          recorder: sampled operation spans around every public op, and —
-          for the Evéquoz queues and the native sharded rows — the
-          recorder's probe composed with the metrics probe inside the
-          algorithm's functor seams, so one run produces counters and a
-          trace from the same hooks. *)
 }
 
 (* Deadline-based blocking (the [*_until] fields) rides on a pair of
@@ -51,15 +41,8 @@ type impl = {
    between [*_until] callers; a parked [*_until] racing a plain-op peer is
    covered by the wait layer's bounded-park backstop instead of a prompt
    wake (DESIGN.md §10). *)
-let until_ops ?probe ~enqueue ~dequeue () =
-  let mk () =
-    match probe with
-    | None -> EC.create ()
-    | Some (module P : Nbq_primitives.Probe.S) ->
-        EC.create ~on_park:P.wait_park ~on_wake:P.wait_wake
-          ~on_cancel:P.wait_cancel ()
-  in
-  let not_empty = mk () and not_full = mk () in
+let until_ops ?hook ~enqueue ~dequeue () =
+  let not_empty = EC.create ?hook () and not_full = EC.create ?hook () in
   let enqueue_until ~deadline p =
     match
       EC.await ~deadline not_full (fun () ->
@@ -78,103 +61,41 @@ let until_ops ?probe ~enqueue ~dequeue () =
   in
   (enqueue_until, dequeue_until)
 
+let singles_batches ~enqueue ~dequeue =
+  ( (fun items ->
+      let n = Array.length items in
+      let i = ref 0 in
+      while !i < n && enqueue items.(!i) do incr i done;
+      !i),
+    fun k ->
+      let rec go acc left =
+        if left <= 0 then List.rev acc
+        else
+          match dequeue () with
+          | Some x -> go (x :: acc) (left - 1)
+          | None -> List.rev acc
+      in
+      go [] k )
+
 let basic_instance ?probe ~enqueue ~dequeue ~length () =
-  let enqueue_until, dequeue_until = until_ops ?probe ~enqueue ~dequeue () in
+  let enqueue_until, dequeue_until =
+    until_ops ?hook:probe ~enqueue ~dequeue ()
+  in
+  let enqueue_batch, dequeue_batch = singles_batches ~enqueue ~dequeue in
   {
     enqueue;
     dequeue;
     length;
-    enqueue_batch =
-      (fun items ->
-        let n = Array.length items in
-        let i = ref 0 in
-        while !i < n && enqueue items.(!i) do incr i done;
-        !i);
-    dequeue_batch =
-      (fun k ->
-        let rec go acc left =
-          if left <= 0 then List.rev acc
-          else
-            match dequeue () with
-            | Some x -> go (x :: acc) (left - 1)
-            | None -> List.rev acc
-        in
-        go [] k);
+    enqueue_batch;
+    dequeue_batch;
     enqueue_until;
     dequeue_until;
   }
 
-(* Facade-level tracing for instances with no CONC module to wrap (custom
-   impls, sharded facades): spans around the plain-operation closures.
-   The [*_until] closures stay unwrapped — their wait-layer events arrive
-   through the composed probe instead, and a parked span would dwarf the
-   operations around it. *)
-let traced_instance tr (inst : instance) =
-  let module R = Nbq_trace.Recorder in
-  let mask = R.sample_mask tr in
-  (* Same racy shared sampling ticks as the functor wrapper (lost updates
-     only perturb the rate), checked before anything else so a non-sampled
-     operation — the common case — pays one ref increment and a mask test;
-     even the armed read waits for the 1-in-[sample] branch. *)
-  let enq_tick = ref 0 and deq_tick = ref 0 in
-  let sampled tick =
-    let n = !tick + 1 in
-    tick := n;
-    n land mask = 0
-  in
-  {
-    inst with
-    enqueue =
-      (fun p ->
-        if not (sampled enq_tick) then inst.enqueue p
-        else
-          match R.span_open tr Nbq_trace.Record.Enq ~arg:0 with
-          | None -> inst.enqueue p
-          | Some ring ->
-              let ok = inst.enqueue p in
-              R.span_close tr ring Nbq_trace.Record.Enq ~arg:(Bool.to_int ok);
-              ok);
-    dequeue =
-      (fun () ->
-        if not (sampled deq_tick) then inst.dequeue ()
-        else
-          match R.span_open tr Nbq_trace.Record.Deq ~arg:0 with
-          | None -> inst.dequeue ()
-          | Some ring ->
-              let r = inst.dequeue () in
-              R.span_close tr ring Nbq_trace.Record.Deq
-                ~arg:(Bool.to_int (r <> None));
-              r);
-    enqueue_batch =
-      (fun items ->
-        if not (sampled enq_tick) then inst.enqueue_batch items
-        else
-          match
-            R.span_open tr Nbq_trace.Record.Enq_batch
-              ~arg:(Array.length items)
-          with
-          | None -> inst.enqueue_batch items
-          | Some ring ->
-              let n = inst.enqueue_batch items in
-              R.span_close tr ring Nbq_trace.Record.Enq_batch ~arg:n;
-              n);
-    dequeue_batch =
-      (fun k ->
-        if not (sampled deq_tick) then inst.dequeue_batch k
-        else
-          match R.span_open tr Nbq_trace.Record.Deq_batch ~arg:k with
-          | None -> inst.dequeue_batch k
-          | Some ring ->
-              let got = inst.dequeue_batch k in
-              R.span_close tr ring Nbq_trace.Record.Deq_batch
-                ~arg:(List.length got);
-              got);
-  }
-
-let instance_of ?probe (module Q : Queue_intf.CONC) ~capacity =
+let instance_of ~hook (module Q : Queue_intf.CONC) ~capacity =
   let q = Q.create ~capacity in
   let enqueue p = Q.try_enqueue q p and dequeue () = Q.try_dequeue q in
-  let enqueue_until, dequeue_until = until_ops ?probe ~enqueue ~dequeue () in
+  let enqueue_until, dequeue_until = until_ops ~hook ~enqueue ~dequeue () in
   {
     enqueue;
     dequeue;
@@ -185,55 +106,88 @@ let instance_of ?probe (module Q : Queue_intf.CONC) ~capacity =
     dequeue_until;
   }
 
-let of_conc ~name ~family ?(bounded_delay_assumption = false)
-    ?(relaxed_fifo = false) (module Q : Queue_intf.CONC) =
+(* --- Observation: the one composition of hook, metrics and tracer ------
+
+   A row is a hooked builder (the queue rebuilt with a hook threaded
+   through its functor seams) plus a row kind that turns the built queue
+   into an instance.  [observed] is the single place the three creation
+   paths differ: [create] is the prebuilt no-op-hook queue, unwrapped;
+   [create_probed] threads the metrics hub's hook into the algorithm and
+   the wait layer and adds the shallow retry/latency wrapper;
+   [create_traced] adds the recorder (its deep hook in full mode only —
+   see [Nbq_trace.Instrument.hook]) and the span wrapper outermost. *)
+
+module type OBSERVE = functor (Q : Queue_intf.CONC) ->
+  Queue_intf.CONC with type 'a t = 'a Q.t
+
+module Unobserved (Q : Queue_intf.CONC) = Q
+
+let observed ?metrics ?tracer () :
+    (module Nbq_primitives.Hook.S) * (module OBSERVE) =
+  let hook : (module Nbq_primitives.Hook.S) =
+    match (tracer, metrics) with
+    | None, None -> (module Nbq_primitives.Hook.Noop)
+    | None, Some m -> Nbq_obs.Metrics.probe m
+    | Some tr, _ -> Nbq_trace.Instrument.hook ?metrics tr
+  in
+  let (module Meter : OBSERVE) =
+    match metrics with
+    | None -> (module Unobserved)
+    | Some m ->
+        (module Nbq_obs.Instrumented.Make (struct
+          let metrics = m
+        end))
+  in
+  let (module Span : OBSERVE) =
+    match tracer with
+    | None -> (module Unobserved)
+    | Some tr ->
+        (module Nbq_trace.Instrument.Wrap (struct
+          let tracer = tr
+        end))
+  in
+  (hook, (module functor (Q : Queue_intf.CONC) -> Span (Meter (Q))))
+
+type builder = (module Nbq_primitives.Hook.S) -> (module Queue_intf.CONC)
+
+(* A row kind: the hook, the observation wrapper and the built queue in,
+   an instance out. *)
+type kind =
+  (module Nbq_primitives.Hook.S) ->
+  (module OBSERVE) ->
+  (module Queue_intf.CONC) ->
+  capacity:int ->
+  instance
+
+let row ~name ~family ?(bounded_delay_assumption = false)
+    ?(relaxed_fifo = false) ~(build : builder)
+    ~(conc : (module Queue_intf.CONC))
+    (kind : kind) =
+  let module Q = (val conc) in
+  let create_observed ?metrics ?tracer ~capacity () =
+    let hook, observe = observed ?metrics ?tracer () in
+    kind hook observe (build hook) ~capacity
+  in
   {
     name;
     family;
     bounded = Q.bounded;
     bounded_delay_assumption;
     relaxed_fifo;
-    create = (fun ~capacity -> instance_of (module Q) ~capacity);
-    create_probed =
-      (fun ~metrics ~capacity ->
-        instance_of
-          ~probe:(Nbq_obs.Metrics.probe metrics)
-          (Nbq_obs.Instrumented.deep metrics ~name (module Q))
+    create =
+      (fun ~capacity ->
+        kind (module Nbq_primitives.Hook.Noop) (module Unobserved) conc
           ~capacity);
+    create_probed =
+      (fun ~metrics ~capacity -> create_observed ~metrics ~capacity ());
     create_traced =
       (fun ~metrics ~tracer ~capacity ->
-        instance_of
-          ~probe:(Nbq_trace.Instrument.probe ?metrics tracer)
-          (Nbq_trace.Instrument.deep ?metrics tracer ~name (module Q))
-          ~capacity);
-  }
-
-let custom ~name ~family ?(bounded_delay_assumption = false) ?(bounded = false)
-    create =
-  {
-    name;
-    family;
-    bounded;
-    bounded_delay_assumption;
-    relaxed_fifo = false;
-    create;
-    (* No CONC module to wrap: probed creation falls back to the plain
-       instance — callers still get workload-level retry counts.  Tracing
-       wraps the bare closures, so custom impls still get op spans. *)
-    create_probed = (fun ~metrics:_ -> create);
-    create_traced =
-      (fun ~metrics:_ ~tracer ~capacity ->
-        traced_instance tracer (create ~capacity));
+        create_observed ?metrics ~tracer ~capacity ());
   }
 
 module Cap = Queue_intf.Capability
-module Evequoz_llsc_conc = Queue_intf.Make (Cap.Bounded (Nbq_core.Evequoz_llsc))
 module Evequoz_llsc_weak_conc =
   Queue_intf.Make (Cap.Bounded (Nbq_core.Evequoz_llsc.On_weak_cells))
-module Evequoz_cas_conc =
-  Queue_intf.Make (Cap.Bounded_batch (Nbq_core.Evequoz_cas))
-module Evequoz_bw_conc =
-  Queue_intf.Make (Cap.Bounded_batch (Nbq_core.Evequoz_bw))
 module Shann_conc = Queue_intf.Make (Cap.Bounded (Nbq_baselines.Shann))
 module Tz_conc = Queue_intf.Make (Cap.Bounded (Nbq_baselines.Tsigas_zhang))
 module Valois_conc = Queue_intf.Make (Cap.Bounded (Nbq_baselines.Valois))
@@ -254,26 +208,23 @@ module Hw_conc = Queue_intf.Make (Cap.Unbounded (Nbq_baselines.Herlihy_wing))
 module Lms_conc =
   Queue_intf.Make (Cap.Unbounded (Nbq_baselines.Ladan_mozes_shavit))
 
-(* --- Sharded front-ends (Nbq_scale.Sharded) ----------------------------
+(* --- Row kinds ------------------------------------------------------------ *)
 
-   The facade relaxes global FIFO to per-shard FIFO ([relaxed_fifo]), so
-   the battery skips its exact-linearizability cases for these rows and
-   runs the relaxed suite (conservation, per-shard order, length bounds)
-   instead. *)
+(* The single-queue row. *)
+let plain_kind : kind =
+ fun hook (module O) (module Q) ~capacity ->
+  instance_of ~hook (module O (Q)) ~capacity
 
-(* Sharded instances block through the facade's own waitable layer (per-
-   shard eventcounts, home-first wake sweep) rather than the generic
-   single-pair [until_ops], so a wake goes to the shard where the steal
-   sweep would look for the waiter's item. *)
-let sharded_instance ?probe ~(q : payload Nbq_scale.Sharded.t) ~enqueue
-    ~dequeue ~enqueue_batch ~dequeue_batch ~length () =
-  let w =
-    match probe with
-    | None -> Nbq_scale.Sharded.waitable q
-    | Some (module P : Nbq_primitives.Probe.S) ->
-        Nbq_scale.Sharded.waitable ~on_park:P.wait_park ~on_wake:P.wait_wake
-          ~on_cancel:P.wait_cancel q
-  in
+(* Sharded front-ends (Nbq_scale.Sharded) relax global FIFO to per-shard
+   FIFO ([relaxed_fifo]), so the battery skips its exact-linearizability
+   cases for these rows and runs the relaxed suite (conservation,
+   per-shard order, length bounds) instead.  They block through the
+   facade's own waitable layer (per-shard eventcounts, home-first wake
+   sweep) rather than the generic single-pair [until_ops], so a wake goes
+   to the shard where the steal sweep would look for the waiter's item. *)
+let sharded_instance ~hook ~(q : payload Nbq_scale.Sharded.t) ~enqueue
+    ~dequeue ~enqueue_batch ~dequeue_batch ~length =
+  let w = Nbq_scale.Sharded.waitable ~hook q in
   {
     enqueue;
     dequeue;
@@ -292,505 +243,320 @@ let sharded_instance ?probe ~(q : payload Nbq_scale.Sharded.t) ~enqueue
         | `Timeout -> None);
   }
 
-(* Shared tail for the native sharded compositions below: build the
-   instance from any CONC whose queue type is the sharded facade's (the
-   equation lets [sharded_instance] reach the facade's waitable layer). *)
-module Sharded_tail
-    (S : Queue_intf.CONC with type 'a t = 'a Nbq_scale.Sharded.t) =
-struct
-  let make ?probe ~capacity () =
-    let q = S.create ~capacity in
-    sharded_instance ?probe ~q
-      ~enqueue:(fun p -> S.try_enqueue q p)
-      ~dequeue:(fun () -> S.try_dequeue q)
-      ~enqueue_batch:(fun items -> S.try_enqueue_batch q items)
-      ~dequeue_batch:(fun k -> S.try_dequeue_batch q k)
-      ~length:(fun () -> S.length q)
-      ()
-end
-
-let sharded_evequoz_cas ~shards =
-  let name = "evequoz-cas-shard" ^ string_of_int shards in
-  let module N = struct
-    let shards = shards
-  end in
-  let create ~capacity =
-    let module S = Nbq_scale.Sharded.Evequoz_cas (N) in
-    let q = S.create ~capacity in
-    sharded_instance ~q
-      ~enqueue:(fun p -> S.try_enqueue q p)
-      ~dequeue:(fun () -> S.try_dequeue q)
-      ~enqueue_batch:(fun items -> S.try_enqueue_batch q items)
-      ~dequeue_batch:(fun k -> S.try_dequeue_batch q k)
-      ~length:(fun () -> S.length q)
-      ()
+(* The "-shardN" row: the facade's functor veneer over N built queues,
+   the hook wired into the sharding layer (steals) and its eventcounts as
+   well as into the rings, and the observation wrappers around the whole
+   facade — one span and one retry count per facade operation. *)
+let sharded_kind ~shards : kind =
+ fun hook (module O) (module Q) ~capacity ->
+  let module H = (val hook) in
+  let module F =
+    Nbq_scale.Sharded.Make_probed
+      (struct
+        let shards = shards
+      end)
+      (H)
+      (Q)
   in
-  (* Deep-probed sharded composition: the hub's probe is plugged into the
-     inner CAS rings (sc_fail, helping, tag traffic), the sharding layer
-     (shard_steal) and the waitable layer (wait_park/wake/cancel), then
-     the shallow wrapper adds retries/latency.  Lives here, not in
-     nbq_obs, because nbq_scale sits above nbq_obs. *)
-  let create_probed ~metrics ~capacity =
-    let probe = Nbq_obs.Metrics.probe metrics in
-    let module P = (val probe) in
-    let module Core =
-      Nbq_core.Evequoz_cas.Make_probed (Nbq_primitives.Atomic_intf.Real) (P)
-    in
-    let module R = Nbq_core.Evequoz_cas.With_implicit_handles (Core) in
-    let module Ring =
-      Queue_intf.Make
-        (Queue_intf.Capability.Bounded_batch (struct
-          include R
-
-          (* Match the unprobed composition: the ring's amortized batch
-             runs. *)
-          let try_enqueue_batch = R.try_enqueue_batch_runs
-          let try_dequeue_batch = R.try_dequeue_batch_runs
-        end))
-    in
-    let module S0 = Nbq_scale.Sharded.Make_probed (N) (P) (Ring) in
-    let module M = struct
-      let metrics = metrics
-    end in
-    let module S = Nbq_obs.Instrumented.Make (M) (S0) in
-    let module T = Sharded_tail (S) in
-    T.make ~probe ~capacity ()
-  in
-  (* Traced creation mirrors the probed composition with the recorder's
-     probe composed in (counters too, when a hub is given), then adds the
-     span wrapper over the whole facade. *)
-  let create_traced ~metrics ~tracer ~capacity =
-    let probe = Nbq_trace.Instrument.probe ?metrics tracer in
-    let module P = (val probe) in
-    let module Core =
-      Nbq_core.Evequoz_cas.Make_probed (Nbq_primitives.Atomic_intf.Real) (P)
-    in
-    let module R = Nbq_core.Evequoz_cas.With_implicit_handles (Core) in
-    let module Ring =
-      Queue_intf.Make
-        (Queue_intf.Capability.Bounded_batch (struct
-          include R
-
-          let try_enqueue_batch = R.try_enqueue_batch_runs
-          let try_dequeue_batch = R.try_dequeue_batch_runs
-        end))
-    in
-    let module S0 = Nbq_scale.Sharded.Make_probed (N) (P) (Ring) in
-    let module T = struct
-      let tracer = tracer
-    end in
-    match metrics with
-    | Some m ->
-      let module M = struct
-        let metrics = m
-      end in
-      let module S1 = Nbq_obs.Instrumented.Make (M) (S0) in
-      let module S = Nbq_trace.Instrument.Wrap (T) (S1) in
-      let module Tail = Sharded_tail (S) in
-      Tail.make ~probe ~capacity ()
-    | None ->
-      let module S = Nbq_trace.Instrument.Wrap (T) (S0) in
-      let module Tail = Sharded_tail (S) in
-      Tail.make ~probe ~capacity ()
-  in
-  {
-    name;
-    family = Array_based;
-    bounded = true;
-    bounded_delay_assumption = false;
-    relaxed_fifo = true;
-    create;
-    create_probed;
-    create_traced;
-  }
-
-let sharded ~shards (base : impl) : impl =
-  if shards < 1 then invalid_arg "Registry.sharded: shards < 1";
-  let wrap ?probe create_inner ~capacity =
-    let per = max 1 ((capacity + shards - 1) / shards) in
-    let t =
-      Nbq_scale.Sharded.create ~shards (fun _ ->
-          let inst = create_inner ~capacity:per in
-          Nbq_scale.Sharded.ops ~enq:inst.enqueue ~deq:inst.dequeue
-            ~len:inst.length ~enq_batch:inst.enqueue_batch
-            ~deq_batch:inst.dequeue_batch)
-    in
-    sharded_instance ?probe ~q:t
-      ~enqueue:(fun p -> Nbq_scale.Sharded.try_enqueue t p)
-      ~dequeue:(fun () -> Nbq_scale.Sharded.try_dequeue t)
-      ~enqueue_batch:(fun items -> Nbq_scale.Sharded.try_enqueue_batch t items)
-      ~dequeue_batch:(fun k -> Nbq_scale.Sharded.try_dequeue_batch t k)
-      ~length:(fun () -> Nbq_scale.Sharded.length t)
-      ()
-  in
-  {
-    base with
-    name = base.name ^ "-shard" ^ string_of_int shards;
-    relaxed_fifo = true;
-    create = (fun ~capacity -> wrap base.create ~capacity);
-    create_probed =
-      (fun ~metrics ->
-        wrap
-          ~probe:(Nbq_obs.Metrics.probe metrics)
-          (base.create_probed ~metrics));
-    (* Shard probed (not traced) inner instances and put the span wrapper
-       on the facade: one span per facade operation, not one per shard
-       probe, with wait events arriving through the composed probe. *)
-    create_traced =
-      (fun ~metrics ~tracer ~capacity ->
-        let inner =
-          match metrics with
-          | Some m -> base.create_probed ~metrics:m
-          | None -> base.create
-        in
-        traced_instance tracer
-          (wrap ~probe:(Nbq_trace.Instrument.probe ?metrics tracer) inner
-             ~capacity));
-  }
-
-(* --- Family descriptors --------------------------------------------------
-
-   One record per algorithm family; [register_family] derives every row
-   the registry publishes for it — base (with deep probed/traced creation
-   when a [probed] builder is given), "-shardN" facades, and a
-   "-blocking" row over [Queue_intf.Blocking_hooked].  Adding an
-   algorithm is one [Family.v] entry; the old hand-built row list (and
-   its name-dispatched [Instrumented.deep] plumbing) is gone, but every
-   previously registered row name is preserved. *)
-
-module Family = struct
-  type probed_builder =
-    (module Nbq_primitives.Probe.S) -> (module Queue_intf.CONC)
-
-  type t = {
-    name : string;
-    classification : family;
-    bounded_delay_assumption : bool;
-    relaxed_fifo : bool;
-    conc : (module Queue_intf.CONC);
-    probed : probed_builder option;
-        (** Rebuild the queue with a probe threaded through its functor
-            seams (deep instrumentation); [None] means only the shallow
-            retry/latency wrapper is available. *)
-    shards : int list;
-        (** Derived ["<name>-shard<N>"] rows, one per element. *)
-    shard_impl : (int -> impl) option;
-        (** Native sharded composition overriding the generic facade for
-            the [shards] rows (e.g. the evequoz-cas ring-with-batch-runs
-            build). *)
-    blocking : bool;
-        (** Derive a ["<name>-blocking"] row whose [*_until] operations
-            park through [Queue_intf.Blocking_hooked] and whose plain
-            operations are its budget-0 (wake-issuing) attempts. *)
-  }
-
-  let v ?(classification = Array_based) ?(bounded_delay_assumption = false)
-      ?(relaxed_fifo = false) ?probed ?(shards = []) ?shard_impl
-      ?(blocking = false) name conc =
-    {
-      name;
-      classification;
-      bounded_delay_assumption;
-      relaxed_fifo;
-      conc;
-      probed;
-      shards;
-      shard_impl;
-      blocking;
-    }
-end
-
-(* The base row.  With a [probed] builder, probed/traced creation rebuilds
-   the functor stack with the metrics/trace probe plugged into the inner
-   algorithm (sc_fail, helping, tag traffic, faa cycles) and then wraps
-   the shallow retry/latency (and span) layers — the shape the segmented
-   rows pioneered, now shared by every deep-instrumented family. *)
-let base_row (f : Family.t) : impl =
-  let base_impl =
-    of_conc ~name:f.name ~family:f.classification
-      ~bounded_delay_assumption:f.bounded_delay_assumption
-      ~relaxed_fifo:f.relaxed_fifo f.conc
-  in
-  match f.probed with
-  | None -> base_impl
-  | Some probed_conc ->
-      let create_probed ~metrics ~capacity =
-        let probe = Nbq_obs.Metrics.probe metrics in
-        let module W = (val probed_conc probe : Queue_intf.CONC) in
-        let module M = struct
-          let metrics = metrics
-        end in
-        let module I = Nbq_obs.Instrumented.Make (M) (W) in
-        instance_of ~probe (module I) ~capacity
-      in
-      let create_traced ~metrics ~tracer ~capacity =
-        let probe = Nbq_trace.Instrument.probe ?metrics tracer in
-        let module W = (val probed_conc probe : Queue_intf.CONC) in
-        let module T = struct
-          let tracer = tracer
-        end in
-        match metrics with
-        | Some m ->
-            let module M = struct
-              let metrics = m
-            end in
-            let module I1 = Nbq_obs.Instrumented.Make (M) (W) in
-            let module I = Nbq_trace.Instrument.Wrap (T) (I1) in
-            instance_of ~probe (module I) ~capacity
-        | None ->
-            let module I = Nbq_trace.Instrument.Wrap (T) (W) in
-            instance_of ~probe (module I) ~capacity
-      in
-      { base_impl with create_probed; create_traced }
+  let module S = O (F) in
+  let q = S.create ~capacity in
+  sharded_instance ~hook ~q
+    ~enqueue:(fun p -> S.try_enqueue q p)
+    ~dequeue:(fun () -> S.try_dequeue q)
+    ~enqueue_batch:(fun items -> S.try_enqueue_batch q items)
+    ~dequeue_batch:(fun k -> S.try_dequeue_batch q k)
+    ~length:(fun () -> S.length q)
 
 (* The "-blocking" row: plain operations are the blocking wrapper's
    budget-0 attempts (same full/empty semantics as the try ops, but every
    success issues a wake), and the [*_until] operations are its real
    park-based paths — so the row exercises [Blocking_hooked]'s
    eventcounts end to end while staying battery-compatible. *)
-let blocking_row (f : Family.t) : impl =
-  let name = f.name ^ "-blocking" in
-  let instance_of_blocking ?probe (module Q : Queue_intf.CONC) ~capacity =
-    let module P =
-      (val match probe with
-           | Some p -> p
-           | None -> (module Nbq_primitives.Probe.Noop : Nbq_primitives.Probe.S))
-    in
-    let module B =
-      Queue_intf.Blocking_hooked (P) (Nbq_primitives.Fault.Noop) (Q)
-    in
-    let b = B.create ~capacity in
-    let enqueue p =
-      match B.enqueue_budget b ~retries:0 p with
-      | `Ok -> true
-      | `Timeout -> false
-    in
-    let dequeue () =
-      match B.dequeue_budget b ~retries:0 with
-      | `Ok x -> Some x
-      | `Timeout -> None
-    in
-    {
-      enqueue;
-      dequeue;
-      enqueue_batch =
-        (fun items ->
-          let n = Array.length items in
-          let i = ref 0 in
-          while !i < n && enqueue items.(!i) do incr i done;
-          !i);
-      dequeue_batch =
-        (fun k ->
-          let rec go acc left =
-            if left <= 0 then List.rev acc
-            else
-              match dequeue () with
-              | Some x -> go (x :: acc) (left - 1)
-              | None -> List.rev acc
-          in
-          go [] k);
-      length = (fun () -> Q.length (B.queue b));
-      enqueue_until =
-        (fun ~deadline p ->
-          match B.enqueue_until b ~deadline p with
-          | `Ok -> true
-          | `Timeout -> false);
-      dequeue_until =
-        (fun ~deadline ->
-          match B.dequeue_until b ~deadline with
-          | `Ok x -> Some x
-          | `Timeout -> None);
-    }
+let blocking_kind : kind =
+ fun hook (module O) (module Q) ~capacity ->
+  let module H = (val hook) in
+  let module W = O (Q) in
+  let module B = Queue_intf.Blocking_hooked (H) (W) in
+  let b = B.create ~capacity in
+  let enqueue p =
+    match B.enqueue_budget b ~retries:0 p with `Ok -> true | `Timeout -> false
   in
-  let create ~capacity = instance_of_blocking f.conc ~capacity in
-  let create_probed ~metrics ~capacity =
-    let probe = Nbq_obs.Metrics.probe metrics in
-    let conc =
-      match f.probed with Some pb -> pb probe | None -> f.conc
-    in
-    let module W = (val conc) in
-    let module M = struct
-      let metrics = metrics
-    end in
-    let module I = Nbq_obs.Instrumented.Make (M) (W) in
-    instance_of_blocking ~probe (module I) ~capacity
+  let dequeue () =
+    match B.dequeue_budget b ~retries:0 with
+    | `Ok x -> Some x
+    | `Timeout -> None
   in
-  let create_traced ~metrics ~tracer ~capacity =
-    let inner =
-      match metrics with
-      | Some m -> create_probed ~metrics:m
-      | None -> create
-    in
-    traced_instance tracer (inner ~capacity)
-  in
-  let module Q = (val f.conc : Queue_intf.CONC) in
+  let enqueue_batch, dequeue_batch = singles_batches ~enqueue ~dequeue in
   {
-    name;
-    family = f.classification;
-    bounded = Q.bounded;
-    bounded_delay_assumption = f.bounded_delay_assumption;
-    relaxed_fifo = f.relaxed_fifo;
-    create;
-    create_probed;
-    create_traced;
+    enqueue;
+    dequeue;
+    enqueue_batch;
+    dequeue_batch;
+    length = (fun () -> W.length (B.queue b));
+    enqueue_until =
+      (fun ~deadline p ->
+        match B.enqueue_until b ~deadline p with
+        | `Ok -> true
+        | `Timeout -> false);
+    dequeue_until =
+      (fun ~deadline ->
+        match B.dequeue_until b ~deadline with
+        | `Ok x -> Some x
+        | `Timeout -> None);
   }
 
+let of_conc ~name ~family ?bounded_delay_assumption ?relaxed_fifo
+    (conc : (module Queue_intf.CONC)) =
+  row ~name ~family ?bounded_delay_assumption ?relaxed_fifo
+    ~build:(fun _ -> conc)
+    ~conc plain_kind
+
+let custom ~name ~family ?(bounded_delay_assumption = false) ?(bounded = false)
+    create =
+  {
+    name;
+    family;
+    bounded;
+    bounded_delay_assumption;
+    relaxed_fifo = false;
+    create;
+    (* No queue module to rebuild or wrap: every creation path is the
+       plain instance — callers still get workload-level retry counts. *)
+    create_probed = (fun ~metrics:_ -> create);
+    create_traced = (fun ~metrics:_ ~tracer:_ -> create);
+  }
+
+(* Any row behind the facade, at the instance level: [shards] instances of
+   [base] built by the matching creation path, with the observation's hook
+   on the sharding layer and its eventcounts. *)
+let sharded ~shards (base : impl) : impl =
+  if shards < 1 then invalid_arg "Registry.sharded: shards < 1";
+  let facade hook create_inner ~capacity =
+    let per = max 1 ((capacity + shards - 1) / shards) in
+    let t =
+      Nbq_scale.Sharded.create ~hook ~shards (fun _ ->
+          let inst = create_inner ~capacity:per in
+          Nbq_scale.Sharded.ops ~enq:inst.enqueue ~deq:inst.dequeue
+            ~len:inst.length ~enq_batch:inst.enqueue_batch
+            ~deq_batch:inst.dequeue_batch)
+    in
+    sharded_instance ~hook ~q:t
+      ~enqueue:(fun p -> Nbq_scale.Sharded.try_enqueue t p)
+      ~dequeue:(fun () -> Nbq_scale.Sharded.try_dequeue t)
+      ~enqueue_batch:(fun items -> Nbq_scale.Sharded.try_enqueue_batch t items)
+      ~dequeue_batch:(fun k -> Nbq_scale.Sharded.try_dequeue_batch t k)
+      ~length:(fun () -> Nbq_scale.Sharded.length t)
+  in
+  {
+    base with
+    name = base.name ^ "-shard" ^ string_of_int shards;
+    relaxed_fifo = true;
+    create = facade (module Nbq_primitives.Hook.Noop) base.create;
+    create_probed =
+      (fun ~metrics ->
+        facade (fst (observed ~metrics ())) (base.create_probed ~metrics));
+    create_traced =
+      (fun ~metrics ~tracer ->
+        facade
+          (fst (observed ?metrics ~tracer ()))
+          (base.create_traced ~metrics ~tracer));
+  }
+
+(* --- Family descriptors --------------------------------------------------
+
+   One record per algorithm family; [register_family] derives every row
+   the registry publishes for it — base, "-shardN" facades, and a
+   "-blocking" row over [Queue_intf.Blocking_hooked] — all through [row],
+   from the family's hooked builder.  Adding an algorithm is one
+   [Family.v] entry. *)
+
+module Family = struct
+  type nonrec builder = builder
+
+  type t = {
+    name : string;
+    classification : family;
+    bounded_delay_assumption : bool;
+    relaxed_fifo : bool;
+    build : builder;
+    conc : (module Queue_intf.CONC);
+    shards : int list;
+    shard_build : builder option;
+    blocking : bool;
+  }
+
+  let v ?(classification = Array_based) ?(bounded_delay_assumption = false)
+      ?(relaxed_fifo = false) ?(shards = []) ?shard_build ?(blocking = false)
+      name build =
+    {
+      name;
+      classification;
+      bounded_delay_assumption;
+      relaxed_fifo;
+      build;
+      conc = build (module Nbq_primitives.Hook.Noop);
+      shards;
+      shard_build;
+      blocking;
+    }
+end
+
+let family_row (f : Family.t) ?(suffix = "") ?(relaxed_fifo = false)
+    ?(build = f.build) ?(conc = f.conc) kind =
+  row ~name:(f.name ^ suffix) ~family:f.classification
+    ~bounded_delay_assumption:f.bounded_delay_assumption
+    ~relaxed_fifo:(relaxed_fifo || f.relaxed_fifo) ~build ~conc kind
+
+let shard_row (f : Family.t) =
+  let build, conc =
+    match f.shard_build with
+    | None -> (f.build, f.conc)
+    | Some b -> (b, b (module Nbq_primitives.Hook.Noop))
+  in
+  fun n ->
+    family_row f ~suffix:("-shard" ^ string_of_int n) ~relaxed_fifo:true
+      ~build ~conc (sharded_kind ~shards:n)
+
 let register_family (f : Family.t) : impl list =
-  let base = base_row f in
-  let shard_rows =
-    List.map
-      (fun n ->
-        match f.shard_impl with
-        | Some mk -> mk n
-        | None -> sharded ~shards:n base)
-      f.shards
-  in
-  let blocking_rows = if f.blocking then [ blocking_row f ] else [] in
-  (base :: shard_rows) @ blocking_rows
+  (family_row f plain_kind :: List.map (shard_row f) f.shards)
+  @ if f.blocking then [ family_row f ~suffix:"-blocking" blocking_kind ]
+    else []
 
-(* --- Deep-probe builders for the instrumentable families --------------- *)
+(* --- Hooked builders for the instrumentable families -------------------- *)
 
-let probed_evequoz_cas probe =
-  let module P = (val probe : Nbq_primitives.Probe.S) in
-  let module Core =
-    Nbq_core.Evequoz_cas.Make_probed (Nbq_primitives.Atomic_intf.Real) (P)
-  in
+module Real = Nbq_primitives.Atomic_intf.Real
+
+let unhooked (conc : (module Queue_intf.CONC)) : builder = fun _ -> conc
+
+let evequoz_llsc : builder =
+ fun hook ->
+  let module H = (val hook) in
+  let module Cell = Nbq_primitives.Llsc.Make_probed (Real) (H) in
+  let module Q = Nbq_core.Evequoz_llsc.Make_probed (Cell) (H) in
+  (module Queue_intf.Make (Cap.Bounded (Q)))
+
+let evequoz_cas : builder =
+ fun hook ->
+  let module H = (val hook) in
+  let module Core = Nbq_core.Evequoz_cas.Make_probed (Real) (H) in
   let module Q = Nbq_core.Evequoz_cas.With_implicit_handles (Core) in
-  let module C = Queue_intf.Make (Cap.Bounded_batch (Q)) in
-  (module C : Queue_intf.CONC)
+  (module Queue_intf.Make (Cap.Bounded_batch (Q)))
 
-let probed_evequoz_bw probe =
-  let module P = (val probe : Nbq_primitives.Probe.S) in
-  let module Core =
-    Nbq_core.Evequoz_bw.Make_probed (Nbq_primitives.Atomic_intf.Real) (P)
-  in
-  let module Q = struct
+(* The ring with its amortized batch runs (one ReRegister and one counter
+   CAS per clean run) as the batch entry points: the spurious whole-run
+   "full" a lagging counter can cause is exactly what a shard facade's
+   steal sweep absorbs. *)
+let evequoz_cas_runs : builder =
+ fun hook ->
+  let module H = (val hook) in
+  let module Core = Nbq_core.Evequoz_cas.Make_probed (Real) (H) in
+  let module R = Nbq_core.Evequoz_cas.With_implicit_handles (Core) in
+  (module Queue_intf.Make (Cap.Bounded_batch (struct
+    include R
+
+    let try_enqueue_batch = R.try_enqueue_batch_runs
+    let try_dequeue_batch = R.try_dequeue_batch_runs
+  end)))
+
+let evequoz_bw : builder =
+ fun hook ->
+  let module H = (val hook) in
+  let module Core = Nbq_core.Evequoz_bw.Make_probed (Real) (H) in
+  (module Queue_intf.Make (Cap.Bounded_batch (struct
     include Nbq_core.Evequoz_cas.With_implicit_handles (Core)
 
     let name = "evequoz-bw"
-  end in
-  let module C = Queue_intf.Make (Cap.Bounded_batch (Q)) in
-  (module C : Queue_intf.CONC)
-
-let probed_evequoz_llsc probe =
-  let module P = (val probe : Nbq_primitives.Probe.S) in
-  let module Cell =
-    Nbq_primitives.Llsc.Make_probed (Nbq_primitives.Atomic_intf.Real) (P)
-  in
-  let module Q = Nbq_core.Evequoz_llsc.Make_probed (Cell) (P) in
-  let module C = Queue_intf.Make (Cap.Bounded (Q)) in
-  (module C : Queue_intf.CONC)
+  end)))
 
 (* Segmented rows: [capacity] becomes the *segment* capacity; the queue
    itself never rejects (Link_based, unbounded). *)
-let probed_evequoz_seg probe =
-  let module P = (val probe : Nbq_primitives.Probe.S) in
-  let module Core =
-    Nbq_segmented.Segmented.Make_probed_cas (Nbq_primitives.Atomic_intf.Real) (P)
-  in
-  let module W =
-    Nbq_segmented.Segmented.Conc
-      (struct
-        let name = "evequoz-seg"
-      end)
-      (Core)
-  in
-  (module W : Queue_intf.CONC)
+let evequoz_seg : builder =
+ fun hook ->
+  let module H = (val hook) in
+  (module Nbq_segmented.Segmented.Conc
+            (struct
+              let name = "evequoz-seg"
+            end)
+            (Nbq_segmented.Segmented.Make_probed_cas (Real) (H)))
 
-let probed_evequoz_seg_bw probe =
-  let module P = (val probe : Nbq_primitives.Probe.S) in
-  let module Core =
-    Nbq_segmented.Segmented.Make_probed_bw (Nbq_primitives.Atomic_intf.Real) (P)
-  in
-  let module W =
-    Nbq_segmented.Segmented.Conc
-      (struct
-        let name = "evequoz-seg-bw"
-      end)
-      (Core)
-  in
-  (module W : Queue_intf.CONC)
+let evequoz_seg_bw : builder =
+ fun hook ->
+  let module H = (val hook) in
+  (module Nbq_segmented.Segmented.Conc
+            (struct
+              let name = "evequoz-seg-bw"
+            end)
+            (Nbq_segmented.Segmented.Make_probed_bw (Real) (H)))
 
 (* --- SCQ (Nikolaev, arXiv:1908.04511) ----------------------------------- *)
 
-module Scq_default = Nbq_scq.Scq.Make (Nbq_primitives.Atomic_intf.Real)
-module Scq_wcq_default = Nbq_scq.Scq.Make_wcq (Nbq_primitives.Atomic_intf.Real)
-module Scq_conc = Queue_intf.Make (Cap.Bounded (Scq_default.Scq))
-module Scqd_conc = Queue_intf.Make (Cap.Bounded (Scq_default.Scqd))
-module Scq_wcq_conc = Queue_intf.Make (Cap.Bounded (Scq_wcq_default.Scq))
+let scq : builder =
+ fun hook ->
+  let module H = (val hook) in
+  let module S = Nbq_scq.Scq.Make_probed (Real) (H) in
+  (module Queue_intf.Make (Cap.Bounded (S.Scq)))
 
-let probed_scq probe =
-  let module P = (val probe : Nbq_primitives.Probe.S) in
-  let module S = Nbq_scq.Scq.Make_probed (Nbq_primitives.Atomic_intf.Real) (P)
-  in
-  let module C = Queue_intf.Make (Cap.Bounded (S.Scq)) in
-  (module C : Queue_intf.CONC)
+let scqd : builder =
+ fun hook ->
+  let module H = (val hook) in
+  let module S = Nbq_scq.Scq.Make_probed (Real) (H) in
+  (module Queue_intf.Make (Cap.Bounded (S.Scqd)))
 
-let probed_scqd probe =
-  let module P = (val probe : Nbq_primitives.Probe.S) in
-  let module S = Nbq_scq.Scq.Make_probed (Nbq_primitives.Atomic_intf.Real) (P)
-  in
-  let module C = Queue_intf.Make (Cap.Bounded (S.Scqd)) in
-  (module C : Queue_intf.CONC)
-
-let probed_scq_wcq probe =
-  let module P = (val probe : Nbq_primitives.Probe.S) in
-  let module S =
-    Nbq_scq.Scq.Make_wcq_probed (Nbq_primitives.Atomic_intf.Real) (P)
-  in
-  let module C = Queue_intf.Make (Cap.Bounded (S.Scq)) in
-  (module C : Queue_intf.CONC)
+let scq_wcq : builder =
+ fun hook ->
+  let module H = (val hook) in
+  let module S = Nbq_scq.Scq.Make_wcq_probed (Real) (H) in
+  (module Queue_intf.Make (Cap.Bounded (S.Scq)))
 
 (* --- The registered families -------------------------------------------- *)
 
+(* The shard4/shard8 rows run the ring with its batch runs. *)
+let evequoz_cas_family =
+  Family.v "evequoz-cas" ~shards:[ 4; 8 ] ~shard_build:evequoz_cas_runs
+    evequoz_cas
+
+let sharded_evequoz_cas ~shards = shard_row evequoz_cas_family shards
+
 let families : Family.t list =
   [
-    Family.v "evequoz-llsc" ~probed:probed_evequoz_llsc
-      (module Evequoz_llsc_conc);
-    (* Native sharded composition (ring with amortized batch runs, probe
-       wired into the sharding layer itself) overrides the generic facade
-       for the shard4/shard8 rows. *)
-    Family.v "evequoz-cas" ~probed:probed_evequoz_cas ~shards:[ 4; 8 ]
-      ~shard_impl:(fun shards -> sharded_evequoz_cas ~shards)
-      (module Evequoz_cas_conc);
-    (* Blelloch-Wei behind the generic sharded facade: deep-probed inner
-       rings via the row's own create_probed. *)
-    Family.v "evequoz-bw" ~probed:probed_evequoz_bw ~shards:[ 4 ]
-      (module Evequoz_bw_conc);
-    Family.v "evequoz-llsc-weak" (module Evequoz_llsc_weak_conc);
-    Family.v "shann" (module Shann_conc);
-    Family.v "tsigas-zhang" (module Tz_conc);
-    Family.v "valois-dcas" (module Valois_conc);
-    Family.v "ms-gc" ~classification:Link_based (module Ms_gc_conc);
+    Family.v "evequoz-llsc" evequoz_llsc;
+    evequoz_cas_family;
+    Family.v "evequoz-bw" ~shards:[ 4 ] evequoz_bw;
+    Family.v "evequoz-llsc-weak" (unhooked (module Evequoz_llsc_weak_conc));
+    Family.v "shann" (unhooked (module Shann_conc));
+    Family.v "tsigas-zhang" (unhooked (module Tz_conc));
+    Family.v "valois-dcas" (unhooked (module Valois_conc));
+    Family.v "ms-gc" ~classification:Link_based (unhooked (module Ms_gc_conc));
     Family.v "ms-hp-sorted" ~classification:Link_based
-      (module Ms_hp_sorted_conc);
+      (unhooked (module Ms_hp_sorted_conc));
     Family.v "ms-hp-unsorted" ~classification:Link_based
-      (module Ms_hp_unsorted_conc);
-    Family.v "ms-ebr" ~classification:Link_based (module Ms_ebr_conc);
-    Family.v "ms-doherty" ~classification:Link_based (module Ms_doherty_conc);
-    Family.v "herlihy-wing" (module Hw_conc);
-    Family.v "lms-optimistic" ~classification:Link_based (module Lms_conc);
-    Family.v "two-lock" ~classification:Lock_based (module Two_lock_conc);
-    Family.v "lock-ring" ~classification:Lock_based (module Lock_conc);
+      (unhooked (module Ms_hp_unsorted_conc));
+    Family.v "ms-ebr" ~classification:Link_based
+      (unhooked (module Ms_ebr_conc));
+    Family.v "ms-doherty" ~classification:Link_based
+      (unhooked (module Ms_doherty_conc));
+    Family.v "herlihy-wing" (unhooked (module Hw_conc));
+    Family.v "lms-optimistic" ~classification:Link_based
+      (unhooked (module Lms_conc));
+    Family.v "two-lock" ~classification:Lock_based
+      (unhooked (module Two_lock_conc));
+    Family.v "lock-ring" ~classification:Lock_based
+      (unhooked (module Lock_conc));
     (* Segmented shards grow instead of shedding: the facade keeps its
        relaxed-FIFO contract but [try_enqueue] never sheds to a steal
        sweep on "full" — a shard's ring chain just grows.  The 1-shard
        row is the facade-overhead control: same code path, no relaxation
        benefit. *)
-    Family.v "evequoz-seg" ~classification:Link_based
-      ~probed:probed_evequoz_seg ~shards:[ 1; 4 ]
-      (module Nbq_segmented.Segmented.Cas);
-    Family.v "evequoz-seg-bw" ~classification:Link_based
-      ~probed:probed_evequoz_seg_bw
-      (module Nbq_segmented.Segmented.Bw);
+    Family.v "evequoz-seg" ~classification:Link_based ~shards:[ 1; 4 ]
+      evequoz_seg;
+    Family.v "evequoz-seg-bw" ~classification:Link_based evequoz_seg_bw;
     (* SCQ: plain, SCQD index-queue pairing, and the wCQ-style helping
        variant; the base row also derives a shard facade and a blocking
-       row (ROADMAP item on parking integration rides on the latter). *)
-    Family.v "scq" ~probed:probed_scq ~shards:[ 4 ] ~blocking:true
-      (module Scq_conc);
-    Family.v "scq-d" ~probed:probed_scqd (module Scqd_conc);
-    Family.v "scq-wcq" ~probed:probed_scq_wcq (module Scq_wcq_conc);
-    Family.v "seq-ring" ~classification:Sequential (module Seq_conc);
+       row. *)
+    Family.v "scq" ~shards:[ 4 ] ~blocking:true scq;
+    Family.v "scq-d" scqd;
+    Family.v "scq-wcq" scq_wcq;
+    Family.v "seq-ring" ~classification:Sequential (unhooked (module Seq_conc));
   ]
 
 let all = List.concat_map register_family families

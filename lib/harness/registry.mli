@@ -63,10 +63,12 @@ type impl = {
           DESIGN.md §8. *)
   create : capacity:int -> instance;
   create_probed : metrics:Nbq_obs.Metrics.t -> capacity:int -> instance;
-      (** Like [create] but with operations feeding the metrics hub:
-          Evéquoz queues are rebuilt with probes inside the algorithm
-          ({!Nbq_obs.Instrumented.deep}); other queues get the shallow
-          retry/latency wrapper; {!custom} impls fall back to [create]. *)
+      (** Like [create] but with the queue feeding the metrics hub: the
+          queue is rebuilt with the hub's hook ([Nbq_obs.Metrics.probe])
+          threaded through its functor seams (for families that have
+          them) and its wait layer, and wrapped in the shallow
+          retry/latency layer ([Nbq_obs.Instrumented.Make]); {!custom}
+          impls fall back to [create]. *)
   create_traced :
     metrics:Nbq_obs.Metrics.t option ->
     tracer:Nbq_trace.Recorder.t ->
@@ -74,10 +76,10 @@ type impl = {
     instance;
       (** Like [create_probed] but additionally feeding the flight
           recorder ([Nbq_trace]): sampled operation spans around every
-          public operation, and — for the Evéquoz queues and the native
-          sharded rows — the recorder's probe composed with the metrics
-          probe inside the algorithm's functor seams.  Omitting [metrics]
-          trades the counter hub away for a pure trace. *)
+          public operation and, in full mode, the recorder's hook composed
+          with the metrics hook inside the algorithm
+          ([Nbq_trace.Instrument.hook]).  Omitting [metrics] trades the
+          counter hub away for a pure trace. *)
 }
 
 (** One descriptor per algorithm family; {!register_family} derives every
@@ -85,24 +87,24 @@ type impl = {
     entry in the internal family list — the derived rows (base, shards,
     blocking) come for free. *)
 module Family : sig
-  type probed_builder =
-    (module Nbq_primitives.Probe.S) -> (module Nbq_core.Queue_intf.CONC)
-  (** Rebuild the queue with a probe threaded through its functor seams
-      (deep instrumentation: sc_fail, helping, tag traffic, faa cycles). *)
+  type builder =
+    (module Nbq_primitives.Hook.S) -> (module Nbq_core.Queue_intf.CONC)
+  (** Build the queue with a hook threaded through its functor seams.
+      Families without seams ignore the hook. *)
 
   type t = {
     name : string;
     classification : family;
     bounded_delay_assumption : bool;
     relaxed_fifo : bool;
+    build : builder;
     conc : (module Nbq_core.Queue_intf.CONC);
-    probed : probed_builder option;
-        (** [None]: probed/traced creation degrades to the shallow
-            retry/latency wrapper. *)
+        (** [build Hook.Noop], built once: what [create] instantiates. *)
     shards : int list;
         (** Derived ["<name>-shard<N>"] rows, one per element. *)
-    shard_impl : (int -> impl) option;
-        (** Native sharded composition overriding the generic facade. *)
+    shard_build : builder option;
+        (** The queue behind each shard of those rows, when it differs
+            from [build] (the evequoz-cas ring with its batch runs). *)
     blocking : bool;
         (** Derive a ["<name>-blocking"] row: plain ops are
             [Queue_intf.Blocking_hooked]'s budget-0 (wake-issuing)
@@ -113,20 +115,22 @@ module Family : sig
     ?classification:family ->
     ?bounded_delay_assumption:bool ->
     ?relaxed_fifo:bool ->
-    ?probed:probed_builder ->
     ?shards:int list ->
-    ?shard_impl:(int -> impl) ->
+    ?shard_build:builder ->
     ?blocking:bool ->
     string ->
-    (module Nbq_core.Queue_intf.CONC) ->
+    builder ->
     t
-  (** [v name conc] with [classification] defaulting to [Array_based],
+  (** [v name build] with [classification] defaulting to [Array_based],
       the flags to [false], and no derived rows. *)
 end
 
 val register_family : Family.t -> impl list
 (** The rows a family publishes: base, then one per [shards] entry, then
-    the blocking row if requested.  Row names follow the registry's
+    the blocking row if requested.  Every row's three creation paths come
+    from one builder: [create] instantiates [conc], [create_probed] and
+    [create_traced] call [build] with the observation's hook and wrap the
+    result in the metrics and span layers.  Row names follow the registry's
     conventions (["<name>"], ["<name>-shard<N>"], ["<name>-blocking"]). *)
 
 val all : impl list
@@ -159,11 +163,11 @@ val custom :
   (capacity:int -> instance) ->
   impl
 (** Build an impl from a bare instance constructor (ad-hoc experiment
-    queues, e.g. the ablation binaries).  [create_probed] degrades to the
-    uninstrumented [create]. *)
+    queues, e.g. the ablation binaries).  [create_probed] and
+    [create_traced] degrade to the uninstrumented [create]. *)
 
 val basic_instance :
-  ?probe:(module Nbq_primitives.Probe.S) ->
+  ?probe:(module Nbq_primitives.Hook.S) ->
   enqueue:(payload -> bool) ->
   dequeue:(unit -> payload option) ->
   length:(unit -> int) ->
@@ -171,8 +175,8 @@ val basic_instance :
   instance
 (** Build an {!instance} from single-item operations; the batch fields
     loop over them, the [*_until] fields park on a fresh eventcount pair.
-    [probe] wires the wait-layer events ([wait_park] / [wait_wake] /
-    [wait_cancel]) of those eventcounts, e.g. [Nbq_obs.Metrics.probe]. *)
+    [probe] is those eventcounts' hook ([Wait_park] / [Wait_wake] /
+    [Wait_cancel] and the wait windows), e.g. [Nbq_obs.Metrics.probe]. *)
 
 val sharded_evequoz_cas : shards:int -> impl
 (** The native sharded composition over the paper's CAS ring with its
@@ -186,7 +190,7 @@ val sharded : shards:int -> impl -> impl
     facade: [shards] independent instances of [impl] (each sized
     [capacity / shards], rounded up) with per-domain affinity and
     work-stealing.  The result is named ["<name>-shard<N>"] and marked
-    [relaxed_fifo].  Probed creation shards probed inner instances, so
-    inner-queue events still reach the hub (steals are only counted for
-    the registered [evequoz-cas-shard*] rows, whose probe is wired into
-    the sharding layer itself). *)
+    [relaxed_fifo].  Probed (traced) creation shards probed (traced) inner
+    instances, so inner-queue events and spans still reach the hub and
+    the recorder, and wires the same hook into the sharding layer (steals)
+    and its eventcounts. *)

@@ -46,7 +46,7 @@ val measure :
     same failed operations, so the two agree).
 
     With [?tracer] the queue is built via [create_traced] instead (the
-    hub, if also given, rides along through the composed probe); the
+    hub, if also given, rides along through the composed hook); the
     caller arms/disarms the recorder and exports — the runner only wires
     the hooks.
 

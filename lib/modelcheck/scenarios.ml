@@ -8,29 +8,17 @@ type scenario = unit -> (unit -> unit) array * (unit -> unit)
 
 (* --- protocol-event sink for counterexample dumps ------------------------ *)
 
-(* The simulated queues are built through the probed functor variants, so
-   the same protocol events the real flight recorder captures (SC failures,
-   helping, tag registry traffic, parks/wakes) are available under
-   simulation.  During exploration the sink is [None] and every hook is a
-   no-op; [dump_schedule] installs a sink to rebuild the merged timeline of
-   a counterexample. *)
+(* The simulated queues are built with this hook, so the same counted
+   events the real flight recorder captures (SC failures, helping, tag
+   registry traffic, parks/wakes) are available under simulation.  During
+   exploration the sink is [None] and every hit is a no-op; [dump_schedule]
+   installs a sink to rebuild the merged timeline of a counterexample. *)
 let trace_sink : (E.t -> unit) option ref = ref None
 
 let emit ev = match !trace_sink with None -> () | Some f -> f ev
 
-module Trace_probe : Nbq_primitives.Probe.S = struct
-  let ll_reserve () = emit E.Ll_reserve
-  let sc_fail () = emit E.Sc_fail
-  let tail_help () = emit E.Tail_help
-  let head_help () = emit E.Head_help
-  let tag_register () = emit E.Tag_register
-  let tag_reregister () = emit E.Tag_reregister
-  let tag_deregister () = emit E.Tag_deregister
-  let tag_recycle () = emit E.Tag_recycle
-  let shard_steal () = emit E.Shard_steal
-  let wait_park () = emit E.Wait_park
-  let wait_wake () = emit E.Wait_wake
-  let wait_cancel () = emit E.Wait_cancel
+module Trace_hook : Nbq_primitives.Hook.S = struct
+  let hit p = match E.of_point p with Some ev -> emit ev | None -> ()
 end
 
 (* --- recording ----------------------------------------------------------- *)
@@ -106,10 +94,10 @@ let generic ~make_queue ~spec_capacity ~prefill threads () =
   ( Array.of_list (List.mapi task threads),
     lin_check ~capacity:spec_capacity recorder )
 
-module SimCell = Nbq_primitives.Llsc.Make_probed (Sim.Atomic) (Trace_probe)
-module SimQ1 = Nbq_core.Evequoz_llsc.Make_probed (SimCell) (Trace_probe)
-module SimQ2 = Nbq_core.Evequoz_cas.Make_probed (Sim.Atomic) (Trace_probe)
-module SimBW = Nbq_core.Evequoz_bw.Make_probed (Sim.Atomic) (Trace_probe)
+module SimCell = Nbq_primitives.Llsc.Make_probed (Sim.Atomic) (Trace_hook)
+module SimQ1 = Nbq_core.Evequoz_llsc.Make_probed (SimCell) (Trace_hook)
+module SimQ2 = Nbq_core.Evequoz_cas.Make_probed (Sim.Atomic) (Trace_hook)
+module SimBW = Nbq_core.Evequoz_bw.Make_probed (Sim.Atomic) (Trace_hook)
 module SimShann = Nbq_baselines.Shann.Make (Sim.Atomic)
 module SimTz = Nbq_baselines.Tsigas_zhang.Make (Sim.Atomic)
 module SimMs = Nbq_baselines.Michael_scott.Make (Sim.Atomic)
@@ -125,27 +113,25 @@ module SimSegBackend = Nbq_primitives.Llsc_backend.Of_cell (SimCell)
 
 module SimSeg =
   Nbq_segmented.Segmented.Make_backend (Sim.Atomic) (SimSegBackend)
-    (Trace_probe)
-    (Nbq_primitives.Fault.Noop)
+    (Trace_hook)
 
 (* Nikolaev's SCQ (PR 10): the FAA-ticketed ring, with and without the
    wCQ-style helping enqueue.  The no-threshold variant disables the
    retry-budget counter — the seeded livelock the checker must convict:
    without it an empty-side dequeuer's slot bumps and the enqueuer's
    fresh tickets can chase each other forever. *)
-module SimScq = Nbq_scq.Scq.Make_probed (Sim.Atomic) (Trace_probe)
-module SimScqW = Nbq_scq.Scq.Make_wcq_probed (Sim.Atomic) (Trace_probe)
+module SimScq = Nbq_scq.Scq.Make_probed (Sim.Atomic) (Trace_hook)
+module SimScqW = Nbq_scq.Scq.Make_wcq_probed (Sim.Atomic) (Trace_hook)
 
 module SimScqNothresh =
   Nbq_scq.Scq.Make_full
     (struct
+      include Nbq_scq.Scq.Default_config
+
       let threshold = false
-      let helping = false
-      let slow_after = 4
     end)
     (Sim.Atomic)
-    (Trace_probe)
-    (Nbq_primitives.Fault.Noop)
+    (Trace_hook)
 
 let algorithms =
   [
@@ -638,12 +624,10 @@ module SimBWBug_backend =
       let retire_threshold = 1
     end)
     (Sim.Atomic)
-    (Trace_probe)
-    (Nbq_primitives.Fault.Noop)
+    (Trace_hook)
 
 module SimBWBug =
-  Nbq_core.Evequoz_ring.Make_injected (SimBWBug_backend) (Trace_probe)
-    (Nbq_primitives.Fault.Noop)
+  Nbq_core.Evequoz_ring.Make_probed (SimBWBug_backend) (Trace_hook)
 
 let bw_noscan_instance () =
   let q = SimBWBug.create ~capacity:2 in
@@ -791,10 +775,10 @@ let seg_instance ?(direct_free = false) ~capacity ~prefill threads () =
   }
 
 (* SCQ family (PR 10): linearizability plus conservation-by-drain.  No
-   per-step invariant: the credit ring hands a freed slot back *before*
-   the size counter settles, so even length <= capacity is transiently
-   false mid-step by design — only quiescent properties are sound, and
-   the drain checks those. *)
+   per-step invariant: the size counter settles apart from the ring and
+   the admission gate, so even length <= capacity is transiently false
+   mid-step by design — only quiescent properties are sound, and the
+   drain checks those. *)
 let scq_instance ~make ~capacity ~prefill threads () =
   let nthreads = List.length threads in
   let enq, deq = make ~capacity in
@@ -856,9 +840,7 @@ module Sh = Nbq_scale.Sharded
 let sharded_instance () =
   let home () = match Sim.current_task () with -1 -> 0 | t -> t mod 2 in
   let f =
-    Sh.create
-      ~note_steal:(fun () -> emit E.Shard_steal)
-      ~home ~shards:2
+    Sh.create ~hook:(module Trace_hook) ~home ~shards:2
       (fun _ ->
         let q = SimQ1.create ~capacity:2 in
         Sh.ops_of_singles
@@ -936,9 +918,7 @@ module SimConc1 =
 let sim_wait_instance () =
   let module W = Sim_wait.Make () in
   let module BQ =
-    Nbq_core.Queue_intf.Blocking_ec (W.EC) (Trace_probe)
-      (Nbq_primitives.Fault.Noop)
-      (SimConc1)
+    Nbq_core.Queue_intf.Blocking_ec (W.EC) (Trace_hook) (SimConc1)
   in
   let bq = BQ.create ~capacity:2 in
   let got = ref None in

@@ -104,6 +104,6 @@ val dump_schedule : spec -> int list -> out_channel -> unit
 (** Re-execute [schedule] on a fresh instance of [spec], printing every
     step's task and atomic-location access, a short fair continuation
     (so liveness counterexamples show the loop they are stuck in), and
-    the merged timeline of protocol events (probe hooks) rendered by
+    the merged timeline of counted hook points rendered by
     {!Nbq_trace.Export.timeline_of} — the interleaving dump printed next
     to a violation's NBQ-FAULT-REPRO line. *)

@@ -15,6 +15,15 @@ type _ Effect.t +=
   | Parked : bool -> unit Effect.t  (* waiting-layer metadata for liveness *)
 
 let yield () = perform (Yield None)
+
+(* Fault windows are where a real thread can be stalled or killed, so
+   they are where the explorer preempts a simulated one.  Counted points
+   are not scheduling points: each sits right after an atomic access,
+   which already is one. *)
+module Yield_at_windows : Nbq_primitives.Hook.S = struct
+  let hit p = if Nbq_primitives.Hook.is_window p then yield ()
+end
+
 let op_completed () = perform Progress
 let current_task () = perform Task_id
 let mark_parked b = perform (Parked b)
@@ -279,32 +288,6 @@ let run_sequential f =
           | Parked _ -> Some (fun (k : (a, _) continuation) -> continue k ())
           | _ -> None);
     }
-
-(* Externally guided execution: the caller's [choose] picks the next task
-   at every scheduling point, with full freedom over the enabled set (no
-   preemption bound).  This is the entry point for randomized fault-schedule
-   exploration: a seeded chooser gives a reproducible run, and the returned
-   trace is the exact schedule for replay/shrinking. *)
-let run_guided ?(max_steps = 100_000) ~choose scenario =
-  reset_locations ();
-  let tasks, check = scenario () in
-  let ex = Exec.start tasks in
-  let rec loop steps rev_trace =
-    match Exec.enabled ex with
-    | [] ->
-        check ();
-        (`Completed, List.rev rev_trace)
-    | en ->
-        if steps >= max_steps then (`Diverged, List.rev rev_trace)
-        else begin
-          let chosen = choose ~step:steps ~enabled:en in
-          if not (List.mem chosen en) then
-            invalid_arg "Sim.run_guided: choose picked a disabled task";
-          ignore (Exec.step ex chosen : Exec.step_info);
-          loop (steps + 1) (chosen :: rev_trace)
-        end
-  in
-  loop 0 []
 
 let run_schedule ?(max_steps = max_int) scenario schedule =
   reset_locations ();

@@ -43,6 +43,12 @@ val yield : unit -> unit
 (** An explicit scheduling point, for modelling non-atomic interleaving
     inside scenario threads. *)
 
+module Yield_at_windows : Nbq_primitives.Hook.S
+(** A hook whose [hit] yields at every fault window (and ignores counted
+    points): instantiate a [Make_probed] functor over {!Atomic} with it to
+    make the windows scheduling points, so the explorer preempts simulated
+    threads exactly where real ones could be stalled or killed. *)
+
 val op_completed : unit -> unit
 (** Scenario threads call this when a queue operation completes.  It is
     {e not} a scheduling point (the handler resumes immediately); it feeds
@@ -66,8 +72,8 @@ val reset_locations : unit -> unit
 
 (** The stepping core: one controlled execution of a task array, exposing
     exactly what a scheduler needs — who is runnable, what each runnable
-    task will touch next, and single-stepping.  {!explore}, {!run_guided}
-    and {!Dpor} are all built on it. *)
+    task will touch next, and single-stepping.  {!explore} and {!Dpor}
+    are built on it. *)
 module Exec : sig
   type footprint =
     | Access of access
@@ -137,22 +143,6 @@ val explore :
 
     [max_steps] (default 10_000) bounds one schedule's length;
     [max_schedules] (default 1_000_000) bounds the exploration. *)
-
-val run_guided :
-  ?max_steps:int ->
-  choose:(step:int -> enabled:int list -> int) ->
-  (unit -> (unit -> unit) array * (unit -> unit)) ->
-  [ `Completed | `Diverged ] * int list
-(** [run_guided ~choose scenario] executes one schedule driven by an
-    external chooser: at every scheduling point [choose ~step ~enabled] must
-    return one of the [enabled] task indices (anything else raises
-    [Invalid_argument]).  No preemption bound — the chooser has full
-    adversarial freedom.  Runs the scenario check on completion (its
-    exceptions propagate) and returns the status together with the exact
-    task trace taken, suitable for {!run_schedule}-style replay or
-    shrinking.  [max_steps] (default 100_000) cuts off divergent runs.
-    The entry point for randomized fault-schedule exploration
-    ([Nbq_fault.Explore]). *)
 
 val run_schedule :
   ?max_steps:int ->

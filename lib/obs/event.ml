@@ -87,3 +87,22 @@ let describe = function
   | Wait_park -> "blocked operation parked its domain on an eventcount"
   | Wait_wake -> "wake path delivered a signal to a parked waiter"
   | Wait_cancel -> "published waiter withdrew without consuming a wake"
+
+(* A window at the same program point as a count is one hook point and
+   feeds that count. *)
+let of_point : Nbq_primitives.Hook.point -> t option = function
+  | Ll_reserved -> Some Ll_reserve
+  | Sc_fail -> Some Sc_fail
+  | Tail_help | Seg_append -> Some Tail_help
+  | Head_help | Seg_retire | Threshold_reset -> Some Head_help
+  | Tag_register -> Some Tag_register
+  | Tag_reregister -> Some Tag_reregister
+  | Tag_deregister -> Some Tag_deregister
+  | Tag_recycle -> Some Tag_recycle
+  | Shard_stolen -> Some Shard_steal
+  | Wait_park -> Some Wait_park
+  | Wait_wake -> Some Wait_wake
+  | Wait_cancel -> Some Wait_cancel
+  | Ll_reserve | Slot_swap | Sc_attempt | Counter_bump | Shard_steal | Op_gap
+  | Park_window | Wake_lost | Faa_cycle | Catchup ->
+      None

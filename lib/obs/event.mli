@@ -45,3 +45,9 @@ val of_string : string -> t option
 
 val describe : t -> string
 (** One-line human description for reports. *)
+
+val of_point : Nbq_primitives.Hook.point -> t option
+(** The counter a hook point feeds, if any.  [Full_retry] and
+    [Empty_retry] come from the queue wrappers, not from hook points;
+    windows that sat apart from any count ([Ll_reserve], [Slot_swap],
+    [Sc_attempt], [Counter_bump], ...) feed none. *)

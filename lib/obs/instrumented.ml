@@ -74,72 +74,3 @@ module Make (M : METRICS) (Q : Queue_intf.CONC) :
 
   let length = Q.length
 end
-
-(* --- Deep instrumentation ------------------------------------------------
-   The wrapper above sees only the public queue interface; the evequoz
-   queues additionally accept a probe functor argument, letting the hub
-   count SC failures, helping, and tag-registry traffic from inside the
-   algorithm.  These rebuild the queue with [Metrics.probe] plugged in and
-   then add the shallow wrapper for retries/latency. *)
-
-module Deep_evequoz_cas (M : METRICS) : Queue_intf.CONC = struct
-  module P = (val Metrics.probe M.metrics)
-  module Core =
-    Nbq_core.Evequoz_cas.Make_probed (Nbq_primitives.Atomic_intf.Real) (P)
-  module Q = Nbq_core.Evequoz_cas.With_implicit_handles (Core)
-  module C = Queue_intf.Make (Queue_intf.Capability.Bounded_batch (Q))
-  include Make (M) (C)
-end
-
-module Deep_evequoz_bw (M : METRICS) : Queue_intf.CONC = struct
-  module P = (val Metrics.probe M.metrics)
-  module Core =
-    Nbq_core.Evequoz_bw.Make_probed (Nbq_primitives.Atomic_intf.Real) (P)
-  module Q = struct
-    include Nbq_core.Evequoz_cas.With_implicit_handles (Core)
-
-    let name = "evequoz-bw"
-  end
-  module C = Queue_intf.Make (Queue_intf.Capability.Bounded_batch (Q))
-  include Make (M) (C)
-end
-
-module Deep_evequoz_llsc (M : METRICS) : Queue_intf.CONC = struct
-  module P = (val Metrics.probe M.metrics)
-  module Cell =
-    Nbq_primitives.Llsc.Make_probed (Nbq_primitives.Atomic_intf.Real) (P)
-  module Q = Nbq_core.Evequoz_llsc.Make_probed (Cell) (P)
-  module C = Queue_intf.Make (Queue_intf.Capability.Bounded (Q))
-  include Make (M) (C)
-end
-
-let instrument (m : Metrics.t) (module Q : Queue_intf.CONC) :
-    (module Queue_intf.CONC) =
-  (module Make
-            (struct
-              let metrics = m
-            end)
-            (Q))
-
-let evequoz_cas (m : Metrics.t) : (module Queue_intf.CONC) =
-  (module Deep_evequoz_cas (struct
-    let metrics = m
-  end))
-
-let evequoz_llsc (m : Metrics.t) : (module Queue_intf.CONC) =
-  (module Deep_evequoz_llsc (struct
-    let metrics = m
-  end))
-
-let evequoz_bw (m : Metrics.t) : (module Queue_intf.CONC) =
-  (module Deep_evequoz_bw (struct
-    let metrics = m
-  end))
-
-let deep (m : Metrics.t) ~name (q : (module Queue_intf.CONC)) :
-    (module Queue_intf.CONC) =
-  match name with
-  | "evequoz-cas" -> evequoz_cas m
-  | "evequoz-llsc" -> evequoz_llsc m
-  | "evequoz-bw" -> evequoz_bw m
-  | _ -> instrument m q

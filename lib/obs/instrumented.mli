@@ -3,12 +3,10 @@
     The shallow {!Make} wrapper emits [Full_retry] / [Empty_retry] on
     failed operations and samples operation latency 1-in-64 into the hub's
     histograms, so the uninstrumented hot path is untouched and the
-    instrumented one stays within a few percent.
-
-    The deep variants rebuild the Evéquoz queues with the hub's probe
-    ({!Metrics.probe}) threaded through [Make_probed], additionally
-    counting SC failures, Tail/Head helping, LL reservations and tag
-    registry traffic from inside the algorithm. *)
+    instrumented one stays within a few percent.  Counts from inside an
+    algorithm (SC failures, helping, tag registry traffic) come from
+    building it with the hub's hook ({!Metrics.probe}); the registry does
+    that for every family. *)
 
 module type METRICS = sig
   val metrics : Metrics.t
@@ -19,24 +17,3 @@ val sample_mask : int
 
 module Make (M : METRICS) (Q : Nbq_core.Queue_intf.CONC) :
   Nbq_core.Queue_intf.CONC with type 'a t = 'a Q.t
-
-module Deep_evequoz_cas (M : METRICS) : Nbq_core.Queue_intf.CONC
-module Deep_evequoz_bw (M : METRICS) : Nbq_core.Queue_intf.CONC
-module Deep_evequoz_llsc (M : METRICS) : Nbq_core.Queue_intf.CONC
-
-val instrument :
-  Metrics.t -> (module Nbq_core.Queue_intf.CONC) -> (module Nbq_core.Queue_intf.CONC)
-(** Shallow wrap (retries + latency only). *)
-
-val evequoz_cas : Metrics.t -> (module Nbq_core.Queue_intf.CONC)
-val evequoz_bw : Metrics.t -> (module Nbq_core.Queue_intf.CONC)
-val evequoz_llsc : Metrics.t -> (module Nbq_core.Queue_intf.CONC)
-
-val deep :
-  Metrics.t ->
-  name:string ->
-  (module Nbq_core.Queue_intf.CONC) ->
-  (module Nbq_core.Queue_intf.CONC)
-(** Deep-instrument when [name] is an Evéquoz queue (rebuilding it with
-    probes inside), otherwise fall back to {!instrument} on the given
-    module. *)

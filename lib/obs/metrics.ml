@@ -63,36 +63,26 @@ let get s ev = s.counts.(Event.index ev)
    perturb the sampling rate, never correctness. *)
 let sample_mask = 63
 
-let probe (t : t) : (module Nbq_primitives.Probe.S) =
+let probe (t : t) : (module Nbq_primitives.Hook.S) =
   (module struct
-    (* One tick for both hot events: only [ll_reserve] advances it (every
-       operation reserves), while [tag_reregister] samples whenever it
-       runs inside an [ll_reserve] sampling window — re-registrations are
+    (* One tick for both hot events: only [Ll_reserved] advances it (every
+       operation reserves), while [Tag_reregister] samples whenever it
+       runs inside an [Ll_reserved] sampling window — re-registrations are
        uniformly spread over operations, so the estimator stays fair
-       without a second per-operation tick update. *)
+       without a second per-operation tick update.  Parks, wakes and
+       cancels happen at most once per blocked wait, not per operation —
+       exact counts, like the other rare events. *)
     let tick = ref 0
 
-    let ll_reserve () =
-      let n = !tick + 1 in
-      tick := n;
-      if n land sample_mask = 0 then add t Event.Ll_reserve (sample_mask + 1)
-
-    let sc_fail () = emit t Event.Sc_fail
-    let tail_help () = emit t Event.Tail_help
-    let head_help () = emit t Event.Head_help
-    let tag_register () = emit t Event.Tag_register
-
-    let tag_reregister () =
-      if !tick land sample_mask = 0 then
-        add t Event.Tag_reregister (sample_mask + 1)
-
-    let tag_deregister () = emit t Event.Tag_deregister
-    let tag_recycle () = emit t Event.Tag_recycle
-    let shard_steal () = emit t Event.Shard_steal
-
-    (* Parks, wakes and cancels happen at most once per blocked wait, not
-       per operation — exact counts, like the other rare events. *)
-    let wait_park () = emit t Event.Wait_park
-    let wait_wake () = emit t Event.Wait_wake
-    let wait_cancel () = emit t Event.Wait_cancel
+    let hit : Nbq_primitives.Hook.point -> unit = function
+      | Ll_reserved ->
+          let n = !tick + 1 in
+          tick := n;
+          if n land sample_mask = 0 then
+            add t Event.Ll_reserve (sample_mask + 1)
+      | Tag_reregister ->
+          if !tick land sample_mask = 0 then
+            add t Event.Tag_reregister (sample_mask + 1)
+      | p -> (
+          match Event.of_point p with Some ev -> emit t ev | None -> ())
   end)

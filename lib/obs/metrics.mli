@@ -28,9 +28,10 @@ val reset : t -> unit
 (** Zero the counters (histograms are left as-is; create a fresh [t] for a
     fresh run). *)
 
-val probe : t -> (module Nbq_primitives.Probe.S)
-(** A first-class probe module whose callbacks bump this hub's counters —
-    plug it into [Llsc_cas.Make_probed] / [Evequoz_cas.Make_probed] etc.
+val probe : t -> (module Nbq_primitives.Hook.S)
+(** A first-class hook whose [hit] bumps this hub's counter for the point
+    ({!Event.of_point}) — plug it into [Evequoz_cas.Make_probed],
+    [Segmented.Make_probed_cas] etc.
 
     The two events that fire once per queue operation by construction
     ([Ll_reserve] and [Tag_reregister]) are sampled 1-in-64 with weight

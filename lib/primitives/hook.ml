@@ -15,13 +15,32 @@ type point =
   | Faa_cycle
   | Threshold_reset
   | Catchup
+  | Ll_reserved
+  | Sc_fail
+  | Tail_help
+  | Head_help
+  | Tag_recycle
+  | Shard_stolen
+  | Wait_park
+  | Wait_wake
+  | Wait_cancel
 
 let all =
   [
     Ll_reserve; Slot_swap; Sc_attempt; Tag_register; Tag_reregister;
     Tag_deregister; Counter_bump; Seg_append; Seg_retire; Shard_steal;
     Op_gap; Park_window; Wake_lost; Faa_cycle; Threshold_reset; Catchup;
+    Ll_reserved; Sc_fail; Tail_help; Head_help; Tag_recycle; Shard_stolen;
+    Wait_park; Wait_wake; Wait_cancel;
   ]
+
+let is_window = function
+  | Ll_reserved | Sc_fail | Tail_help | Head_help | Tag_recycle | Shard_stolen
+  | Wait_park | Wait_wake | Wait_cancel ->
+      false
+  | _ -> true
+
+let windows = List.filter is_window all
 
 let to_string = function
   | Ll_reserve -> "ll-reserve"
@@ -40,8 +59,17 @@ let to_string = function
   | Faa_cycle -> "faa-cycle"
   | Threshold_reset -> "threshold-reset"
   | Catchup -> "catchup"
+  | Ll_reserved -> "ll-reserved"
+  | Sc_fail -> "sc-fail"
+  | Tail_help -> "tail-help"
+  | Head_help -> "head-help"
+  | Tag_recycle -> "tag-recycle"
+  | Shard_stolen -> "shard-stolen"
+  | Wait_park -> "wait-park"
+  | Wait_wake -> "wait-wake"
+  | Wait_cancel -> "wait-cancel"
 
-let of_string s = List.find_opt (fun p -> to_string p = s) all
+let of_string s = List.find_opt (fun p -> to_string p = s) windows
 
 module type S = sig
   val hit : point -> unit

@@ -11,8 +11,7 @@ module type S = sig
   val set : 'a t -> 'a -> unit
 end
 
-module Make_injected (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) =
-struct
+module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
   type 'a box = { contents : 'a }
 
   type 'a t = 'a box A.t
@@ -22,15 +21,15 @@ struct
   let make v = A.make { contents = v }
 
   let ll t =
-    F.hit Fault.Ll_reserve;
-    P.ll_reserve ();
+    H.hit Hook.Ll_reserve;
+    H.hit Hook.Ll_reserved;
     A.get t
 
   let value (link : 'a link) = link.contents
 
   (* A fresh box per store means box identity = "unwritten since read". *)
   let sc t link v =
-    F.hit Fault.Sc_attempt;
+    H.hit Hook.Sc_attempt;
     A.compare_and_set t link { contents = v }
 
   let vl t link = A.get t == link
@@ -40,10 +39,7 @@ struct
   let set t v = A.set t { contents = v }
 end
 
-module Make_probed (A : Atomic_intf.ATOMIC) (P : Probe.S) =
-  Make_injected (A) (P) (Fault.Noop)
-
-module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Probe.Noop)
+module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Hook.Noop)
 
 include Make (Atomic_intf.Real)
 

@@ -56,20 +56,15 @@ module type S = sig
   (** Unconditional store.  Invalidates all outstanding reservations. *)
 end
 
-module Make_injected (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) : S
-(** Fully instrumented cell: besides the probe, [F.hit] fires at the
-    fault-injection windows — {!Fault.Ll_reserve} on entry to [ll] and
-    {!Fault.Sc_attempt} just before [sc]'s compare-and-set — so torture
-    harnesses can stall or crash a thread inside them. *)
-
-module Make_probed (A : Atomic_intf.ATOMIC) (P : Probe.S) : S
-(** [Make_injected] with {!Fault.Noop}: instrumentation hook only —
-    [P.ll_reserve] fires on every load-linked.  [sc] failures are probed by
-    callers, which can tell update-path failures from benign helping
-    races. *)
+module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) : S
+(** The cell with its hook points: [Ll_reserve] on entry to [ll], then
+    [Ll_reserved] (the reservation is the read itself), and [Sc_attempt]
+    just before [sc]'s compare-and-set.  [sc] failures are not counted
+    here — callers, which can tell update-path failures from benign
+    helping races, hit [Sc_fail]. *)
 
 module Make (A : Atomic_intf.ATOMIC) : S
-(** [Make_probed] with {!Probe.Noop}: the uninstrumented default. *)
+(** [Make_probed] with {!Hook.Noop}: the uninstrumented default. *)
 
 include S
 

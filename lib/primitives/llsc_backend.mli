@@ -19,9 +19,9 @@
       [reregister] a literal no-op.
 
     Implementations: {!Of_cell} (ideal or weak {!CELL}s, trivial unit
-    handles), [Nbq_primitives.Llsc_cas.Backend_injected] (the paper's
+    handles), [Nbq_primitives.Llsc_cas.Backend] (the paper's
     Fig. 5 tag-variable protocol), and
-    [Nbq_primitives.Llsc_bw.Make_injected] (Blelloch-Wei constant-time
+    [Nbq_primitives.Llsc_bw.Make_probed] (Blelloch-Wei constant-time
     LL/SC, arXiv:1911.09671). *)
 
 type audit = { registered : int; owned : int; free : int }

@@ -39,8 +39,7 @@ end
 module Make_config
     (C : CONFIG)
     (A : Atomic_intf.ATOMIC)
-    (P : Probe.S)
-    (F : Fault.S) =
+    (H : Hook.S) =
 struct
   type 'a buf = { mutable v : 'a }
 
@@ -83,7 +82,7 @@ struct
     let th =
       match find_free (A.get reg.first) with
       | Some th ->
-          P.tag_recycle ();
+          H.hit Hook.Tag_recycle;
           th
       | None ->
           let th =
@@ -107,16 +106,14 @@ struct
     in
     (* Past this point the record is owned; a crash here abandons it — the
        same bounded leak the tag registry accepts. *)
-    F.hit Fault.Tag_register;
-    P.tag_register ();
+    H.hit Hook.Tag_register;
     th
 
-  (* The whole point: no per-operation protocol, no probe, no window. *)
+  (* The whole point: no per-operation protocol, no hook point. *)
   let reregister (_ : 'a handle) = ()
 
   let deregister h =
-    F.hit Fault.Tag_deregister;
-    P.tag_deregister ();
+    H.hit Hook.Tag_deregister;
     A.set h.announce None;
     A.set h.active 0
 
@@ -165,7 +162,7 @@ struct
   (* --- LL / SC --- *)
 
   let ll cell h =
-    F.hit Fault.Ll_reserve;
+    H.hit Hook.Ll_reserve;
     let rec go () =
       let b = A.get cell in
       A.set h.announce (Some b);
@@ -173,9 +170,9 @@ struct
          everyone else keeps going, paying at most one unreclaimed buffer
          per frozen thread — the Blelloch-Wei analogue of the abandoned
          tag-variable window. *)
-      F.hit Fault.Slot_swap;
+      H.hit Hook.Slot_swap;
       if A.get cell == b then begin
-        P.ll_reserve ();
+        H.hit Hook.Ll_reserved;
         b
       end
       else go ()
@@ -185,7 +182,7 @@ struct
   let res_value (b : 'a res) = b.v
 
   let sc cell h (b : 'a res) v =
-    F.hit Fault.Sc_attempt;
+    H.hit Hook.Sc_attempt;
     let nb = alloc h v in
     if A.compare_and_set cell b nb then begin
       A.set h.announce None;
@@ -209,13 +206,13 @@ struct
   let reset cell v = A.set cell { v }
 
   let read cell h =
-    F.hit Fault.Ll_reserve;
+    H.hit Hook.Ll_reserve;
     let rec go () =
       let b = A.get cell in
       A.set h.announce (Some b);
-      F.hit Fault.Slot_swap;
+      H.hit Hook.Slot_swap;
       if A.get cell == b then begin
-        P.ll_reserve ();
+        H.hit Hook.Ll_reserved;
         let v = b.v in
         A.set h.announce None;
         v
@@ -241,7 +238,7 @@ struct
   let observed_get (obs : 'a observation) = obs.v
 
   let commit cell h (obs : 'a observation) v =
-    F.hit Fault.Sc_attempt;
+    H.hit Hook.Sc_attempt;
     let nb = alloc h v in
     if A.compare_and_set cell obs nb then begin
       A.set h.announce None;
@@ -303,12 +300,9 @@ struct
       }
 end
 
-module Make_injected (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) =
-  Make_config (Default_config) (A) (P) (F)
+module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) =
+  Make_config (Default_config) (A) (H)
 
-module Make_probed (A : Atomic_intf.ATOMIC) (P : Probe.S) =
-  Make_injected (A) (P) (Fault.Noop)
-
-module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Probe.Noop)
+module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Hook.Noop)
 
 include Make (Atomic_intf.Real)

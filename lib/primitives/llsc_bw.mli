@@ -13,7 +13,7 @@
     buffer nobody is protecting — O(threads) work amortized over
     [retire_threshold] operations, so LL and SC are constant-time and the
     hot path generates {b zero registry traffic} ([reregister] is a literal
-    no-op and fires no probe).
+    no-op and hits no point).
 
     {b Tagged-pointer substitution.}  The original distinguishes buffer
     versions with packed tag bits; OCaml cannot tag native pointers, so
@@ -24,12 +24,12 @@
     the scan ({!CONFIG.scan_announcements}[ = false]) reopens exactly that
     ABA; the model checker convicts it on a two-thread capacity-2 queue.
 
-    Fault windows map onto the existing points: [Ll_reserve] on LL entry,
+    Hook points map onto the tag protocol's: [Ll_reserve] on LL entry,
     [Slot_swap] between announcement publication and cell revalidation
-    (the window a frozen thread blocks one buffer's reclamation),
-    [Sc_attempt] before the install CAS, [Tag_register]/[Tag_deregister]
-    around the (amortized-only) registration; [Tag_reregister] never
-    fires. *)
+    (the window a frozen thread blocks one buffer's reclamation), the
+    [Ll_reserved] count once revalidation succeeds, [Sc_attempt] before
+    the install CAS, [Tag_register]/[Tag_deregister] around the
+    (amortized-only) registration; [Tag_reregister] never fires. *)
 
 type space = {
   handles : int;  (** thread records ever allocated *)
@@ -55,21 +55,13 @@ module Default_config : CONFIG
 module Make_config
     (C : CONFIG)
     (A : Atomic_intf.ATOMIC)
-    (P : Probe.S)
-    (F : Fault.S) : sig
+    (H : Hook.S) : sig
   include Llsc_backend.S
 
   val space : 'a registry -> space
 end
 
-module Make_injected (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) :
-sig
-  include Llsc_backend.S
-
-  val space : 'a registry -> space
-end
-
-module Make_probed (A : Atomic_intf.ATOMIC) (P : Probe.S) : sig
+module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) : sig
   include Llsc_backend.S
 
   val space : 'a registry -> space

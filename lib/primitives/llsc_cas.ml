@@ -15,6 +15,7 @@ module type S = sig
   val deregister : 'a handle -> unit
   val ll : 'a t -> 'a handle -> 'a
   val sc : 'a t -> 'a handle -> 'a -> bool
+  val vl : 'a t -> 'a handle -> bool
 
   type 'a observation
 
@@ -31,8 +32,7 @@ module type S = sig
   val audit : 'a registry -> audit
 end
 
-module Make_injected (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) =
-struct
+module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
   type 'a content =
     | Unset  (* initial placeholder only; never stored in a cell *)
     | Value of 'a
@@ -43,8 +43,8 @@ struct
        the owning thread observed when it reserved a cell.  Plain mutable
        field: the reference-count protocol below makes the cross-thread
        reads of it well-defined (the owner only rewrites it while no reader
-       holds a count, or while the readers' subsequent CAS is doomed to
-       fail). *)
+       holds a count, and a reader only uses what it read once it has
+       re-seen the marker with its count held; see [ll]). *)
     mutable placeholder : 'a content;
     refcount : int A.t;
     (* Registry chain link; written once before publication. *)
@@ -78,7 +78,7 @@ struct
   let register_var reg =
     match find_free (A.get reg.first) with
     | Some v ->
-        P.tag_recycle ();
+        H.hit Hook.Tag_recycle;
         v
     | None ->
         let v = { placeholder = Unset; refcount = A.make 1; next = None } in
@@ -94,63 +94,82 @@ struct
     let var = register_var reg in
     (* Past this point the variable is owned; a crash here abandons it — the
        bounded leak the paper accepts for a thread dying mid-[Register]. *)
-    F.hit Fault.Tag_register;
-    P.tag_register ();
+    H.hit Hook.Tag_register;
     { registry = reg; var; mark = Mark var }
 
+  (* Drop the variable and take a free (or fresh) one with a fresh marker
+     block.  Readers still pinning the old variable keep it out of
+     [find_free] until they unpin. *)
+  let renew h =
+    ignore (A.fetch_and_add h.var.refcount (-1));
+    let var = register_var h.registry in
+    h.var <- var;
+    h.mark <- Mark var
+
   let reregister h =
-    F.hit Fault.Tag_reregister;
-    P.tag_reregister ();
+    H.hit Hook.Tag_reregister;
     (* Keep the variable only if we are its sole referent; otherwise a
        reader could later validate a stale marker observation against our
        reused marker block (the ABA of paper §5).  The swap shows up as a
        [tag_recycle] (or registry growth) on top of this event. *)
-    if A.get h.var.refcount <> 1 then begin
-      ignore (A.fetch_and_add h.var.refcount (-1));
-      let var = register_var h.registry in
-      h.var <- var;
-      h.mark <- Mark var
-    end
+    if A.get h.var.refcount <> 1 then renew h
 
   let deregister h =
-    F.hit Fault.Tag_deregister;
-    P.tag_deregister ();
+    H.hit Hook.Tag_deregister;
     ignore (A.fetch_and_add h.var.refcount (-1))
 
   (* --- Simulated LL / SC (paper L1-L17) --- *)
 
+  (* Two checks beyond the paper's L1-L17 close the lost-update race that
+     shows up under real parallelism.  A reader reads the marker (L5) and
+     only then pins its variable (L7); in between, the owner may finish its
+     SC, pass ReRegister with a count of 1, and start rewriting
+     [placeholder] for its next LL — or reinstall the very same marker
+     block.  The reader would then read a stale logical value and still
+     win its CAS against the reinstalled marker.
+     - Before writing [placeholder], the owner re-checks the count, as
+       ReRegister does: a pinned variable is never rewritten, so every LL
+       (also a retry after a failed SC, which the algorithms issue without
+       a ReRegister) is safe on its own.
+     - After pinning, the reader re-reads the cell: if it still holds the
+       marker, the owner's last [placeholder] write happened before that
+       install, and no later write can happen while the pin is held. *)
   let rec ll (cell : 'a t) (h : 'a handle) =
-    F.hit Fault.Ll_reserve;
+    H.hit Hook.Ll_reserve;
+    if A.get h.var.refcount <> 1 then renew h;
     let cur = A.get cell in
-    (match cur with
+    match cur with
     | Value _ ->
         (* Reuse the block we read: no allocation on the uncontended path. *)
-        h.var.placeholder <- cur
+        h.var.placeholder <- cur;
+        install cell h cur
     | Mark other ->
         (* Paper L7-L8: pin the foreign tag variable with a reference count,
            then read the logical value through it. *)
         ignore (A.fetch_and_add other.refcount 1);
-        h.var.placeholder <- other.placeholder
-    | Unset -> assert false);
-    let installed = A.compare_and_set cell cur h.mark in
-    (match cur with
-    | Mark other -> ignore (A.fetch_and_add other.refcount (-1))
-    | Value _ | Unset -> ());
-    if installed then begin
-      (* Our tag is now published in the cell.  A victim frozen (or killed)
-         here is the paper's §5 adversary: everyone else must be able to
-         read and steal through the abandoned marker. *)
-      F.hit Fault.Slot_swap;
-      P.ll_reserve ();
-      match h.var.placeholder with
-      | Value v -> v
-      | Mark _ | Unset -> assert false
-    end
-    else ll cell h
+        let pinned = A.get cell == cur in
+        if pinned then h.var.placeholder <- other.placeholder;
+        let installed = pinned && A.compare_and_set cell cur h.mark in
+        ignore (A.fetch_and_add other.refcount (-1));
+        if installed then reserved h else ll cell h
+    | Unset -> assert false
+
+  and install cell h cur =
+    if A.compare_and_set cell cur h.mark then reserved h else ll cell h
+
+  and reserved h =
+    (* Our tag is now published in the cell.  A victim frozen (or killed)
+       here is the paper's §5 adversary: everyone else must be able to read
+       and steal through the abandoned marker. *)
+    H.hit Hook.Slot_swap;
+    H.hit Hook.Ll_reserved;
+    match h.var.placeholder with Value v -> v | Mark _ | Unset -> assert false
 
   let sc (cell : 'a t) (h : 'a handle) v =
-    F.hit Fault.Sc_attempt;
+    H.hit Hook.Sc_attempt;
     A.compare_and_set cell h.mark (Value v)
+
+  let vl (cell : 'a t) (h : 'a handle) = A.get cell == h.mark
 
   (* --- One-shot observe / commit (extension, not in the paper) ---------
 
@@ -182,7 +201,7 @@ struct
     match obs with Value v -> v | Mark _ | Unset -> raise Not_found
 
   let commit (cell : 'a t) (obs : 'a observation) v =
-    F.hit Fault.Sc_attempt;
+    H.hit Hook.Sc_attempt;
     A.compare_and_set cell obs (Value v)
 
   let rec peek (cell : 'a t) =
@@ -222,18 +241,14 @@ struct
     { registered; owned; free = registered - owned }
 end
 
-module Make_probed (A : Atomic_intf.ATOMIC) (P : Probe.S) =
-  Make_injected (A) (P) (Fault.Noop)
-
-module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Probe.Noop)
+module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Hook.Noop)
 
 (* The same protocol behind the unified backend seam (Llsc_backend.S).  A
    reservation token is just the value read — rolling back is an sc that
    restores it; counters are plain atomics with single-CAS helping, exactly
    what the queue's Fig. 5 column does. *)
-module Backend_injected (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) =
-struct
-  module L = Make_injected (A) (P) (F)
+module Backend (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
+  module L = Make_probed (A) (H)
 
   type 'a t = 'a L.t
   type 'a registry = 'a L.registry

@@ -86,6 +86,11 @@ module type S = sig
   (** Simulated store-conditional: CAS the handle's own marker to [Value v].
       Fails iff another thread's [ll] stole the reservation since ours. *)
 
+  val vl : 'a t -> 'a handle -> bool
+  (** Validate (not in the paper's Fig. 5): true iff the handle's marker is
+      still in the cell, i.e. the cell is unchanged since our [ll].  Only
+      meaningful while the handle holds a reservation on this cell. *)
+
   type 'a observation
   (** The exact block read from a cell by {!observe}: the capability to
       {!commit} against it once. *)
@@ -145,28 +150,22 @@ module type S = sig
   (** {!registered_count} and {!owned_count} in one scan. *)
 end
 
-module Make_injected (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) : S
-(** Like {!Make_probed}, additionally firing [F.hit] at the protocol's
-    fault-injection windows: {!Fault.Ll_reserve} on entry to [ll],
-    {!Fault.Slot_swap} just {e after} the handle's marker was swapped into
-    the cell (the §5 abandonment window), {!Fault.Sc_attempt} before [sc]'s
-    CAS, and {!Fault.Tag_register} / {!Fault.Tag_reregister} /
-    {!Fault.Tag_deregister} inside the registry protocol ([Tag_register]
-    fires after the variable is owned, so a crash there abandons it). *)
-
-module Make_probed (A : Atomic_intf.ATOMIC) (P : Probe.S) : S
-(** Like {!Make}, with instrumentation hooks: [P.ll_reserve] fires on every
-    successful reservation, [P.tag_register] / [P.tag_reregister] /
-    [P.tag_deregister] on the corresponding protocol calls and
-    [P.tag_recycle] when a registration reuses a free variable.  [sc]
-    failures are {e not} probed here — rollbacks use [sc] too and their
-    failures are benign; callers probe the update path. *)
+module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) : S
+(** Like {!Make}, with the protocol's hook points: [Ll_reserve] on entry
+    to [ll] (and on each retry), [Slot_swap] just {e after} the handle's
+    marker was swapped into the cell (the §5 abandonment window), followed
+    by the [Ll_reserved] count, [Sc_attempt] before [sc]'s CAS, and
+    [Tag_register] / [Tag_reregister] / [Tag_deregister] inside the
+    registry protocol ([Tag_register] fires after the variable is owned,
+    so a crash there abandons it), plus [Tag_recycle] when a registration
+    reuses a free variable.  [sc] failures are {e not} hit here —
+    rollbacks use [sc] too and their failures are benign; callers hit
+    [Sc_fail] on the update path. *)
 
 module Make (A : Atomic_intf.ATOMIC) : S
-(** [Make_probed] with {!Probe.Noop}: the uninstrumented default. *)
+(** [Make_probed] with {!Hook.Noop}: the uninstrumented default. *)
 
-module Backend_injected (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) :
-  Llsc_backend.S
+module Backend (A : Atomic_intf.ATOMIC) (H : Hook.S) : Llsc_backend.S
 (** The protocol behind the unified {!Llsc_backend.S} seam: reservation
     tokens are the values read (rollback = [sc] restoring the old value),
     Head/Tail counters are plain atomics with a single helping CAS

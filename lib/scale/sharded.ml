@@ -1,6 +1,5 @@
 module Queue_intf = Nbq_core.Queue_intf
-module Probe = Nbq_primitives.Probe
-module Fault = Nbq_primitives.Fault
+module Hook = Nbq_primitives.Hook
 module Padding = Nbq_obs.Padding
 module Sharded_counter = Nbq_obs.Sharded_counter
 
@@ -20,8 +19,8 @@ type 'a t = {
   shards : 'a shard_ops array;
   home : unit -> int;          (* affinity; result always in [0, shards) *)
   steals : Sharded_counter.t;
-  note_steal : unit -> unit;   (* probe hook, fired per foreign-shard success *)
-  steal_window : unit -> unit; (* fault hook, fired before the first foreign probe *)
+  hit : Hook.point -> unit;    (* Shard_steal before the first foreign probe,
+                                  Shard_stolen per foreign-shard success *)
 }
 
 let ops ~enq ~deq ~len ~enq_batch ~deq_batch =
@@ -50,8 +49,8 @@ let ops_of_singles ~enq ~deq ~len =
         go [] k);
   }
 
-let create ?(note_steal = fun () -> ()) ?(steal_window = fun () -> ())
-    ?home ~shards mk =
+let create ?hook:((module H : Hook.S) = (module Hook.Noop)) ?home ~shards mk
+    =
   if shards < 1 then invalid_arg "Sharded.create: shards < 1";
   let home =
     match home with
@@ -67,8 +66,7 @@ let create ?(note_steal = fun () -> ()) ?(steal_window = fun () -> ())
     shards = Array.init shards (fun i -> Padding.copy_padded (mk i));
     home;
     steals = Sharded_counter.create ();
-    note_steal;
-    steal_window;
+    hit = H.hit;
   }
 
 let shard_count t = Array.length t.shards
@@ -76,7 +74,7 @@ let steal_count t = Sharded_counter.read t.steals
 
 let stole t =
   Sharded_counter.incr t.steals;
-  t.note_steal ()
+  t.hit Hook.Shard_stolen
 
 let home t = t.home ()
 
@@ -86,7 +84,7 @@ let try_enqueue t x =
   if (Array.unsafe_get t.shards h).enq x then true
   else if n = 1 then false
   else begin
-    t.steal_window ();
+    t.hit Hook.Shard_steal;
     let rec sweep i =
       if i >= n then false
       else
@@ -108,7 +106,7 @@ let try_dequeue t =
   | None ->
       if n = 1 then None
       else begin
-        t.steal_window ();
+        t.hit Hook.Shard_steal;
         let rec sweep i =
           if i >= n then None
           else
@@ -132,7 +130,7 @@ let try_dequeue_with_source t =
   | None ->
       if n = 1 then None
       else begin
-        t.steal_window ();
+        t.hit Hook.Shard_steal;
         let rec sweep i =
           if i >= n then None
           else
@@ -154,7 +152,7 @@ let try_enqueue_batch t items =
     let h = home t in
     let accepted = ref ((Array.unsafe_get t.shards h).enq_batch items) in
     if !accepted < total && n > 1 then begin
-      t.steal_window ();
+      t.hit Hook.Shard_steal;
       let i = ref 1 in
       while !accepted < total && !i < n do
         let s = if h + !i >= n then h + !i - n else h + !i in
@@ -179,7 +177,7 @@ let try_dequeue_batch t k =
     let m = List.length got in
     if m >= k || n = 1 then got
     else begin
-      t.steal_window ();
+      t.hit Hook.Shard_steal;
       let rec sweep i chunks m =
         if m >= k || i >= n then List.concat (List.rev chunks)
         else
@@ -210,12 +208,7 @@ module type SHARDS = sig
   val shards : int
 end
 
-module Make_injected
-    (N : SHARDS)
-    (P : Probe.S)
-    (F : Fault.S)
-    (Q : Queue_intf.CONC) =
-struct
+module Make_probed (N : SHARDS) (H : Hook.S) (Q : Queue_intf.CONC) = struct
   type nonrec 'a t = 'a t
 
   let name = Q.name ^ "-shard" ^ string_of_int N.shards
@@ -234,9 +227,7 @@ struct
      room, which is why enqueue steals before reporting full. *)
   let create ~capacity =
     let per = max 1 ((capacity + N.shards - 1) / N.shards) in
-    create ~shards:N.shards ~note_steal:P.shard_steal
-      ~steal_window:(fun () -> F.hit Fault.Shard_steal)
-      (fun _ ->
+    create ~hook:(module H) ~shards:N.shards (fun _ ->
         let q = Q.create ~capacity:per in
         ops
           ~enq:(fun x -> Q.try_enqueue q x)
@@ -252,11 +243,7 @@ struct
   let length = length
 end
 
-module Make_probed (N : SHARDS) (P : Probe.S) (Q : Queue_intf.CONC) =
-  Make_injected (N) (P) (Fault.Noop) (Q)
-
-module Make (N : SHARDS) (Q : Queue_intf.CONC) =
-  Make_probed (N) (Probe.Noop) (Q)
+module Make (N : SHARDS) (Q : Queue_intf.CONC) = Make_probed (N) (Hook.Noop) (Q)
 
 (* The default composition the ISSUE names: N rings of the paper's
    CAS-based queue, with the ring's amortized batch runs (one ReRegister
@@ -287,11 +274,8 @@ type 'a waitable = {
   not_full : Eventcount.t array;
 }
 
-let waitable ?on_park ?on_wake ?on_cancel ?park_window ?wake_window base =
-  let mk _ =
-    Eventcount.create ?on_park ?on_wake ?on_cancel ?park_window ?wake_window
-      ()
-  in
+let waitable ?hook base =
+  let mk _ = Eventcount.create ?hook () in
   let n = shard_count base in
   {
     base;

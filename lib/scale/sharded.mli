@@ -11,8 +11,7 @@
     or empty (dequeue) does the operation sweep the other shards in
     cyclic order, completing on the first that accepts; each such
     foreign-shard completion counts as one {e steal}
-    ({!Nbq_primitives.Probe.S.shard_steal},
-    {!Nbq_obs.Event.Shard_steal}).
+    (the [Shard_stolen] hook point, {!Nbq_obs.Event.Shard_steal}).
 
     {b What is kept and what is relaxed.}  Each shard is FIFO (it is an
     unmodified inner queue), items are conserved, and every operation is
@@ -22,7 +21,7 @@
     shard momentarily holds items ([false empty]); the facade is
     therefore {e not} linearizable to a single FIFO — see DESIGN.md §8.
     Progress does not depend on steals completing: a thread stalled
-    mid-sweep (the {!Nbq_primitives.Fault.Shard_steal} window) holds no
+    mid-sweep (the [Shard_steal] hook window) holds no
     reservation on any ring.
 
     Batched operations ([try_enqueue_batch] / [try_dequeue_batch]) move k
@@ -58,18 +57,17 @@ val ops_of_singles :
 (** Build the record from single-item operations; the batch fields loop. *)
 
 val create :
-  ?note_steal:(unit -> unit) ->
-  ?steal_window:(unit -> unit) ->
+  ?hook:(module Nbq_primitives.Hook.S) ->
   ?home:(unit -> int) ->
   shards:int ->
   (int -> 'a shard_ops) ->
   'a t
 (** [create ~shards mk] builds a facade over [mk 0 .. mk (shards-1)].
-    Each record is cache-line padded ({!Nbq_obs.Padding}).  [note_steal]
-    fires once per foreign-shard completion (after the internal steal
-    counter bump); [steal_window] fires after a home-shard failure,
-    {e before} the first foreign shard is probed — the
-    {!Nbq_primitives.Fault.Shard_steal} window.
+    Each record is cache-line padded ({!Nbq_obs.Padding}).  [hook]
+    receives [Shard_stolen] once per foreign-shard completion (after the
+    internal steal counter bump) and [Shard_steal] after a home-shard
+    failure, {e before} the first foreign shard is probed — the steal
+    window.
 
     [home] overrides the affinity function (default: calling domain's id
     modulo [shards]; results are clamped into range).  Under the default,
@@ -124,27 +122,20 @@ module type SHARDS = sig
   val shards : int
 end
 
-(** Sharded facade as a {!Nbq_core.Queue_intf.CONC} module, with probe and
-    fault hooks wired to the sharding layer (the inner queue keeps its own
-    hooks, if any).  [name] is [Q.name ^ "-shard" ^ N]; [create ~capacity]
+(** Sharded facade as a {!Nbq_core.Queue_intf.CONC} module, with the hook
+    wired to the sharding layer (the inner queue keeps its own hook, if
+    any).  [name] is [Q.name ^ "-shard" ^ N]; [create ~capacity]
     splits the capacity evenly across shards (rounded up, then to each
     ring's power of two), so aggregate capacity is at least [capacity]. *)
-module Make_injected
-    (N : SHARDS)
-    (P : Nbq_primitives.Probe.S)
-    (F : Nbq_primitives.Fault.S)
-    (Q : Nbq_core.Queue_intf.CONC) :
-  Nbq_core.Queue_intf.CONC with type 'a t = 'a t
-
 module Make_probed
     (N : SHARDS)
-    (P : Nbq_primitives.Probe.S)
+    (H : Nbq_primitives.Hook.S)
     (Q : Nbq_core.Queue_intf.CONC) :
   Nbq_core.Queue_intf.CONC with type 'a t = 'a t
 
 module Make (N : SHARDS) (Q : Nbq_core.Queue_intf.CONC) :
   Nbq_core.Queue_intf.CONC with type 'a t = 'a t
-(** The plain composition: no probes, no faults.  The result's ['a t] is
+(** The plain composition: the no-op hook.  The result's ['a t] is
     the value-level {!t}, so {!steal_count}, {!try_dequeue_with_source}
     and {!shard_length} work on functor-made queues too. *)
 
@@ -170,16 +161,11 @@ module Evequoz_cas (N : SHARDS) :
 type 'a waitable
 
 val waitable :
-  ?on_park:(unit -> unit) ->
-  ?on_wake:(unit -> unit) ->
-  ?on_cancel:(unit -> unit) ->
-  ?park_window:(unit -> unit) ->
-  ?wake_window:(unit -> unit) ->
+  ?hook:(module Nbq_primitives.Hook.S) ->
   'a t ->
   'a waitable
-(** Attach per-shard eventcount pairs to a facade.  The optional hooks are
-    passed to every [Nbq_wait.Eventcount.create] (probe and
-    fault-injection wiring; see that module).  Operations issued directly
+(** Attach per-shard eventcount pairs to a facade.  The optional hook is
+    passed to every [Nbq_wait.Eventcount.create] (see that module).  Operations issued directly
     on the underlying {!t} bypass the wakes — parked peers then rely on
     the backstop, waking within tens of milliseconds rather than
     promptly. *)

@@ -20,27 +20,27 @@
       negative threshold is a linearizable "empty".
 
     The ring always has [2n] slots for at most [n] items, so an enqueue
-    that holds a {e credit} never fails.  Exact bounded capacity therefore
-    comes from pairing rings, as in the paper's SCQD:
+    that holds a {e credit} never fails.  Exact bounded capacity comes from
+    an admission gate that hands out [n] credits and answers "full" once
+    no operation is in flight, or after a bounded spin (the paper's
+    credit-ring pairing does not linearize "full"; see [Gate]):
 
     - {!Make_full.Scq} ("scq" / "scq-wcq"): a boxed-entry ring carrying the
-      values directly, plus a packed-int index ring used as a credit pool —
-      "full" is linearized by the credit ring's own threshold.
+      values directly, behind the gate.
     - {!Make_full.Scqd} ("scq-d"): the paper's SCQD — two packed-int index
       rings (free queue [fq] prefilled with [0..n-1], allocated queue [aq])
-      around a plain data array, keeping the hot path allocation-free.
+      around a plain data array, keeping the hot path allocation-free,
+      behind the same gate.
 
     Everything is functorized over {!Nbq_primitives.Atomic_intf.ATOMIC} x
-    probe x fault like the Evequoz rings, so the identical code runs in
-    production and under [Sim]/DPOR.  Probe mapping (no new hooks):
-    [sc_fail] = a slot CAS lost a race, [tail_help] = a catchup iteration,
-    [head_help] = a threshold reset on behalf of stalled dequeuers.  Fault
-    windows: [Faa_cycle] (ticket taken, slot not yet read), [Threshold_reset]
-    (item installed, threshold not yet restored), [Catchup] (inside the
-    tail-repair loop). *)
+    hook like the Evequoz rings, so the identical code runs in production
+    and under [Sim]/DPOR.  Hook points: [Sc_fail] = a slot CAS lost a
+    race, [Tail_help] = a failed catchup CAS; the windows [Faa_cycle]
+    (ticket taken, slot not yet read), [Threshold_reset] (item installed,
+    threshold not yet restored; counted as a head help on behalf of
+    stalled dequeuers) and [Catchup] (inside the tail-repair loop). *)
 
-module Probe = Nbq_primitives.Probe
-module Fault = Nbq_primitives.Fault
+module Hook = Nbq_primitives.Hook
 module Atomic_intf = Nbq_primitives.Atomic_intf
 
 (** Compile-time knobs.  [threshold = false] is the seeded modelcheck bug
@@ -74,8 +74,7 @@ end
 module Make_full
     (C : CONFIG)
     (A : Atomic_intf.ATOMIC)
-    (P : Probe.S)
-    (F : Fault.S) =
+    (H : Hook.S) =
 struct
   (* ----------------------------------------------------------------- *)
   (* Packed-int index ring: cycle | safe | index in one immediate int. *)
@@ -142,9 +141,9 @@ struct
        overran it, so enqueuers never test fullness against a stale tail. *)
     let catchup t tl hd =
       let rec go tl =
-        F.hit Fault.Catchup;
+        H.hit Hook.Catchup;
         if not (A.compare_and_set t.tail tl hd) then begin
-          P.tail_help ();
+          H.hit Hook.Tail_help;
           let tl = A.get t.tail in
           if tl < hd then go tl
         end
@@ -153,8 +152,7 @@ struct
 
     let reset_threshold t =
       if C.threshold && A.get t.threshold <> t.threshold_max then begin
-        F.hit Fault.Threshold_reset;
-        P.head_help ();
+        H.hit Hook.Threshold_reset;
         A.set t.threshold t.threshold_max
       end
 
@@ -163,7 +161,7 @@ struct
     let enqueue t index =
       let rec fresh () =
         let tkt = A.fetch_and_add t.tail 1 in
-        F.hit Fault.Faa_cycle;
+        H.hit Hook.Faa_cycle;
         with_ticket tkt (A.get t.entries.(pos_of t tkt))
       and with_ticket tkt e =
         let cyc = cycle_of t tkt and j = pos_of t tkt in
@@ -177,7 +175,7 @@ struct
               (pack t ~cycle:cyc ~safe:true ~index)
           then reset_threshold t
           else begin
-            P.sc_fail ();
+            H.hit Hook.Sc_fail;
             with_ticket tkt (A.get t.entries.(j))
           end
         else fresh ()
@@ -190,7 +188,7 @@ struct
       else begin
         let rec fresh () =
           let tkt = A.fetch_and_add t.head 1 in
-          F.hit Fault.Faa_cycle;
+          H.hit Hook.Faa_cycle;
           attempt tkt
         and attempt tkt =
           let j = pos_of t tkt and cyc = cycle_of t tkt in
@@ -207,7 +205,7 @@ struct
             in
             if ecycle t e < cyc && not (A.compare_and_set t.entries.(j) e keep)
             then begin
-              P.sc_fail ();
+              H.hit Hook.Sc_fail;
               attempt tkt
             end
             else miss tkt
@@ -222,7 +220,7 @@ struct
               (pack t ~cycle:cyc ~safe:(esafe t e) ~index:(bot t))
           then Some (eindex t e)
           else begin
-            P.sc_fail ();
+            H.hit Hook.Sc_fail;
             consume tkt (A.get t.entries.(j))
           end
         and miss tkt =
@@ -297,9 +295,9 @@ struct
 
     let catchup t tl hd =
       let rec go tl =
-        F.hit Fault.Catchup;
+        H.hit Hook.Catchup;
         if not (A.compare_and_set t.tail tl hd) then begin
-          P.tail_help ();
+          H.hit Hook.Tail_help;
           let tl = A.get t.tail in
           if tl < hd then go tl
         end
@@ -308,8 +306,7 @@ struct
 
     let reset_threshold t =
       if C.threshold && A.get t.threshold <> t.threshold_max then begin
-        F.hit Fault.Threshold_reset;
-        P.head_help ();
+        H.hit Hook.Threshold_reset;
         A.set t.threshold t.threshold_max
       end
 
@@ -321,7 +318,7 @@ struct
         if budget <= 0 then None
         else begin
           let tkt = A.fetch_and_add t.tail 1 in
-          F.hit Fault.Faa_cycle;
+          H.hit Hook.Faa_cycle;
           with_ticket budget tkt (A.get t.entries.(pos_of t tkt))
         end
       and with_ticket budget tkt e =
@@ -337,7 +334,7 @@ struct
             Some tkt
           end
           else begin
-            P.sc_fail ();
+            H.hit Hook.Sc_fail;
             with_ticket budget tkt (A.get t.entries.(j))
           end
         else fresh (if budget = max_int then budget else budget - 1)
@@ -354,7 +351,7 @@ struct
       | Req r' when r' == r && e.cycle = cyc ->
           if not (A.compare_and_set t.entries.(j) e { e with c = Vacant })
           then begin
-            P.sc_fail ();
+            H.hit Hook.Sc_fail;
             retract t r ~tkt
           end
       | _ -> ()  (* someone else already resolved this copy *)
@@ -424,7 +421,7 @@ struct
       else begin
         let rec fresh () =
           let tkt = A.fetch_and_add t.head 1 in
-          F.hit Fault.Faa_cycle;
+          H.hit Hook.Faa_cycle;
           attempt tkt
         and attempt tkt =
           let j = pos_of t tkt and cyc = cycle_of t tkt in
@@ -449,7 +446,7 @@ struct
             in
             if e.cycle < cyc && not (A.compare_and_set t.entries.(j) e keep)
             then begin
-              P.sc_fail ();
+              H.hit Hook.Sc_fail;
               attempt tkt
             end
             else miss tkt
@@ -461,7 +458,7 @@ struct
               { cycle = cyc; safe = e.safe; c = Vacant }
           then Some v
           else begin
-            P.sc_fail ();
+            H.hit Hook.Sc_fail;
             let e = A.get t.entries.(j) in
             match e.c with
             | Item v -> consume tkt e v
@@ -514,12 +511,64 @@ struct
   (* The bounded queues: pairings with exact capacity semantics.       *)
   (* ----------------------------------------------------------------- *)
 
+  (** The admission gate of the bounded queues: one word packing the free
+      credits (high bits) with the number of operations in flight (low
+      bits).  An enqueue takes a credit and enters in one CAS, and leaves
+      once its item is in the ring; a dequeue enters before it looks at the
+      ring and, if it took an item, returns the credit and leaves in one
+      FAA.
+
+      Reading [0] (no credit, nobody in flight) means every admitted item
+      is in the ring and every removed one has given its credit back, so
+      the ring holds exactly [n] items at that instant: a linearizable
+      "full".  A bare "no credit" is not: a stalled enqueuer may hold a
+      credit for an item that later items will overtake, or a stalled
+      dequeuer may hold the credit of an item whose successor was already
+      taken, and the queue was never full.  So while operations are in
+      flight a full verdict reads the word again, spinning 1, 2, 4, ...
+      [Domain.cpu_relax]s in between, and concedes after [probes] reads:
+      a crashed or frozen operation costs each full verdict that spin,
+      never progress, and the verdict never sleeps. *)
+  module Gate = struct
+    let flight_bits = 20
+    let credit = 1 lsl flight_bits
+
+    (* 2^18 relaxes over all reads: about 8 ms at the 32 ns a relax takes
+       on a 2-core Xeon, longer than an OS time slice, so a full verdict
+       outwaits an operation preempted in flight — the source of the
+       non-linearizable "full" verdicts that [test_lincheck]'s scq-stress
+       found.  Shorter bounds (12 to 16 reads) still let some through on
+       a loaded box. *)
+    let probes = 18
+
+    let create ~n = A.make (n * credit)
+
+    (** Take a credit, or [false] on a full verdict. *)
+    let admit gate =
+      let rec go probe =
+        let w = A.get gate in
+        if w >= credit then A.compare_and_set gate w (w - credit + 1) || go probe
+        else if w = 0 || probe >= probes then false
+        else begin
+          for _ = 1 to 1 lsl probe do
+            Domain.cpu_relax ()
+          done;
+          go (probe + 1)
+        end
+      in
+      go 0
+
+    let enter gate = ignore (A.fetch_and_add gate 1 : int)
+    let leave gate = ignore (A.fetch_and_add gate (-1) : int)
+    let give_back gate = ignore (A.fetch_and_add gate (credit - 1) : int)
+  end
+
   (** "scq" (or "scq-wcq" in helping mode): values ride the boxed ring;
-      boundedness comes from a packed-int credit ring seeded with [n]
-      interchangeable credits, whose own threshold linearizes "full". *)
+      boundedness comes from the admission gate's [n] interchangeable
+      credits. *)
   module Scq = struct
     type 'a t = {
-      fq : Iring.t;  (** credit pool: holds [tokens-left] many indices *)
+      gate : int A.t;
       ring : 'a Bring.t;
       size : int A.t;
       cap : int;
@@ -530,7 +579,7 @@ struct
     let create ~capacity =
       let n = Nbq_core.Queue_intf.round_capacity capacity in
       {
-        fq = Iring.create ~n ~prefill:n;
+        gate = Gate.create ~n;
         ring = Bring.create ~n;
         size = A.make 0;
         cap = n;
@@ -539,22 +588,25 @@ struct
     let capacity t = t.cap
 
     let try_enqueue t v =
-      match Iring.dequeue t.fq with
-      | None -> false  (* the credit ring's threshold linearizes "full" *)
-      | Some _credit ->
-          Bring.enqueue t.ring v;
-          ignore (A.fetch_and_add t.size 1 : int);
-          true
+      if Gate.admit t.gate then begin
+        Bring.enqueue t.ring v;
+        ignore (A.fetch_and_add t.size 1 : int);
+        Gate.leave t.gate;
+        true
+      end
+      else false
 
     let try_dequeue t =
+      Gate.enter t.gate;
       match Bring.dequeue t.ring with
-      | None -> None
+      | None ->
+          Gate.leave t.gate;
+          None
       | Some v ->
-          (* Credits are interchangeable: return a constant one only after
-             the item left the ring, so the ring never holds more than
-             [cap] items. *)
-          Iring.enqueue t.fq 0;
+          (* The credit goes back only after the item left the ring, so the
+             ring never holds more than [cap] items. *)
           ignore (A.fetch_and_add t.size (-1) : int);
+          Gate.give_back t.gate;
           Some v
 
     let length t = max 0 (A.get t.size)
@@ -564,9 +616,13 @@ struct
       [fq] starts holding every index; an enqueue moves an index from [fq]
       through the data array into [aq], a dequeue moves it back.  Slot [i]
       of [data] is always owned by exactly one side (the index is in
-      transit between the rings), so the plain accesses are race-free. *)
+      transit between the rings), so the plain accesses are race-free.
+      Admission goes through the same gate as [Scq]; an index returns to
+      [fq] before its credit does, so an admitted enqueuer always finds
+      one there. *)
   module Scqd = struct
     type 'a t = {
+      gate : int A.t;
       fq : Iring.t;
       aq : Iring.t;
       data : 'a option array;
@@ -579,6 +635,7 @@ struct
     let create ~capacity =
       let n = Nbq_core.Queue_intf.round_capacity capacity in
       {
+        gate = Gate.create ~n;
         fq = Iring.create ~n ~prefill:n;
         aq = Iring.create ~n ~prefill:0;
         data = Array.make n None;
@@ -589,23 +646,33 @@ struct
     let capacity t = t.cap
 
     let try_enqueue t v =
-      match Iring.dequeue t.fq with
-      | None -> false
-      | Some i ->
-          t.data.(i) <- Some v;
-          Iring.enqueue t.aq i;
-          ignore (A.fetch_and_add t.size 1 : int);
-          true
+      if Gate.admit t.gate then begin
+        let i =
+          match Iring.dequeue t.fq with
+          | Some i -> i
+          | None -> failwith "scq-d: admitted enqueue found no free index"
+        in
+        t.data.(i) <- Some v;
+        Iring.enqueue t.aq i;
+        ignore (A.fetch_and_add t.size 1 : int);
+        Gate.leave t.gate;
+        true
+      end
+      else false
 
     let try_dequeue t =
+      Gate.enter t.gate;
       match Iring.dequeue t.aq with
-      | None -> None
+      | None ->
+          Gate.leave t.gate;
+          None
       | Some i -> (
           match t.data.(i) with
           | Some v ->
               t.data.(i) <- None;
               Iring.enqueue t.fq i;
               ignore (A.fetch_and_add t.size (-1) : int);
+              Gate.give_back t.gate;
               Some v
           | None -> failwith "scq-d: index ring handed out an empty slot")
 
@@ -613,19 +680,13 @@ struct
   end
 end
 
-module Make_injected (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) =
-  Make_full (Default_config) (A) (P) (F)
+module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) =
+  Make_full (Default_config) (A) (H)
 
-module Make_probed (A : Atomic_intf.ATOMIC) (P : Probe.S) =
-  Make_injected (A) (P) (Fault.Noop)
+module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Hook.Noop)
 
-module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Probe.Noop)
+(** The wCQ-style helping instantiations, same pair. *)
+module Make_wcq_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) =
+  Make_full (Helping_config) (A) (H)
 
-(** The wCQ-style helping instantiations, same cascade. *)
-module Make_wcq_injected (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) =
-  Make_full (Helping_config) (A) (P) (F)
-
-module Make_wcq_probed (A : Atomic_intf.ATOMIC) (P : Probe.S) =
-  Make_wcq_injected (A) (P) (Fault.Noop)
-
-module Make_wcq (A : Atomic_intf.ATOMIC) = Make_wcq_probed (A) (Probe.Noop)
+module Make_wcq (A : Atomic_intf.ATOMIC) = Make_wcq_probed (A) (Hook.Noop)

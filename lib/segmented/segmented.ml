@@ -32,8 +32,7 @@
    checker's [Sim.Atomic] with ideal cells. *)
 
 module Atomic_intf = Nbq_primitives.Atomic_intf
-module Probe = Nbq_primitives.Probe
-module Fault = Nbq_primitives.Fault
+module Hook = Nbq_primitives.Hook
 module Queue_intf = Nbq_core.Queue_intf
 
 type stats = {
@@ -47,10 +46,9 @@ type stats = {
 module Make_backend
     (A : Atomic_intf.ATOMIC)
     (B : Nbq_primitives.Llsc_backend.S)
-    (P : Probe.S)
-    (F : Fault.S) =
+    (H : Hook.S) =
 struct
-  module Ring = Nbq_core.Evequoz_ring.Make_injected (B) (P) (F)
+  module Ring = Nbq_core.Evequoz_ring.Make_probed (B) (H)
   module Hz = Nbq_reclaim.Hazard_cells.Make (A)
 
   type 'a seg = {
@@ -244,8 +242,7 @@ struct
          recycle while we touch it; and [next = Nil] implies the shared
          tail has not passed [seg] (it moves only along existing links),
          so a successful link CAS is never on a retired segment. *)
-      F.hit Fault.Seg_append;
-      P.tail_help ();
+      H.hit Hook.Seg_append;
       (match A.get seg.next with
       | Nil ->
           let ns = alloc_seg t in
@@ -273,8 +270,7 @@ struct
                    every enqueued item had been consumed — empty. *)
                 None
             | Next ns ->
-                F.hit Fault.Seg_retire;
-                P.head_help ();
+                H.hit Hook.Seg_retire;
                 (* Tail first: head must never pass tail, or enqueuers
                    could be steered onto a retired segment. *)
                 ignore (A.compare_and_set t.tail_seg seg ns);
@@ -340,19 +336,12 @@ end
 (* --- Backend conveniences ------------------------------------------------ *)
 
 (* The paper's Fig. 5 tag-variable CAS protocol as the cell seam. *)
-module Make_cas (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) =
-  Make_backend (A) (Nbq_primitives.Llsc_cas.Backend_injected (A) (P) (F)) (P)
-    (F)
+module Make_probed_cas (A : Atomic_intf.ATOMIC) (H : Hook.S) =
+  Make_backend (A) (Nbq_primitives.Llsc_cas.Backend (A) (H)) (H)
 
 (* Blelloch-Wei constant-time LL/SC as the cell seam. *)
-module Make_bw (A : Atomic_intf.ATOMIC) (P : Probe.S) (F : Fault.S) =
-  Make_backend (A) (Nbq_primitives.Llsc_bw.Make_injected (A) (P) (F)) (P) (F)
-
-module Make_probed_cas (A : Atomic_intf.ATOMIC) (P : Probe.S) =
-  Make_cas (A) (P) (Fault.Noop)
-
-module Make_probed_bw (A : Atomic_intf.ATOMIC) (P : Probe.S) =
-  Make_bw (A) (P) (Fault.Noop)
+module Make_probed_bw (A : Atomic_intf.ATOMIC) (H : Hook.S) =
+  Make_backend (A) (Nbq_primitives.Llsc_bw.Make_probed (A) (H)) (H)
 
 (* --- The domain-local implicit-handle layer, over any core --------------- *)
 
@@ -453,9 +442,9 @@ struct
   let length t = Core.length t.core
 end
 
-(* --- Default instantiations: real atomics, no probes --------------------- *)
+(* --- Default instantiations: real atomics, no-op hook --------------------- *)
 
-module Cas_core = Make_cas (Atomic_intf.Real) (Probe.Noop) (Fault.Noop)
+module Cas_core = Make_probed_cas (Atomic_intf.Real) (Hook.Noop)
 
 module Cas =
   Conc
@@ -464,7 +453,7 @@ module Cas =
     end)
     (Cas_core)
 
-module Bw_core = Make_bw (Atomic_intf.Real) (Probe.Noop) (Fault.Noop)
+module Bw_core = Make_probed_bw (Atomic_intf.Real) (Hook.Noop)
 
 module Bw =
   Conc

@@ -1,15 +1,14 @@
 (* Attaching the recorder to a queue.
 
    [Wrap] is the shallow layer: operation spans around the public queue
-   interface (sampled inside the recorder).  [deep] rebuilds the evequoz
-   queues with the recorder's probe threaded through their functor seams —
-   composed LEFT-of-nothing with a metrics probe when one is given, so a
-   single run can feed both the counter hub and the flight recorder from
-   the same hooks. *)
+   interface (sampled inside the recorder).  [hook] is the deep layer:
+   what an algorithm functor receives under tracing, so a single run can
+   feed both the counter hub and the flight recorder from the same hook
+   points. *)
 
 module Queue_intf = Nbq_core.Queue_intf
 module Metrics = Nbq_obs.Metrics
-module Probe = Nbq_primitives.Probe
+module Hook = Nbq_primitives.Hook
 
 module type TRACER = sig
   val tracer : Recorder.t
@@ -90,74 +89,17 @@ module Wrap (T : TRACER) (Q : Queue_intf.CONC) :
   let length = Q.length
 end
 
-let conc (tr : Recorder.t) (module Q : Queue_intf.CONC) :
-    (module Queue_intf.CONC) =
-  (module Wrap
-            (struct
-              let tracer = tr
-            end)
-            (Q))
-
-(* The probe an algorithm functor should receive under tracing.  Deep
-   in-algorithm events are a full-mode feature: in sampled mode every
-   probe hook would pay an armed-check + DLS access on the hottest paths
-   of the algorithm (several hooks per operation), which alone blows the
+(* The hook an algorithm functor should receive under tracing.  Deep
+   in-algorithm records are a full-mode feature: in sampled mode every
+   hit would pay an armed-check + DLS access on the hottest paths of the
+   algorithm (several points per operation), which alone blows the
    <=10% armed-overhead budget — so sampled tracing records operation
-   spans only, and the probe reduces to the metrics hooks (or nothing).
-   Full mode composes the trace hooks to the right of the metrics probe:
-   counters tick and events record from the same seams. *)
-let probe ?metrics (tr : Recorder.t) : (module Probe.S) =
+   spans only, and the hook reduces to the metrics hub's (or nothing).
+   Full mode composes the recorder to the right of the metrics hook:
+   counters tick and records land from the same points. *)
+let hook ?metrics (tr : Recorder.t) : (module Hook.S) =
   match (Recorder.full tr, metrics) with
-  | false, None -> (module Probe.Noop)
+  | false, None -> (module Hook.Noop)
   | false, Some m -> Metrics.probe m
-  | true, None -> Recorder.probe tr
-  | true, Some m -> Probe.compose (Metrics.probe m) (Recorder.probe tr)
-
-let with_metrics ?metrics q =
-  match metrics with
-  | None -> q
-  | Some m -> Nbq_obs.Instrumented.instrument m q
-
-(* Deep tracing mirrors [Instrumented.deep]: in full mode the two evequoz
-   queues are rebuilt with the composed probe inside their functor seams;
-   everything else — and every queue in sampled mode, where the deep
-   hooks are disabled (see [probe]) — gets the shallow span wrapper over
-   [fallback], keeping the statically-inlined Noop probes of the original
-   build on the algorithm's hot paths. *)
-let deep ?metrics (tr : Recorder.t) ~name (fallback : (module Queue_intf.CONC))
-    : (module Queue_intf.CONC) =
-  if not (Recorder.full tr) then
-    match metrics with
-    | Some m -> conc tr (Nbq_obs.Instrumented.deep m ~name fallback)
-    | None -> conc tr fallback
-  else
-  match name with
-  | "evequoz-cas" ->
-    let module P = (val probe ?metrics tr) in
-    let module Core =
-      Nbq_core.Evequoz_cas.Make_probed (Nbq_primitives.Atomic_intf.Real) (P)
-    in
-    let module Q = Nbq_core.Evequoz_cas.With_implicit_handles (Core) in
-    let module C = Queue_intf.Make (Queue_intf.Capability.Bounded_batch (Q)) in
-    conc tr (with_metrics ?metrics (module C : Queue_intf.CONC))
-  | "evequoz-bw" ->
-    let module P = (val probe ?metrics tr) in
-    let module Core =
-      Nbq_core.Evequoz_bw.Make_probed (Nbq_primitives.Atomic_intf.Real) (P)
-    in
-    let module Q = struct
-      include Nbq_core.Evequoz_cas.With_implicit_handles (Core)
-
-      let name = "evequoz-bw"
-    end in
-    let module C = Queue_intf.Make (Queue_intf.Capability.Bounded_batch (Q)) in
-    conc tr (with_metrics ?metrics (module C : Queue_intf.CONC))
-  | "evequoz-llsc" ->
-    let module P = (val probe ?metrics tr) in
-    let module Cell =
-      Nbq_primitives.Llsc.Make_probed (Nbq_primitives.Atomic_intf.Real) (P)
-    in
-    let module Q = Nbq_core.Evequoz_llsc.Make_probed (Cell) (P) in
-    let module C = Queue_intf.Make (Queue_intf.Capability.Bounded (Q)) in
-    conc tr (with_metrics ?metrics (module C : Queue_intf.CONC))
-  | _ -> conc tr (with_metrics ?metrics fallback)
+  | true, None -> Recorder.hook tr
+  | true, Some m -> Hook.compose (Metrics.probe m) (Recorder.hook tr)

@@ -1,6 +1,6 @@
 (** Attaching a {!Recorder} to queues: shallow operation spans over the
-    unified [CONC] interface, and deep rebuilds of the evequoz queues with
-    the recorder's probe threaded through their functor seams. *)
+    unified [CONC] interface, and the hook that records from inside an
+    algorithm. *)
 
 module type TRACER = sig
   val tracer : Recorder.t
@@ -11,22 +11,10 @@ module Wrap (_ : TRACER) (Q : Nbq_core.Queue_intf.CONC) :
 (** Operation spans (sampled by the recorder) around every public
     operation; batch spans carry attempted size and items moved. *)
 
-val conc :
-  Recorder.t -> (module Nbq_core.Queue_intf.CONC) ->
-  (module Nbq_core.Queue_intf.CONC)
-(** First-class {!Wrap}. *)
-
-val probe :
-  ?metrics:Nbq_obs.Metrics.t -> Recorder.t ->
-  (module Nbq_primitives.Probe.S)
-(** The probe to thread into an algorithm under tracing: the recorder's
-    hooks, composed to the right of [Metrics.probe m] when [metrics] is
-    given, so counters keep ticking outside sampled spans. *)
-
-val deep :
-  ?metrics:Nbq_obs.Metrics.t -> Recorder.t -> name:string ->
-  (module Nbq_core.Queue_intf.CONC) -> (module Nbq_core.Queue_intf.CONC)
-(** ["evequoz-cas"] / ["evequoz-bw"] / ["evequoz-llsc"] are rebuilt with the composed probe
-    inside the algorithm (mirroring [Instrumented.deep]); other names get
-    {!conc} over the given fallback, plus the shallow metrics wrapper when
-    [metrics] is given. *)
+val hook :
+  ?metrics:Nbq_obs.Metrics.t -> Recorder.t -> (module Nbq_primitives.Hook.S)
+(** The hook to thread into an algorithm under tracing.  In full mode
+    ([Recorder.full]) it is {!Recorder.hook}, composed to the right of
+    [Metrics.probe m] when [metrics] is given; in sampled mode only the
+    metrics hook (or [Hook.Noop]), since sampled tracing records spans
+    only. *)

@@ -10,15 +10,15 @@
    stores: the GC never scans a live pointer out of a half-written slot. *)
 
 module Event = Nbq_obs.Event
-module Fault = Nbq_primitives.Fault
+module Hook = Nbq_primitives.Hook
 
 let words = 4
 
 type op = Enq | Deq | Enq_batch | Deq_batch
 
 type kind =
-  | Obs of Event.t        (** a probe event from inside an algorithm *)
-  | Fault_hit of Fault.point  (** execution entered an injection window *)
+  | Obs of Event.t        (** a counted hook point inside an algorithm *)
+  | Fault_hit of Hook.point  (** execution entered a fault window *)
   | Span_begin of op      (** a sampled queue operation started *)
   | Span_end of op        (** ... and finished; [arg] carries the result *)
 
@@ -38,14 +38,14 @@ let op_name = function
   | Deq_batch -> "dequeue_batch"
 
 let events = Array.of_list Event.all
-let fault_points = Array.of_list Fault.all
+let fault_points = Array.of_list Hook.windows
 
 let fault_index p =
   let rec go i = function
     | [] -> invalid_arg "Record.fault_index"
     | q :: tl -> if q = p then i else go (i + 1) tl
   in
-  go 0 Fault.all
+  go 0 Hook.windows
 
 let obs_tag ev = Event.index ev
 let fault_tag p = (1 lsl 8) lor fault_index p
@@ -66,7 +66,7 @@ let kind_of_tag tag =
 
 let kind_name = function
   | Obs ev -> Event.to_string ev
-  | Fault_hit p -> Fault.to_string p
+  | Fault_hit p -> Hook.to_string p
   | Span_begin o -> op_name o ^ ":begin"
   | Span_end o -> op_name o ^ ":end"
 

@@ -8,14 +8,14 @@ type op = Enq | Deq | Enq_batch | Deq_batch
 
 type kind =
   | Obs of Nbq_obs.Event.t
-  | Fault_hit of Nbq_primitives.Fault.point
+  | Fault_hit of Nbq_primitives.Hook.point
   | Span_begin of op
   | Span_end of op
 
 val op_name : op -> string
 
 val obs_tag : Nbq_obs.Event.t -> int
-val fault_tag : Nbq_primitives.Fault.point -> int
+val fault_tag : Nbq_primitives.Hook.point -> int
 val span_begin_tag : op -> int
 val span_end_tag : op -> int
 
@@ -27,5 +27,5 @@ val kind_name : kind -> string
     ["enqueue:begin"]. *)
 
 val category : kind -> string
-(** Perfetto category: ["op"] for spans, ["obs"] for probe events,
-    ["fault"] for injection-window hits. *)
+(** Perfetto category: ["op"] for spans, ["obs"] for counted events,
+    ["fault"] for fault-window hits. *)

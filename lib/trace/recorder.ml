@@ -152,25 +152,12 @@ let span_close t (r : Ring.t) op ~arg =
 let full t = t.full
 let sample_mask t = t.sample_mask
 
-module Event = Nbq_obs.Event
-
-let probe (t : t) : (module Nbq_primitives.Probe.S) =
+(* Windows record as fault hits (never sampled away); points that feed a
+   counter also record that event, so a window that sits at a count's
+   program point (e.g. [Seg_append], a tail help) leaves both records. *)
+let hook (t : t) : (module Nbq_primitives.Hook.S) =
   (module struct
-    let ll_reserve () = event t Event.Ll_reserve
-    let sc_fail () = event t Event.Sc_fail
-    let tail_help () = event t Event.Tail_help
-    let head_help () = event t Event.Head_help
-    let tag_register () = event t Event.Tag_register
-    let tag_reregister () = event t Event.Tag_reregister
-    let tag_deregister () = event t Event.Tag_deregister
-    let tag_recycle () = event t Event.Tag_recycle
-    let shard_steal () = event t Event.Shard_steal
-    let wait_park () = event t Event.Wait_park
-    let wait_wake () = event t Event.Wait_wake
-    let wait_cancel () = event t Event.Wait_cancel
-  end)
-
-let fault_hook (t : t) : (module Nbq_primitives.Fault.S) =
-  (module struct
-    let hit p = fault t p
+    let hit p =
+      if Nbq_primitives.Hook.is_window p then fault t p;
+      match Nbq_obs.Event.of_point p with Some ev -> event t ev | None -> ()
   end)

@@ -43,7 +43,7 @@ val event : t -> Nbq_obs.Event.t -> unit
 (** Deep probe event; recorded only in full mode or inside the calling
     domain's active sampled span. *)
 
-val fault : t -> Nbq_primitives.Fault.point -> unit
+val fault : t -> Nbq_primitives.Hook.point -> unit
 (** Fault-window hit; never sampled away. *)
 
 val span_begin : t -> Record.op -> arg:int -> unit
@@ -70,12 +70,11 @@ val span_close : t -> Ring.t -> Record.op -> arg:int -> unit
 (** Close the span opened by a [Some]-returning {!span_open} on the same
     domain. *)
 
-(** {2 Hook adapters} *)
+(** {2 Hook adapter} *)
 
-val probe : t -> (module Nbq_primitives.Probe.S)
-(** All 12 probe hooks routed to {!event}; compose with a metrics probe
-    via [Probe.compose] to keep counters and trace from one seam. *)
-
-val fault_hook : t -> (module Nbq_primitives.Fault.S)
-(** Routes [hit] to {!fault}; compose LEFT of an injector so the window
-    entry is recorded before the stall/crash fires. *)
+val hook : t -> (module Nbq_primitives.Hook.S)
+(** Records every window hit with {!fault} and every counted point's
+    event ({!Nbq_obs.Event.of_point}) with {!event}.  Compose it right of
+    [Metrics.probe m] to keep counters and trace from one seam, and LEFT
+    of an injector so the window entry is recorded before the stall or
+    crash fires. *)

@@ -35,28 +35,18 @@
 
 type t
 
-val create :
-  ?on_park:(unit -> unit) ->
-  ?on_wake:(unit -> unit) ->
-  ?on_cancel:(unit -> unit) ->
-  ?park_window:(unit -> unit) ->
-  ?wake_window:(unit -> unit) ->
-  unit ->
-  t
+val create : ?hook:(module Nbq_primitives.Hook.S) -> unit -> t
 (** A fresh eventcount with no waiters.
 
-    The [on_*] hooks are observability probes (see
-    [Nbq_primitives.Probe.S]): [on_park] fires each time a domain actually
-    goes to sleep (one wait can park several times), [on_wake] each time a
-    wake path delivers a signal to a parked waiter, [on_cancel] each time
-    a published waiter withdraws without consuming a wake.
-
-    The [*_window] hooks are fault-injection points: [park_window] runs
-    after a waiter is published and committed, immediately before the
-    first sleep ([Nbq_primitives.Fault]'s [Park_window]); [wake_window]
-    runs inside {!wake_one}/{!wake_all} after the sequence-counter bump
-    and before any waiter is popped or signalled ([Wake_lost]).  All hooks
-    default to no-ops. *)
+    [hook] (default [Hook.Noop]) receives the wait layer's points: the
+    counts [Wait_park] each time a domain actually goes to sleep (one wait
+    can park several times), [Wait_wake] each time a wake path delivers a
+    signal to a parked waiter and [Wait_cancel] each time a published
+    waiter withdraws without consuming a wake; and the windows
+    [Park_window], after a waiter is published and committed, immediately
+    before the first sleep, and [Wake_lost], inside {!wake_one}/{!wake_all}
+    after the sequence-counter bump and before any waiter is popped or
+    signalled. *)
 
 type waiter
 (** A published wait-in-progress, owned by the domain that prepared it.

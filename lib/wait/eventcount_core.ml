@@ -47,6 +47,8 @@ module type ENV = sig
       tree at its real protocol states. *)
 end
 
+module Hook = Nbq_primitives.Hook
+
 module Make (E : ENV) = struct
   module Atomic = E.Atomic
   module Parker = E.Parker
@@ -72,26 +74,15 @@ module Make (E : ENV) = struct
     seq : int Atomic.t;
     head : node option Atomic.t;
     cancels : int Atomic.t; (* cancels since the last reap *)
-    on_park : unit -> unit;
-    on_wake : unit -> unit;
-    on_cancel : unit -> unit;
-    park_window : unit -> unit;
-    wake_window : unit -> unit;
+    hit : Hook.point -> unit;
   }
 
-  let nop () = ()
-
-  let create ?(on_park = nop) ?(on_wake = nop) ?(on_cancel = nop)
-      ?(park_window = nop) ?(wake_window = nop) () =
+  let create ?hook:((module H : Hook.S) = (module Hook.Noop)) () =
     {
       seq = Atomic.make 0;
       head = Atomic.make None;
       cancels = Atomic.make 0;
-      on_park;
-      on_wake;
-      on_cancel;
-      park_window;
-      wake_window;
+      hit = H.hit;
     }
 
   let seq t = Atomic.get t.seq
@@ -169,7 +160,7 @@ module Make (E : ENV) = struct
      [false] if a waker claimed the node first. *)
   let withdraw t w =
     if Atomic.compare_and_set w.state 0 2 then begin
-      t.on_cancel ();
+      t.hit Hook.Wait_cancel;
       atomic_incr t.cancels;
       pop_if_head t w;
       maybe_reap t;
@@ -185,7 +176,7 @@ module Make (E : ENV) = struct
     if Atomic.get t.head = None then false
     else begin
       atomic_incr t.seq;
-      t.wake_window ();
+      t.hit Hook.Wake_lost;
       pop_and_signal t
     end
 
@@ -195,7 +186,7 @@ module Make (E : ENV) = struct
     | Some n as cur ->
         if Atomic.compare_and_set t.head cur n.next then
           if Atomic.compare_and_set n.state 0 1 then begin
-            t.on_wake ();
+            t.hit Hook.Wait_wake;
             Parker.notify n.parker;
             true
           end
@@ -217,7 +208,7 @@ module Make (E : ENV) = struct
   let default_max_park = 32
 
   let commit_wait ?deadline ?(max_park = default_max_park) t w =
-    t.park_window ();
+    t.hit Hook.Park_window;
     let rec sleep_loop slices =
       if Atomic.get w.state = 1 then `Woken
       else if Atomic.get t.seq <> w.born then begin
@@ -240,7 +231,7 @@ module Make (E : ENV) = struct
         | Some d when E.now () >= d ->
             if withdraw t w then `Timeout else `Woken
         | _ ->
-            t.on_park ();
+            t.hit Hook.Wait_park;
             (match Parker.park w.parker with `Notified | `Tick -> ());
             sleep_loop (slices + 1)
     in
@@ -252,13 +243,13 @@ module Make (E : ENV) = struct
     if Atomic.get t.head = None then 0
     else begin
       atomic_incr t.seq;
-      t.wake_window ();
+      t.hit Hook.Wake_lost;
       let rec drain count = function
         | None -> count
         | Some n ->
             let count =
               if Atomic.compare_and_set n.state 0 1 then begin
-                t.on_wake ();
+                t.hit Hook.Wait_wake;
                 Parker.notify n.parker;
                 count + 1
               end

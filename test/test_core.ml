@@ -517,24 +517,17 @@ let bw_reregisters = ref 0
 let bw_registers = ref 0
 let bw_ll_reserves = ref 0
 
-module BwCountProbe = struct
-  let ll_reserve () = incr bw_ll_reserves
-  let sc_fail () = ()
-  let tail_help () = ()
-  let head_help () = ()
-  let tag_register () = incr bw_registers
-  let tag_reregister () = incr bw_reregisters
-  let tag_deregister () = ()
-  let tag_recycle () = ()
-  let shard_steal () = ()
-  let wait_park () = ()
-  let wait_wake () = ()
-  let wait_cancel () = ()
+module BwCountHook = struct
+  let hit : Nbq_primitives.Hook.point -> unit = function
+    | Ll_reserved -> incr bw_ll_reserves
+    | Tag_register -> incr bw_registers
+    | Tag_reregister -> incr bw_reregisters
+    | _ -> ()
 end
 
 module Q3P =
   Nbq_core.Evequoz_bw.Make_probed (Nbq_primitives.Atomic_intf.Real)
-    (BwCountProbe)
+    (BwCountHook)
 
 let bw_zero_hot_path_registry_traffic () =
   bw_reregisters := 0;
@@ -610,8 +603,9 @@ let scq_fifo_and_capacity () =
       true
       (Scq.Scq.try_enqueue q i)
   done;
-  (* The credit ring linearizes "full": the 5th item must bounce without
-     spinning even though the backing ring has 2n = 8 slots. *)
+  (* The admission gate linearizes "full": with nothing in flight the 5th
+     item must bounce at once even though the backing ring has 2n = 8
+     slots. *)
   Alcotest.(check bool) "5th rejected" false (Scq.Scq.try_enqueue q 5);
   Alcotest.(check int) "length at cap" 4 (Scq.Scq.length q);
   for i = 1 to 4 do

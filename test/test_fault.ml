@@ -1,14 +1,13 @@
 (* Fault layer tests: injector semantics, the stall/crash torture matrix
    over the Evequoz queues and the Blelloch-Wei backend (the lock-freedom
    acceptance criterion: every survivor completes >= 10k ops while one
-   domain is frozen inside each injection point), registry abandonment,
-   and the randomized schedule explorer with its shrinker and repro
-   lines. *)
+   domain is frozen inside each fault window), registry abandonment, the
+   composed metrics/recorder/injector hook, and fault windows as model
+   checker scheduling points. *)
 
-module Fault = Nbq_primitives.Fault
+module Hook = Nbq_primitives.Hook
 module Injector = Nbq_fault.Injector
 module Torture = Nbq_fault.Torture
-module Explore = Nbq_fault.Explore
 module Sim = Nbq_modelcheck.Sim
 
 let quick name f = Alcotest.test_case name `Quick f
@@ -18,38 +17,41 @@ let slow name f = Alcotest.test_case name `Slow f
 
 let point_strings () =
   (* Derived from the catalog, not a literal count: adding a point must not
-     break this test, but every point needs a distinct, parsable name. *)
-  Alcotest.(check bool) "catalog non-empty" true (Fault.all <> []);
+     break this test, but every point needs a distinct name, and exactly
+     the windows parse (the names [torture --point] accepts). *)
+  Alcotest.(check bool) "catalog has windows" true (Hook.windows <> []);
   Alcotest.(check int) "point names are distinct"
-    (List.length Fault.all)
-    (List.length
-       (List.sort_uniq compare (List.map Fault.to_string Fault.all)));
+    (List.length Hook.all)
+    (List.length (List.sort_uniq compare (List.map Hook.to_string Hook.all)));
   List.iter
     (fun p ->
-      match Fault.of_string (Fault.to_string p) with
-      | Some p' -> Alcotest.(check bool) "round trip" true (p = p')
-      | None -> Alcotest.fail ("unparsable: " ^ Fault.to_string p))
-    Fault.all;
-  Alcotest.(check bool) "unknown rejected" true (Fault.of_string "nope" = None)
+      let name = Hook.to_string p in
+      match Hook.of_string name with
+      | Some p' -> Alcotest.(check bool) ("round trip " ^ name) true (p = p')
+      | None ->
+          Alcotest.(check bool) ("only counted events unparsable: " ^ name)
+            false (Hook.is_window p))
+    Hook.all;
+  Alcotest.(check bool) "unknown rejected" true (Hook.of_string "nope" = None)
 
 (* --- Injector --- *)
 
 let injector_disarmed_noop () =
   let i = Injector.create () in
-  Injector.hit i Fault.Op_gap;
+  Injector.hit i Hook.Op_gap;
   Alcotest.(check int) "no hits counted" 0 (Injector.hits i);
   Alcotest.(check bool) "not triggered" false (Injector.triggered i)
 
 let injector_crash_on_nth () =
   let i = Injector.create () in
-  Injector.arm i ~point:Fault.Op_gap ~action:Injector.Crash ~after:3;
-  Injector.hit i Fault.Ll_reserve;
+  Injector.arm i ~point:Hook.Op_gap ~action:Injector.Crash ~after:3;
+  Injector.hit i Hook.Ll_reserve;
   (* wrong point: ignored *)
-  Injector.hit i Fault.Op_gap;
-  Injector.hit i Fault.Op_gap;
+  Injector.hit i Hook.Op_gap;
+  Injector.hit i Hook.Op_gap;
   Alcotest.(check bool) "not yet" false (Injector.triggered i);
   (try
-     Injector.hit i Fault.Op_gap;
+     Injector.hit i Hook.Op_gap;
      Alcotest.fail "third hit must crash"
    with Injector.Crashed -> ());
   Alcotest.(check bool) "triggered" true (Injector.triggered i);
@@ -59,15 +61,15 @@ let injector_crash_on_nth () =
       Alcotest.(check int) "victim is us" (Domain.self () :> int) id
   | None -> Alcotest.fail "victim recorded");
   (* One-shot: the fourth hit passes through. *)
-  Injector.hit i Fault.Op_gap;
+  Injector.hit i Hook.Op_gap;
   Alcotest.(check int) "keeps counting" 4 (Injector.hits i)
 
 let injector_stall_release () =
   let i = Injector.create () in
-  Injector.arm i ~point:Fault.Sc_attempt ~action:Injector.Stall ~after:1;
+  Injector.arm i ~point:Hook.Sc_attempt ~action:Injector.Stall ~after:1;
   let d =
     Domain.spawn (fun () ->
-        Injector.hit i Fault.Sc_attempt;
+        Injector.hit i Hook.Sc_attempt;
         42)
   in
   while not (Injector.triggered i) do
@@ -80,7 +82,7 @@ let injector_arm_validation () =
   let i = Injector.create () in
   Alcotest.check_raises "after < 1" (Invalid_argument "Injector.arm: after < 1")
     (fun () ->
-      Injector.arm i ~point:Fault.Op_gap ~action:Injector.Stall ~after:0)
+      Injector.arm i ~point:Hook.Op_gap ~action:Injector.Stall ~after:0)
 
 (* --- Stall torture matrix (the acceptance criterion) --- *)
 
@@ -102,14 +104,14 @@ let stall_matrix target =
   List.map
     (fun p ->
       slow
-        (Printf.sprintf "%s / %s" (Torture.name target) (Fault.to_string p))
+        (Printf.sprintf "%s / %s" (Torture.name target) (Hook.to_string p))
         (stall_point target p))
     (Torture.points target)
 
 let opgap_generic name () =
   match Torture.find name with
   | None -> Alcotest.fail ("unknown torture target: " ^ name)
-  | Some t -> stall_point t Fault.Op_gap ()
+  | Some t -> stall_point t Hook.Op_gap ()
 
 (* --- Crash torture and registry abandonment --- *)
 
@@ -145,99 +147,80 @@ let crash_point ?(check_audit = false) target point () =
           true
           (a.Nbq_primitives.Llsc_cas.registered <= workers + 2)
 
-(* --- Schedule explorer --- *)
+(* --- One composed hook: metrics, recorder and injector --- *)
 
-(* A deliberately racy counter: get-then-set increments lose updates under
-   preemption, but never under the default non-preemptive schedule.  The
-   explorer must find the race, shrink it to (almost) one preemption, and
-   replay it from the printed repro. *)
-let racy_scenario () =
-  let c = Sim.Atomic.make 0 in
-  let incr () =
-    let v = Sim.Atomic.get c in
-    Sim.Atomic.set c (v + 1)
+module Real = Nbq_primitives.Atomic_intf.Real
+
+(* A fixed single-domain sequence on evequoz-cas built with [hook]:
+   register, alternate enqueue bursts and drains past full and empty,
+   deregister. *)
+let cas_sequence hook () =
+  let module H = (val hook : Hook.S) in
+  let module Q = Nbq_core.Evequoz_cas.Make_probed (Real) (H) in
+  let q = Q.create ~capacity:4 in
+  let h = Q.register q in
+  for round = 1 to 100 do
+    for i = 1 to 5 do
+      ignore (Q.enqueue_with q h ((round * 10) + i) : bool)
+    done;
+    for _ = 1 to 5 do
+      ignore (Q.dequeue_with q h : int option)
+    done
+  done;
+  Q.deregister h
+
+let composed_hook () =
+  let module M = Nbq_obs.Metrics in
+  let module Rec = Nbq_trace.Recorder in
+  let reference = M.create () in
+  cas_sequence (M.probe reference) ();
+  let hub = M.create () in
+  let tracer = Rec.create ~sample:1 () in
+  Rec.arm tracer;
+  let inj = Injector.create () in
+  Injector.arm inj ~point:Hook.Slot_swap ~action:Injector.Stall ~after:5;
+  let hook =
+    Hook.compose (M.probe hub)
+      (Hook.compose (Rec.hook tracer) (Injector.hook inj))
   in
-  ( [| incr; incr |],
-    fun () ->
-      let v = Sim.run_sequential (fun () -> Sim.Atomic.get c) in
-      if v <> 2 then failwith "lost update" )
-
-let correct_scenario () =
-  let c = Sim.Atomic.make 0 in
-  let incr () = ignore (Sim.Atomic.fetch_and_add c 1) in
-  ( [| incr; incr |],
-    fun () ->
-      let v = Sim.run_sequential (fun () -> Sim.Atomic.get c) in
-      if v <> 2 then failwith "atomic increment lost" )
-
-let explore_default_passes () =
-  match Explore.run_decisions racy_scenario [] with
-  | Explore.Passed -> ()
-  | Explore.Diverged -> Alcotest.fail "default schedule diverged"
-  | Explore.Failed _ ->
-      Alcotest.fail "non-preemptive schedule cannot lose the update"
-
-let explore_finds_shrinks_replays () =
-  match Explore.search ~trials:200 ~seed:42 racy_scenario with
-  | None -> Alcotest.fail "randomized search missed the lost update"
-  | Some f ->
-      Alcotest.(check bool) "at least one preemption" true
-        (f.Explore.decisions <> []);
-      Alcotest.(check bool)
-        (Printf.sprintf "shrunk to <= 2 decisions (got %d)"
-           (List.length f.Explore.decisions))
-        true
-        (List.length f.Explore.decisions <= 2);
-      (match Explore.run_decisions racy_scenario f.Explore.decisions with
-      | Explore.Failed _ -> ()
-      | _ -> Alcotest.fail "shrunk schedule must still fail");
-      let line = Explore.repro_line f in
-      (match Explore.parse_repro line with
-      | Some (seed, ds) ->
-          Alcotest.(check int) "seed round-trips" f.Explore.seed seed;
-          Alcotest.(check bool) "decisions round-trip" true
-            (ds = f.Explore.decisions);
-          (* The acceptance criterion: the printed repro replays the
-             failure deterministically. *)
-          (match Explore.run_decisions racy_scenario ds with
-          | Explore.Failed _ -> ()
-          | _ -> Alcotest.fail "parsed repro must fail deterministically")
-      | None -> Alcotest.fail ("repro line must parse: " ^ line))
-
-let explore_deterministic () =
-  match
-    ( Explore.search ~trials:200 ~seed:7 racy_scenario,
-      Explore.search ~trials:200 ~seed:7 racy_scenario )
-  with
-  | Some a, Some b ->
-      Alcotest.(check int) "same trial count" a.Explore.trials
-        b.Explore.trials;
-      Alcotest.(check bool) "same shrunk schedule" true
-        (a.Explore.decisions = b.Explore.decisions)
-  | _ -> Alcotest.fail "seeded search must find the race both times"
-
-let explore_correct_scenario_clean () =
-  match Explore.search ~trials:100 ~seed:3 correct_scenario with
-  | None -> ()
-  | Some f ->
-      Alcotest.fail ("false positive: " ^ Explore.repro_line f)
-
-let repro_empty_round_trip () =
-  let f = { Explore.seed = 5; trials = 1; decisions = []; message = "m" } in
-  match Explore.parse_repro (Explore.repro_line f) with
-  | Some (5, []) -> ()
-  | _ -> Alcotest.fail "empty decision list must round-trip"
-
-let repro_parse_rejects_garbage () =
-  Alcotest.(check bool) "garbage" true (Explore.parse_repro "hello" = None);
-  Alcotest.(check bool) "bad decisions" true
-    (Explore.parse_repro "NBQ-FAULT-REPRO v1 seed=1 decisions=x:y" = None)
+  let victim = Domain.spawn (cas_sequence hook) in
+  while not (Injector.triggered inj) do
+    Domain.cpu_relax ()
+  done;
+  (* The victim is frozen inside the window; the recorder, composed left
+     of the injector, has already written the window's record last. *)
+  let last_kinds =
+    List.concat_map
+      (fun r ->
+        Array.to_list
+          (Array.map
+             (fun (x : Nbq_trace.Ring.record) ->
+               Nbq_trace.Record.kind_of_tag x.tag)
+             (Nbq_trace.Ring.snapshot ~last:1 r)))
+      (Rec.rings tracer)
+  in
+  let in_window =
+    List.mem (Some (Nbq_trace.Record.Fault_hit Hook.Slot_swap)) last_kinds
+  in
+  Injector.release inj;
+  Domain.join victim;
+  Alcotest.(check bool) "armed slot-swap stall fired" true
+    (Injector.triggered inj);
+  Alcotest.(check bool) "recorder holds the slot-swap record" true in_window;
+  List.iter
+    (fun ev ->
+      Alcotest.(check int)
+        ("same count as metrics alone: " ^ Nbq_obs.Event.to_string ev)
+        (M.count reference ev) (M.count hub ev))
+    Nbq_obs.Event.all;
+  Alcotest.(check bool) "the sequence counted something" true
+    (M.count hub Nbq_obs.Event.Ll_reserve > 0
+    && M.count hub Nbq_obs.Event.Tag_register = 1)
 
 (* --- Fault windows as scheduling points in the model checker --- *)
 
 module SimCas =
-  Nbq_core.Evequoz_cas.Make_injected (Sim.Atomic) (Nbq_primitives.Probe.Noop)
-    (Explore.Yield_at_faults)
+  Nbq_core.Evequoz_cas.Make_probed (Sim.Atomic) (Sim.Yield_at_windows)
 
 let injected_cas_scenario () =
   let q = SimCas.create ~capacity:2 in
@@ -264,13 +247,6 @@ let explore_injected_cas_exhaustive () =
   in
   Alcotest.(check bool) "schedules completed" true (stats.Sim.completed > 0)
 
-let explore_injected_cas_random () =
-  match Explore.search ~trials:100 ~seed:11 injected_cas_scenario with
-  | None -> ()
-  | Some f ->
-      Alcotest.fail
-        ("randomized schedules broke evequoz-cas: " ^ Explore.repro_line f)
-
 let () =
   Alcotest.run "fault"
     [
@@ -296,49 +272,38 @@ let () =
       ( "crash",
         [
           slow "llsc / counter-bump"
-            (crash_point Torture.evequoz_llsc Fault.Counter_bump);
+            (crash_point Torture.evequoz_llsc Hook.Counter_bump);
           slow "cas / slot-swap abandons marker"
-            (crash_point ~check_audit:true Torture.evequoz_cas Fault.Slot_swap);
+            (crash_point ~check_audit:true Torture.evequoz_cas Hook.Slot_swap);
           slow "cas / tag-register abandons variable"
             (crash_point ~check_audit:true Torture.evequoz_cas
-               Fault.Tag_register);
+               Hook.Tag_register);
           slow "cas / tag-deregister abandons variable"
             (crash_point ~check_audit:true Torture.evequoz_cas
-               Fault.Tag_deregister);
+               Hook.Tag_deregister);
           slow "bw / slot-swap abandons announcement"
-            (crash_point ~check_audit:true Torture.evequoz_bw Fault.Slot_swap);
+            (crash_point ~check_audit:true Torture.evequoz_bw Hook.Slot_swap);
           slow "bw / tag-register abandons record"
             (crash_point ~check_audit:true Torture.evequoz_bw
-               Fault.Tag_register);
+               Hook.Tag_register);
           slow "seg / seg-append abandons fresh segment"
-            (crash_point Torture.evequoz_seg Fault.Seg_append);
+            (crash_point Torture.evequoz_seg Hook.Seg_append);
           slow "seg / seg-retire abandons hazard record"
-            (crash_point Torture.evequoz_seg Fault.Seg_retire);
+            (crash_point Torture.evequoz_seg Hook.Seg_retire);
           slow "scq / faa-cycle abandons ticket"
-            (crash_point Torture.scq Fault.Faa_cycle);
+            (crash_point Torture.scq Hook.Faa_cycle);
           slow "scq / threshold-reset dies before restore"
-            (crash_point Torture.scq Fault.Threshold_reset);
+            (crash_point Torture.scq Hook.Threshold_reset);
           slow "scq / catchup dies mid tail-repair"
-            (crash_point Torture.scq Fault.Catchup);
+            (crash_point Torture.scq Hook.Catchup);
           slow "scq-wcq / faa-cycle abandons ticket"
-            (crash_point Torture.scq_wcq Fault.Faa_cycle);
+            (crash_point Torture.scq_wcq Hook.Faa_cycle);
         ] );
-      ( "explore",
-        [
-          quick "default schedule passes" explore_default_passes;
-          quick "finds, shrinks, replays the race"
-            explore_finds_shrinks_replays;
-          quick "seeded search is deterministic" explore_deterministic;
-          quick "no false positive on atomic counter"
-            explore_correct_scenario_clean;
-          quick "empty repro round trip" repro_empty_round_trip;
-          quick "repro parser rejects garbage" repro_parse_rejects_garbage;
-        ] );
+      ( "hook",
+        [ quick "metrics, recorder and injector composed" composed_hook ] );
       ( "modelcheck-injected",
         [
           slow "exhaustive, fault windows as yields"
             explore_injected_cas_exhaustive;
-          slow "randomized, fault windows as yields"
-            explore_injected_cas_random;
         ] );
     ]

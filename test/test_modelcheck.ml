@@ -88,6 +88,44 @@ let explorer_llsc_counter_exact () =
   let stats = Sim.explore scenario in
   Alcotest.(check bool) "exhaustive" true stats.Sim.exhaustive
 
+module SimLc = Nbq_primitives.Llsc_cas.Make (Sim.Atomic)
+
+(* The CAS-simulated LL/SC (Fig. 5) as a counter: [threads] threads doing
+   [per_thread] re-registered increments each.  Two checks in [ll] keep it
+   exact, and each scenario below loses an increment without one of them:
+   - 2 threads x 2 increments (five preemptions): the owner passes
+     ReRegister, a reader pins its variable only then, reads the previous
+     value and wins its CAS against the owner's reinstalled marker — unless
+     the reader re-sees the marker after pinning.
+   - 3 threads x 1 increment: after its reservation is stolen, the owner
+     retries LL without a ReRegister and rewrites its variable under a
+     second reader's pin — unless LL itself swaps out a pinned variable. *)
+let llsc_cas_counter ~threads ~per_thread ~preemption_bound () =
+  let scenario () =
+    let reg = SimLc.create_registry () in
+    let c = SimLc.make 0 in
+    let incr () =
+      let h = SimLc.register reg in
+      for _ = 1 to per_thread do
+        SimLc.reregister h;
+        let rec go () =
+          let v = SimLc.ll c h in
+          if not (SimLc.sc c h (v + 1)) then go ()
+        in
+        go ()
+      done;
+      SimLc.deregister h
+    in
+    let check () =
+      let v = Sim.run_sequential (fun () -> SimLc.peek c) in
+      if v <> threads * per_thread then
+        failwith (Printf.sprintf "bad count: %d" v)
+    in
+    (Array.make threads incr, check)
+  in
+  let stats = Sim.explore ~preemption_bound:(Some preemption_bound) scenario in
+  Alcotest.(check bool) "exhaustive" true stats.Sim.exhaustive
+
 let explorer_finds_naive_ring_bug () =
   (* The naive ring (plain store into the tail slot, as in the Fig. 1
      discussion) loses an item under concurrent enqueues; the explorer
@@ -760,6 +798,10 @@ let () =
           quick "finds the naive-ring bug" explorer_finds_naive_ring_bug;
           slow "mcas transfers atomic" explorer_mcas_transfer_atomic;
           quick "bound 0 = sequential schedules" explorer_sequential_bound_zero;
+          slow "simulated LL/SC counter, reused marker"
+            (llsc_cas_counter ~threads:2 ~per_thread:2 ~preemption_bound:5);
+          slow "simulated LL/SC counter, retry after steal"
+            (llsc_cas_counter ~threads:3 ~per_thread:1 ~preemption_bound:4);
         ] );
       ( "algorithm-1",
         [

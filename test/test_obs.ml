@@ -144,15 +144,15 @@ let test_event_roundtrip () =
 let test_metrics_probe () =
   let m = Metrics.create () in
   let module P = (val Metrics.probe m) in
-  P.sc_fail ();
-  P.sc_fail ();
-  P.tail_help ();
-  (* ll_reserve / tag_reregister are sampled 1-in-64 with weight 64 off a
-     shared tick that only ll_reserve advances: 128 paired calls cross
+  P.hit Sc_fail;
+  P.hit Sc_fail;
+  P.hit Tail_help;
+  (* Ll_reserved / Tag_reregister are sampled 1-in-64 with weight 64 off a
+     shared tick that only Ll_reserved advances: 128 paired calls cross
      exactly two sampling windows, so both count 128. *)
   for _ = 1 to 128 do
-    P.ll_reserve ();
-    P.tag_reregister ()
+    P.hit Ll_reserved;
+    P.hit Tag_reregister
   done;
   Metrics.add m Event.Empty_retry 5;
   let s = Metrics.snapshot m in

@@ -3,54 +3,15 @@
 module Registry = Nbq_harness.Registry
 
 (* The segmented queue behind the parked blocking wrapper, as one extra
-   battery row: the plain ops go through [Blocking.enqueue] (which never
-   parks on an unbounded queue — every attempt succeeds) and a single
-   budgeted dequeue attempt, so every battery case exercises the
-   wake-on-success plumbing; the [*_until] closures are the wrapper's own
-   parked deadline variants rather than the registry's generic pair. *)
+   battery row: the "-blocking" row a blocking evequoz-seg family would
+   derive (budget-0 wrapper attempts as plain ops, parked [*_until]
+   paths), so every battery case exercises the wake-on-success plumbing.
+   Not registered: [Registry.all] keeps its rows. *)
 let seg_blocking_impl =
-  Registry.custom ~name:"evequoz-seg-blocking" ~family:Registry.Link_based
-    (fun ~capacity ->
-      let module B = Nbq_core.Queue_intf.Blocking (Nbq_segmented.Segmented.Cas) in
-      let q = B.create ~capacity in
-      let enqueue p =
-        B.enqueue q p;
-        true
-      in
-      let dequeue () =
-        match B.dequeue_budget q ~retries:0 with
-        | `Ok x -> Some x
-        | `Timeout -> None
-      in
-      {
-        Registry.enqueue;
-        dequeue;
-        enqueue_batch =
-          (fun items ->
-            Array.iter (fun p -> B.enqueue q p) items;
-            Array.length items);
-        dequeue_batch =
-          (fun k ->
-            let rec go acc left =
-              if left <= 0 then List.rev acc
-              else
-                match dequeue () with
-                | Some x -> go (x :: acc) (left - 1)
-                | None -> List.rev acc
-            in
-            go [] k);
-        length = (fun () -> Nbq_segmented.Segmented.Cas.length (B.queue q));
-        enqueue_until =
-          (fun ~deadline p ->
-            match B.enqueue_until q ~deadline p with
-            | `Ok -> true
-            | `Timeout -> false);
-        dequeue_until =
-          (fun ~deadline ->
-            match B.dequeue_until q ~deadline with
-            | `Ok x -> Some x
-            | `Timeout -> None);
-      })
+  Registry.register_family
+    (Registry.Family.v "evequoz-seg" ~classification:Registry.Link_based
+       ~blocking:true (fun _ -> (module Nbq_segmented.Segmented.Cas)))
+  |> List.find (fun (i : Registry.impl) -> i.name = "evequoz-seg-blocking")
 
 let () =
   let suites =

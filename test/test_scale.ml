@@ -54,8 +54,13 @@ let enqueue_steals_on_full_home () =
   let steals = ref 0 and windows = ref 0 in
   let t =
     Sharded.create
-      ~note_steal:(fun () -> incr steals)
-      ~steal_window:(fun () -> incr windows)
+      ~hook:
+        (module struct
+          let hit : Nbq_primitives.Hook.point -> unit = function
+            | Shard_stolen -> incr steals
+            | Shard_steal -> incr windows
+            | _ -> ()
+        end)
       ~home:(fun () -> 0)
       ~shards:4 (ref_shard 1)
   in
@@ -64,14 +69,17 @@ let enqueue_steals_on_full_home () =
   Alcotest.(check bool) "second spills" true (Sharded.try_enqueue t 2);
   Alcotest.(check int) "window fired before the sweep" 1 !windows;
   Alcotest.(check int) "one steal" 1 (Sharded.steal_count t);
-  Alcotest.(check int) "note_steal fired" 1 !steals;
+  Alcotest.(check int) "Shard_stolen hit" 1 !steals;
   Alcotest.(check int) "spilled to the next shard" 1 (Sharded.shard_length t 1)
 
 let enqueue_full_everywhere_reports_full () =
   let windows = ref 0 in
   let t =
     Sharded.create
-      ~steal_window:(fun () -> incr windows)
+      ~hook:
+        (module struct
+          let hit p = if p = Nbq_primitives.Hook.Shard_steal then incr windows
+        end)
       ~home:(fun () -> 0)
       ~shards:3 (ref_shard 1)
   in

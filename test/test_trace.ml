@@ -188,7 +188,7 @@ let test_dump_on_fault () =
   let tracer = Recorder.create ~sample:1 () in
   let o =
     Nbq_fault.Torture.run ~workers:2 ~target_ops:200 ~trigger_after:20
-      ~timeout:20.0 ~tracer t ~point:Nbq_primitives.Fault.Sc_attempt
+      ~timeout:20.0 ~tracer t ~point:Nbq_primitives.Hook.Sc_attempt
       ~action:Nbq_fault.Injector.Stall
   in
   Alcotest.(check bool) "round triggered" true o.Nbq_fault.Torture.triggered;

@@ -10,13 +10,19 @@ module Parker = Nbq_wait.Parker
 
 let now = Unix.gettimeofday
 
+(* A hook that runs [f] at point [p] and ignores every other point. *)
+let on (p : Nbq_primitives.Hook.point) f : (module Nbq_primitives.Hook.S) =
+  (module struct
+    let hit q = if q = p then f ()
+  end)
+
 (* --- Deadline semantics --- *)
 
 (* A deadline already in the past: one attempt, an immediate [`Timeout],
    and — the satellite requirement — no park. *)
 let test_past_deadline_no_park () =
   let parks = ref 0 in
-  let ec = EC.create ~on_park:(fun () -> incr parks) () in
+  let ec = EC.create ~hook:(on Wait_park (fun () -> incr parks)) () in
   let r = EC.await ~deadline:(now () -. 1.0) ec (fun () -> None) in
   Alcotest.(check bool) "timed out" true (r = `Timeout);
   Alcotest.(check int) "never parked" 0 !parks;
@@ -41,7 +47,7 @@ let test_wake_empty_fast_path () =
 
 let test_prepare_cancel_hygiene () =
   let cancels = ref 0 in
-  let ec = EC.create ~on_cancel:(fun () -> incr cancels) () in
+  let ec = EC.create ~hook:(on Wait_cancel (fun () -> incr cancels)) () in
   let w = EC.prepare_wait ec in
   Alcotest.(check int) "published" 1 (fst (EC.audit ec));
   EC.cancel_wait ec w;
@@ -52,7 +58,7 @@ let test_prepare_cancel_hygiene () =
 
 let test_wake_claims_and_cancel_passes_on () =
   let wakes = ref 0 in
-  let ec = EC.create ~on_wake:(fun () -> incr wakes) () in
+  let ec = EC.create ~hook:(on Wait_wake (fun () -> incr wakes)) () in
   (* Two published waiters (same domain: bookkeeping only, nobody parks). *)
   let w1 = EC.prepare_wait ec in
   let w2 = EC.prepare_wait ec in
@@ -82,8 +88,10 @@ let test_cancel_during_park_window_fault () =
   let cancels = ref 0 in
   let ec =
     EC.create
-      ~on_cancel:(fun () -> incr cancels)
-      ~park_window:(fun () -> Unix.sleepf 0.03)
+      ~hook:
+        (Nbq_primitives.Hook.compose
+           (on Wait_cancel (fun () -> incr cancels))
+           (on Park_window (fun () -> Unix.sleepf 0.03)))
       ()
   in
   let r = EC.await ~deadline:(now () +. 0.005) ec (fun () -> None) in
@@ -102,14 +110,9 @@ let test_cancel_during_park_window_fault () =
    later waiter must still be wakeable past the corpse. *)
 let test_crash_in_park_window_not_stranding () =
   let inj = Nbq_fault.Injector.create () in
-  Nbq_fault.Injector.arm inj ~point:Nbq_primitives.Fault.Park_window
+  Nbq_fault.Injector.arm inj ~point:Nbq_primitives.Hook.Park_window
     ~action:Nbq_fault.Injector.Crash ~after:1;
-  let ec =
-    EC.create
-      ~park_window:(fun () ->
-        Nbq_fault.Injector.hit inj Nbq_primitives.Fault.Park_window)
-      ()
-  in
+  let ec = EC.create ~hook:(Nbq_fault.Injector.hook inj) () in
   let slot = Atomic.make 0 in
   let cond () = if Atomic.get slot = 1 then Some 1 else None in
   let victim =
@@ -197,15 +200,10 @@ let test_max_park_backstop () =
 
 let parks = Atomic.make 0
 
-module Park_probe : Nbq_primitives.Probe.S = struct
-  include Nbq_primitives.Probe.Noop
-
-  let wait_park () = Atomic.incr parks
-end
+module Park_probe = (val on Wait_park (fun () -> Atomic.incr parks))
 
 module Seg_blocking =
-  Nbq_core.Queue_intf.Blocking_hooked (Park_probe) (Nbq_primitives.Fault.Noop)
-    (Nbq_segmented.Segmented.Cas)
+  Nbq_core.Queue_intf.Blocking_hooked (Park_probe) (Nbq_segmented.Segmented.Cas)
 
 let test_unbounded_enqueue_never_parks () =
   Atomic.set parks 0;
