@@ -1,13 +1,4 @@
-module type CELL = sig
-  type 'a t
-  type 'a link
-
-  val make : 'a -> 'a t
-  val ll : 'a t -> 'a link
-  val value : 'a link -> 'a
-  val sc : 'a t -> 'a link -> 'a -> bool
-  val get : 'a t -> 'a
-end
+module type CELL = Nbq_primitives.Llsc_backend.CELL
 
 module type QUEUE = sig
   include Queue_intf.BOUNDED
@@ -18,8 +9,8 @@ module type QUEUE = sig
 end
 
 (* Algorithm 1 is the unified ring over the trivial cell backend: unit
-   handles, empty registry, counters as ll/sc variables.  [Of_cell] keeps
-   the handle plumbing monomorphic to [unit], so the handle-free QUEUE
+   handles, empty registry, and the cell's counters.  [Of_cell] keeps the
+   handle plumbing monomorphic to [unit], so the handle-free QUEUE
    surface costs nothing. *)
 module Make_probed (Cell : CELL) (H : Nbq_primitives.Hook.S) = struct
   module Ring =
@@ -47,16 +38,15 @@ module On_weak_cells = struct
   let failure_rate = Atomic.make 0.05
 
   module Cell = struct
-    type 'a t = 'a Nbq_primitives.Llsc.Weak.cell
+    include Nbq_primitives.Llsc.Weak
+
+    type 'a t = 'a cell
     type 'a link = 'a Nbq_primitives.Llsc.link
+    type counter = int cell
 
-    let make v =
-      Nbq_primitives.Llsc.Weak.make ~failure_rate:(Atomic.get failure_rate) v
-
-    let ll = Nbq_primitives.Llsc.Weak.ll
-    let value = Nbq_primitives.Llsc.Weak.value
-    let sc = Nbq_primitives.Llsc.Weak.sc
-    let get = Nbq_primitives.Llsc.Weak.get
+    let make v = make ~failure_rate:(Atomic.get failure_rate) v
+    let make_counter = make
+    let counter_get = get
   end
 
   include Make (Cell)

@@ -63,8 +63,9 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
     B.counter_advance counter expected
 
   (* Paper Fig. 3/Fig. 5 Enqueue.  [h] must have been re-registered for
-     this operation already. *)
-  let rec enqueue_loop t h x =
+     this operation already.  [item] is the slot value, built once per
+     operation so a failed sc does not allocate it again. *)
+  let rec enqueue_loop t h item =
     let tl = B.counter_get t.tail in
     (* E6: full test.  Tail is monotonic, so at the instant Head is read
        the distance can only be >= the one computed — "full" is
@@ -82,9 +83,9 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
             B.release cell h res;
             H.hit Hook.Tail_help;
             help t.tail tl;
-            enqueue_loop t h x
+            enqueue_loop t h item
         | Empty ->
-            if B.sc cell h res (Item x) then begin
+            if B.sc cell h res item then begin
               (* The item is in the slot; a thread frozen here leaves Tail
                  lagging and everyone else must help (paper E11-E13). *)
               help t.tail tl;
@@ -92,12 +93,12 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
             end
             else begin
               H.hit Hook.Sc_fail;
-              enqueue_loop t h x
+              enqueue_loop t h item
             end
       else begin
         (* Tail moved under us: release the reservation and retry. *)
         B.release cell h res;
-        enqueue_loop t h x
+        enqueue_loop t h item
       end
     end
 
@@ -152,7 +153,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
 
   let enqueue_with t h x =
     B.reregister h;
-    enqueue_loop t h x
+    enqueue_loop t h (Item x)
 
   let dequeue_with t h =
     B.reregister h;
@@ -189,7 +190,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
      [lap_base + capacity] by passing [capacity] consumed slots. *)
   let lap_exhausted t = B.counter_get t.head - t.lap_base >= t.mask + 1
 
-  let rec fill_loop t h x =
+  let rec fill_loop t h item =
     let tl = B.counter_get t.tail in
     if tl - t.lap_base >= t.mask + 1 then false (* sticky full *)
     else begin
@@ -203,19 +204,19 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
             B.release cell h res;
             H.hit Hook.Tail_help;
             help t.tail tl;
-            fill_loop t h x
+            fill_loop t h item
         | Empty ->
-            if B.sc cell h res (Item x) then begin
+            if B.sc cell h res item then begin
               help t.tail tl;
               true
             end
             else begin
               H.hit Hook.Sc_fail;
-              fill_loop t h x
+              fill_loop t h item
             end
       else begin
         B.release cell h res;
-        fill_loop t h x
+        fill_loop t h item
       end
     end
 
@@ -253,7 +254,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
 
   let fill_with t h x =
     B.reregister h;
-    fill_loop t h x
+    fill_loop t h (Item x)
 
   let take_with t h =
     B.reregister h;
@@ -305,7 +306,8 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
     (* Paper path for whatever the fast path could not place. *)
     let rec slow i =
       if i >= total then total
-      else if enqueue_loop t h (Array.unsafe_get items i) then slow (i + 1)
+      else if enqueue_loop t h (Item (Array.unsafe_get items i)) then
+        slow (i + 1)
       else i
     in
     let rec fast accepted =

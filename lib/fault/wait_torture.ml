@@ -33,10 +33,10 @@ let take slot () =
   go ()
 
 (* Spin until [pred] holds or [deadline] passes.  Used to sequence the
-   adversarial schedule: Wake_lost needs a published waiter before the
-   wake (to get past wake_one's empty-stack fast path); Park_window needs
-   the victim to have claimed the armed window before any other domain
-   reaches it. *)
+   adversarial schedule: Wake_lost needs a committed waiter before the
+   wake (to get past wake_one's empty-stack fast path and the waiter's
+   re-check); Park_window needs the victim to have claimed the armed
+   window before any other domain reaches it. *)
 let wait_for ~deadline pred =
   let rec go () =
     if pred () then ()
@@ -47,15 +47,28 @@ let wait_for ~deadline pred =
   in
   go ()
 
-let published ?(n = 1) ec () = fst (EC.audit ec) >= n
+let published ~n ec () = fst (EC.audit ec) >= n
+
+(* Raises [flag] the first time a domain passes [point]. *)
+let flag_at point flag =
+  (module struct
+    let hit p = if p = point then Atomic.set flag true
+  end : Hook.S)
 
 (* One Wake_lost round: a consumer parks on an empty slot; the producer
    fills the slot and crashes/stalls inside wake_one, after the seq bump
-   but before signalling.  The consumer must still return [`Ok]. *)
+   but before signalling.  The consumer must still return [`Ok].  The slot
+   is filled only once the consumer has passed [Park_window]: a waiter
+   that is published but not yet committed re-checks the slot, takes the
+   item and cancels, and the wake then finds no waiter to lose. *)
 let wake_lost_round ~action ~slack () =
   let inj = Injector.create () in
   Injector.arm inj ~point:Hook.Wake_lost ~action ~after:1;
-  let ec = EC.create ~hook:(Injector.hook inj) () in
+  let committed = Atomic.make false in
+  let hook =
+    Hook.compose (flag_at Hook.Park_window committed) (Injector.hook inj)
+  in
+  let ec = EC.create ~hook () in
   let slot = Atomic.make 0 in
   let deadline = now () +. slack in
   let consumer =
@@ -64,7 +77,7 @@ let wake_lost_round ~action ~slack () =
         let r = EC.await ~deadline ec (take slot) in
         (r, now () -. t0))
   in
-  wait_for ~deadline (published ec);
+  wait_for ~deadline (fun () -> Atomic.get committed);
   Atomic.set slot 1;
   let wake () = try ignore (EC.wake_one ec) with Injector.Crashed -> () in
   let waker =

@@ -36,7 +36,9 @@
       registry protocol calls.
     - [Counter_bump] — after a slot update succeeded but before the lagging
       [Head]/[Tail] counter is CASed forward; other threads must help
-      (paper E11-E13 / D11-D13).
+      (paper E11-E13 / D11-D13).  On every backend but weak cells the
+      counters are plain CAS'd ints that pass no [Ll_reserve],
+      [Ll_reserved] or [Sc_attempt], so this is their only window.
     - [Seg_append] — in the segmented unbounded queue, after the tail
       segment was observed full but before the fresh segment is linked.
       A victim frozen here may hold an allocated-but-unlinked segment;

@@ -9,6 +9,8 @@ module type S = sig
   val vl : 'a t -> 'a link -> bool
   val get : 'a t -> 'a
   val set : 'a t -> 'a -> unit
+
+  include Llsc_backend.COUNTER
 end
 
 module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
@@ -37,6 +39,10 @@ module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
   let get t = (A.get t).contents
 
   let set t v = A.set t { contents = v }
+
+  (* Head/Tail only grow, so a CAS on the int is an ideal LL/SC on them:
+     no box, and no allocation when a bump or a help fails. *)
+  include Llsc_backend.Cas_counter (A)
 end
 
 module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Hook.Noop)
@@ -67,4 +73,30 @@ module Weak = struct
   let get c = get c.inner
 
   let set c v = set c.inner v
+
+  (* Retry until the counter is observed past [expected]: a spuriously
+     failing sc (paper section 5) must not drop the bump and let a
+     lagging counter fool the empty/full tests. *)
+  let counter_advance c expected =
+    let rec go () =
+      let link = ll c in
+      if value link = expected then
+        if not (sc c link (expected + 1)) then go ()
+    in
+    go ()
+
+  let counter_publish c ~from ~target =
+    let rec walk () =
+      let link = ll c in
+      let cur = value link in
+      if cur - target < 0 then begin
+        ignore (sc c link (cur + 1));
+        walk ()
+      end
+    in
+    let link = ll c in
+    if value link = from then begin
+      if not (sc c link target) then walk ()
+    end
+    else walk ()
 end

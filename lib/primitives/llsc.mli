@@ -54,6 +54,12 @@ module type S = sig
 
   val set : 'a t -> 'a -> unit
   (** Unconditional store.  Invalidates all outstanding reservations. *)
+
+  include Llsc_backend.COUNTER
+  (** Head/Tail counters for Algorithm 1.  They only grow, so a value
+      never repeats and a compare-and-set on a plain atomic int is
+      exactly an ideal LL/SC on them, with no ABA and no box
+      ({!Llsc_backend.Cas_counter}). *)
 end
 
 module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) : S
@@ -61,7 +67,8 @@ module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) : S
     [Ll_reserved] (the reservation is the read itself), and [Sc_attempt]
     just before [sc]'s compare-and-set.  [sc] failures are not counted
     here — callers, which can tell update-path failures from benign
-    helping races, hit [Sc_fail]. *)
+    helping races, hit [Sc_fail].  The counters are plain [A] ints and
+    hit no point. *)
 
 module Make (A : Atomic_intf.ATOMIC) : S
 (** [Make_probed] with {!Hook.Noop}: the uninstrumented default. *)
@@ -92,4 +99,9 @@ module Weak : sig
   val vl : 'a cell -> 'a link -> bool
   val get : 'a cell -> 'a
   val set : 'a cell -> 'a -> unit
+
+  val counter_advance : int cell -> int -> unit
+  val counter_publish : int cell -> from:int -> target:int -> unit
+  (** {!Llsc_backend.COUNTER} over weak cells: ll/sc loops that retry
+      past spurious failures, so no bump is dropped. *)
 end

@@ -4,6 +4,15 @@
 
 type audit = { registered : int; owned : int; free : int }
 
+module type COUNTER = sig
+  type counter
+
+  val make_counter : int -> counter
+  val counter_get : counter -> int
+  val counter_advance : counter -> int -> unit
+  val counter_publish : counter -> from:int -> target:int -> unit
+end
+
 module type CELL = sig
   type 'a t
   type 'a link
@@ -13,6 +22,8 @@ module type CELL = sig
   val value : 'a link -> 'a
   val sc : 'a t -> 'a link -> 'a -> bool
   val get : 'a t -> 'a
+
+  include COUNTER
 end
 
 module type S = sig
@@ -21,7 +32,6 @@ module type S = sig
   type 'a handle
   type 'a res
   type 'a observation
-  type counter
 
   val create_registry : unit -> 'a registry
   val make : 'a -> 'a t
@@ -41,10 +51,7 @@ module type S = sig
   val observed_get : 'a observation -> 'a
   val commit : 'a t -> 'a handle -> 'a observation -> 'a -> bool
 
-  val make_counter : int -> counter
-  val counter_get : counter -> int
-  val counter_advance : counter -> int -> unit
-  val counter_publish : counter -> from:int -> target:int -> unit
+  include COUNTER
 
   val registered_count : 'a registry -> int
   val owned_count : 'a registry -> int
@@ -53,8 +60,9 @@ end
 
 (* Monotonic counters over plain atomics: the helping advance is a single
    CAS (its failure proves another thread performed the bump), publication
-   is a one-shot CAS with a +1 helper-tolerant walk.  Shared by the CAS
-   and Blelloch-Wei backends. *)
+   is a one-shot CAS with a +1 helper-tolerant walk.  Shared by every
+   backend: the ideal cells take it too, since a counter that only grows
+   never repeats a value, so a CAS on it is an ideal LL/SC without ABA. *)
 module Cas_counter (A : Atomic_intf.ATOMIC) = struct
   type counter = int A.t
 
@@ -112,37 +120,7 @@ module Of_cell (Cell : CELL) = struct
   let observed_get = Cell.value
   let commit cell () obs v = Cell.sc cell obs v
 
-  type counter = int Cell.t
-
-  let make_counter = Cell.make
-  let counter_get = Cell.get
-
-  (* Retry until the counter is observed past [expected]: a spuriously
-     failing sc (weak cells, paper section 5) must not drop the bump and
-     let a lagging counter fool the empty/full tests.  On ideal cells the
-     retry never triggers more than once. *)
-  let counter_advance c expected =
-    let rec go () =
-      let link = Cell.ll c in
-      if Cell.value link = expected then
-        if not (Cell.sc c link (expected + 1)) then go ()
-    in
-    go ()
-
-  let counter_publish c ~from ~target =
-    let rec walk () =
-      let link = Cell.ll c in
-      let cur = Cell.value link in
-      if cur - target < 0 then begin
-        ignore (Cell.sc c link (cur + 1));
-        walk ()
-      end
-    in
-    let link = Cell.ll c in
-    if Cell.value link = from then begin
-      if not (Cell.sc c link target) then walk ()
-    end
-    else walk ()
+  include (Cell : COUNTER with type counter = Cell.counter)
 
   let registered_count () = 0
   let owned_count () = 0

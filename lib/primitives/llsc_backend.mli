@@ -11,8 +11,9 @@
       unreserved read (the peek path);
     - {b observe/commit} — the one-CAS batch-run extension (PR 3): a
       reservation-free snapshot that [commit] validates by block identity;
-    - {b counters} — monotonic Head/Tail with a helping [counter_advance]
-      (paper E11-E13/D11-D13) and a batch [counter_publish];
+    - {b counters} — monotonic Head/Tail ({!COUNTER}), plain CAS'd ints
+      ({!Cas_counter}) on every backend except weak cells, which retry
+      past spurious failures;
     - {b handles} — per-thread state with the paper's
       register/reregister/deregister lifecycle.  Backends without
       per-operation registry traffic (ideal cells, Blelloch-Wei) make
@@ -28,8 +29,27 @@ type audit = { registered : int; owned : int; free : int }
 (** One racy registry snapshot: handles ever allocated, currently owned
     (including ones abandoned by crashed threads), and recyclable. *)
 
-(** What Algorithm 1 requires of a handle-free LL/SC cell: exactly the
-    interface of {!Nbq_primitives.Llsc}, minus [vl] (unused). *)
+(** Monotonic Head/Tail counters: a helping [counter_advance] (paper
+    E11-E13/D11-D13) and a batch [counter_publish]. *)
+module type COUNTER = sig
+  type counter
+
+  val make_counter : int -> counter
+  val counter_get : counter -> int
+
+  val counter_advance : counter -> int -> unit
+  (** Help the counter from [expected] to [expected + 1]; must be a no-op
+      if the counter is already past [expected]. *)
+
+  val counter_publish : counter -> from:int -> target:int -> unit
+  (** Advance to [target] tolerating helpers: one-shot CAS, then a +1
+      walk.  Callers only request targets whose slots they have already
+      filled/emptied. *)
+end
+
+(** What Algorithm 1 requires of a handle-free LL/SC cell: the interface
+    of {!Nbq_primitives.Llsc} minus [vl] and [set] (unused), plus its
+    Head/Tail counters. *)
 module type CELL = sig
   type 'a t
   type 'a link
@@ -39,6 +59,8 @@ module type CELL = sig
   val value : 'a link -> 'a
   val sc : 'a t -> 'a link -> 'a -> bool
   val get : 'a t -> 'a
+
+  include COUNTER
 end
 
 module type S = sig
@@ -50,8 +72,6 @@ module type S = sig
 
   type 'a observation
   (** A reservation-free snapshot, from {!observe}; consumed by {!commit}. *)
-
-  type counter
 
   val create_registry : unit -> 'a registry
   val make : 'a -> 'a t
@@ -88,41 +108,25 @@ module type S = sig
 
   val commit : 'a t -> 'a handle -> 'a observation -> 'a -> bool
 
-  val make_counter : int -> counter
-  val counter_get : counter -> int
-
-  val counter_advance : counter -> int -> unit
-  (** Help the counter from [expected] to [expected + 1]; must be a no-op
-      if the counter is already past [expected]. *)
-
-  val counter_publish : counter -> from:int -> target:int -> unit
-  (** Advance to [target] tolerating helpers: one-shot CAS, then a +1
-      walk.  Callers only request targets whose slots they have already
-      filled/emptied. *)
+  include COUNTER
 
   val registered_count : 'a registry -> int
   val owned_count : 'a registry -> int
   val audit : 'a registry -> audit
 end
 
-(** Plain-atomic monotonic counters (single-CAS advance), shared by the
-    CAS-family backends. *)
-module Cas_counter (A : Atomic_intf.ATOMIC) : sig
-  type counter = int A.t
-
-  val make_counter : int -> counter
-  val counter_get : counter -> int
-  val counter_advance : counter -> int -> unit
-  val counter_publish : counter -> from:int -> target:int -> unit
-end
+(** Plain-atomic monotonic counters (single-CAS advance), shared by every
+    backend, the ideal cells included: a counter that only grows never
+    repeats a value, so a CAS on the int is an ideal LL/SC with no ABA and
+    no box. *)
+module Cas_counter (A : Atomic_intf.ATOMIC) :
+  COUNTER with type counter = int A.t
 
 (** The trivial backend over a handle-free cell: unit handles, empty
-    registry, counters as [int Cell.t] ll/sc variables (the advance
-    retries until the counter is observed past the expected value, so
-    spuriously failing weak cells cannot drop a bump). *)
+    registry, and the cell's own counters. *)
 module Of_cell (Cell : CELL) :
   S
     with type 'a t = 'a Cell.t
      and type 'a handle = unit
      and type 'a registry = unit
-     and type counter = int Cell.t
+     and type counter = Cell.counter

@@ -199,6 +199,21 @@ let peek_concurrent_monotone () =
   Domain.join producer;
   Alcotest.(check bool) "peeks non-decreasing" true !ok
 
+(* Algorithm 1's allocation per enqueue/dequeue pair on one domain: the
+   [Item], the two boxes the slot sc's install, and the [Some]; the
+   counters allocate nothing. *)
+let llsc_pair_words () =
+  let q = Q1.create ~capacity:4 in
+  let n = 1_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Q1.try_enqueue q i);
+    ignore (Q1.try_dequeue q)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "all moved" n (Q1.head_index q);
+  Alcotest.(check (float 0.)) "words per pair" 8. (words /. float n)
+
 (* --- Functor / weak cells --- *)
 
 let weak_queue_correct_under_failures () =
@@ -210,6 +225,20 @@ let weak_queue_correct_under_failures () =
       (Q1.On_weak_cells.try_dequeue q)
   done;
   Atomic.set Q1.On_weak_cells.failure_rate 0.05
+
+(* Weak counter bumps fail spuriously too; the advance must retry them, or
+   a lagging counter would be left behind. *)
+let weak_counters_drop_no_bump () =
+  Atomic.set Q1.On_weak_cells.failure_rate 0.5;
+  let q = Q1.On_weak_cells.create ~capacity:4 in
+  Atomic.set Q1.On_weak_cells.failure_rate 0.05;
+  let n = 1_000 in
+  for i = 1 to n do
+    ignore (Q1.On_weak_cells.try_enqueue q i);
+    ignore (Q1.On_weak_cells.try_dequeue q)
+  done;
+  Alcotest.(check int) "tail" n (Q1.On_weak_cells.tail_index q);
+  Alcotest.(check int) "head" n (Q1.On_weak_cells.head_index q)
 
 let weak_queue_concurrent () =
   Atomic.set Q1.On_weak_cells.failure_rate 0.2;
@@ -736,6 +765,7 @@ let () =
         [
           quick "llsc monotonic across wraps" llsc_indices_monotonic;
           quick "llsc indices on rejection" llsc_indices_stop_on_rejection;
+          quick "llsc pair allocates 8 words" llsc_pair_words;
           quick "cas monotonic across wraps" cas_indices_monotonic;
         ] );
       ( "capacity",
@@ -763,6 +793,8 @@ let () =
       ( "weak-cells",
         [
           quick "sequential under 30% failures" weak_queue_correct_under_failures;
+          quick "counters drop no bump at 50% failures"
+            weak_counters_drop_no_bump;
           slow "concurrent under 20% failures" weak_queue_concurrent;
         ] );
       ( "batch-runs",

@@ -262,6 +262,21 @@ let llsc_weak_rate_clamped () =
   let l = Llsc.Weak.ll c in
   Alcotest.(check bool) "clamped to 0 -> succeeds" true (Llsc.Weak.sc c l 1)
 
+(* The ideal backend's Head/Tail counters are plain CAS'd ints: neither a
+   bump nor a publish allocates. *)
+let llsc_counters_allocate_nothing () =
+  let module B = Nbq_primitives.Llsc_backend.Of_cell (Llsc) in
+  let c = B.make_counter 0 in
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    B.counter_advance c (2 * i);
+    B.counter_publish c ~from:((2 * i) + 1) ~target:((2 * i) + 2)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "counted" (2 * n) (B.counter_get c);
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 (* --- CAS-simulated LL/SC --- *)
 
 let lc_basic_ll_sc () =
@@ -652,6 +667,7 @@ let () =
           quick "weak failure rate" llsc_weak_failure_rate;
           quick "weak zero rate" llsc_weak_zero_rate_is_ideal;
           quick "weak rate clamped" llsc_weak_rate_clamped;
+          quick "counters allocate nothing" llsc_counters_allocate_nothing;
           QCheck_alcotest.to_alcotest qcheck_llsc_model;
         ] );
       ( "llsc-cas",
