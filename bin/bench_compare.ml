@@ -1,5 +1,5 @@
 (* Diffs two bench-summary trajectory files (results/bench_summary.json
-   as written by fig6/contend/shard_sweep/ablation) and flags throughput
+   as written by the bench presets) and flags throughput
    regressions beyond a threshold.  Rows are joined on their identity key
    (bench, queue, variant, domains); rows present on only one side are
    listed but never fail the run.  Exit 1 iff any joined row regressed.

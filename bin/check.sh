@@ -31,9 +31,9 @@ dune exec bin/torture.exe -- --queue scq-wcq --seed 42 --ops 2000 > /dev/null
 # a waiter inside the park window; every live parked domain must still
 # complete (no lost-wakeup strand).
 dune exec bin/torture.exe -- --wait > /dev/null
-# Oversubscription gate: 16 parked domains on one core-starved queue,
-# requiring item conservation and per-domain progress.
-dune exec bin/park_sweep.exe -- --gate --seconds 2 > /dev/null
+# Oversubscription gate: 16 parked domains on one core-starved queue
+# for 2 s, requiring item conservation and per-domain progress.
+dune exec bench/bench.exe -- gate-park > /dev/null
 # Model-checking gate: exhaustive DPOR over the capacity-2 / 2-thread
 # scenario catalog.  The fast line covers Algorithm 1 plus the simulated
 # eventcount (park/wake must have no lost wakeup; the two seeded-bug
@@ -65,40 +65,46 @@ dune exec bin/modelcheck_run.exe -- -a scq -a scq-d -a scq-wcq -a scq-nothreshol
 # Burst-absorption gate: under a 10x offered-load burst the fixed ring
 # must shed via Timeout while the segmented queue absorbs everything,
 # and elasticity may cost at most 1.25x the fixed ring's steady-state
-# per-item cost.
-dune exec bin/burst_sweep.exe -- --gate > /dev/null
-# Flight-recorder overhead gate: an armed recorder (default 1/64 span
-# sampling) must cost <= 10% vs the plain path (median of interleaved
-# blocks, best-of-6-runs per block).  Single-threaded on purpose: on a
+# per-item cost (median of 10 interleaved 0.2 s blocks).
+dune exec bench/bench.exe -- gate-burst > /dev/null
+# Flight-recorder overhead gate: an armed recorder (1/64 span sampling)
+# must cost <= 10% vs the plain path (median of 10 interleaved blocks,
+# best-of-6-runs per block).  Single-threaded on purpose: on a
 # core-starved box multi-domain runs measure the scheduler, not the
 # recorder.
-dune exec bin/trace_overhead.exe -- -t 1 --runs 6 --scale 1.0 --blocks 10 > /dev/null
-# Perfetto export smoke: a tiny traced fig6 run must produce Chrome
-# trace-event JSON that our own validator accepts (trace_pass exits
-# non-zero on validation failure), and must emit the bench-summary
-# trajectory; bench_compare must round-trip it with zero regressions.
-# Every bench smoke below also mirrors its freshly measured rows into a
-# scratch file (NBQ_BENCH_FRESH): the trajectory file merges, so only the
-# mirror can prove each family was actually re-measured this run rather
-# than carried forward from yesterday.
+dune exec bench/bench.exe -- gate-trace > /dev/null
+# Bench smoke: every row-writing preset runs once at smoke scale, and
+# also mirrors its freshly measured rows into a scratch file
+# (NBQ_BENCH_FRESH): the trajectory file merges, so only the mirror can
+# prove each family was actually re-measured this run rather than
+# carried forward from yesterday.  The first run also exports Perfetto
+# traces that our own validator must accept (--trace fails the run on a
+# malformed export), and bench_compare must round-trip the trajectory.
+# The minor-heap presets (shard-sweep, park-sweep) re-exec themselves,
+# and park-sweep leaves the wait layer's ticker running, so each runs in
+# its own process.
 NBQ_BENCH_FRESH=results/.bench_fresh.json
 export NBQ_BENCH_FRESH
 rm -f "$NBQ_BENCH_FRESH"
-dune exec bin/fig6.exe -- -f a --runs 1 --scale 0.002 --max-threads 4 --trace > /dev/null 2>&1
+smoke="--runs 1 --scale 0.002 --max-threads 4"
+bench() { dune exec bench/bench.exe -- "$@" $smoke > /dev/null 2>&1; }
+bench fig6-a --trace
 test -s results/bench_summary.json
 dune exec bin/bench_compare.exe -- results/bench_summary.json results/bench_summary.json > /dev/null
-# Bench-ablation gate: the tiny three-backend grid (tag-protocol singles
-# vs amortized batch runs vs Blelloch-Wei), the 2008-vs-SCQ grid, and the
-# fig6 scq suite must run end to end; the merged trajectory must still
-# cover every configuration the *committed* summary has, with sane
-# throughputs (--gate ignores machine-dependent slowdowns; falls back to
-# self-compare when HEAD has no summary yet), and --fresh fails any
-# family the committed summary lists for these sweeps that produced zero
-# rows just now.
-dune exec bin/ablation.exe -- --only backends --runs 1 --scale 0.002 --max-threads 4 > /dev/null
-dune exec bin/ablation.exe -- --only scq --runs 1 --scale 0.002 --max-threads 4 > /dev/null
-dune exec bin/fig6.exe -- -f s --runs 1 --scale 0.002 --max-threads 4 > /dev/null
+bench fig6-b fig6-c fig6-d fig6-s overhead shann-vs-cas latency \
+  ablation-weak-llsc ablation-hp-threshold ablation-ebr-batch \
+  ablation-capacity ablation-reclamation ablation-backends ablation-scq
+bench contend -q evequoz-cas,evequoz-seg,scq -d 1,2,4
+bench contend -q evequoz-bw -d 1,2
+bench shard-sweep
+bench park-sweep
+bench burst-sweep
 grep -q '"scq"' "$NBQ_BENCH_FRESH"
+# The merged trajectory must still cover every configuration the
+# *committed* summary has, with sane throughputs (--gate ignores
+# machine-dependent slowdowns; falls back to self-compare when HEAD has
+# no summary yet), and --fresh fails any family the committed summary
+# lists for these sweeps that produced zero rows just now.
 if git show HEAD:results/bench_summary.json > results/.bench_summary.base.json 2>/dev/null; then
   dune exec bin/bench_compare.exe -- results/.bench_summary.base.json results/bench_summary.json --gate --fresh "$NBQ_BENCH_FRESH" > /dev/null
   rm -f results/.bench_summary.base.json

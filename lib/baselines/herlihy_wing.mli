@@ -7,7 +7,7 @@
     its running time is proportional to the number of {e completed enqueue
     operations since the creation of the queue} — the §2 criticism this
     module exists to demonstrate (the E8-adjacent
-    [bin/space.exe --scan-cost] experiment measures the quadratic blow-up).
+    [space] bench preset measures the quadratic blow-up).
 
     The "infinite array" is simulated with lock-free chunked growth: a
     table of fixed-size chunks, allocated on demand and installed with CAS

@@ -1,7 +1,7 @@
 (** The machine-readable bench trajectory ([results/bench_summary.json]):
     one row per bench x queue x variant x domain count, carrying
-    throughput and sampled latency percentiles.  The bench binaries
-    merge-append rows; [bin/bench_compare] diffs two files. *)
+    throughput and sampled latency percentiles.  The bench driver's
+    presets merge-append rows; [bin/bench_compare] diffs two files. *)
 
 val schema : string
 (** ["nbq-bench-summary"]. *)
@@ -10,7 +10,7 @@ val version : int
 val default_path : string
 
 type row = {
-  bench : string;  (** emitting binary: "fig6", "contend", "shard_sweep" *)
+  bench : string;  (** emitting preset, by bench name: "fig6", "contend", ... *)
   queue : string;
   variant : string;  (** bench-specific sub-configuration; [""] when none *)
   domains : int;

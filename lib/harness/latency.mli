@@ -4,7 +4,7 @@
     multithreading the {e tail} of the per-operation latency distribution
     is where blocking and non-blocking queues differ most (a preempted
     lock holder stalls every blocked thread for a scheduling quantum,
-    while lock-free threads keep finishing).  `bin/latency.exe` measures
+    while lock-free threads keep finishing).  the `latency` bench preset measures
     exactly that; this module is the capture substrate.
 
     Each worker records into its own pre-sized buffer (no allocation or

@@ -7,7 +7,7 @@
    Armed, the recorder samples operation *spans* (1 in [sample]); the deep
    probe events only record while their domain is inside a sampled span, so
    the armed steady-state cost stays a small fraction of an operation (the
-   bin/trace_overhead gate holds it under 10%).  Torture and schedule
+   bench gate-trace preset holds it under 10%).  Torture and schedule
    exploration arm with [sample:1] ("full" mode) where fidelity matters and
    throughput does not. *)
 

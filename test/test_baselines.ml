@@ -40,7 +40,7 @@ let hw_crosses_chunk_boundary () =
 let hw_scan_cost_grows () =
   (* Not a timing test (too flaky for CI): count scan *steps* indirectly by
      verifying the dequeue still works after a long history — the cost
-     property itself is measured by bin/space.exe. *)
+     property itself is measured by the space bench preset. *)
   let q = Hw.create () in
   for i = 1 to 20_000 do
     Hw.enqueue q i;
