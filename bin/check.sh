@@ -34,34 +34,14 @@ dune exec bin/torture.exe -- --wait > /dev/null
 # Oversubscription gate: 16 parked domains on one core-starved queue
 # for 2 s, requiring item conservation and per-domain progress.
 dune exec bench/bench.exe -- gate-park > /dev/null
-# Model-checking gate: exhaustive DPOR over the capacity-2 / 2-thread
-# scenario catalog.  The fast line covers Algorithm 1 plus the simulated
-# eventcount (park/wake must have no lost wakeup; the two seeded-bug
-# entries must still be convicted) and proves >= 5x reduction vs plain
-# DFS; the second line runs Algorithm 2's larger trees (batch commit and
-# drain races included) to exhaustion.
+# Model-checking gate: Algorithm 1 plus the simulated eventcount
+# (park/wake must have no lost wakeup; the two seeded-bug entries must
+# still be convicted) explored to exhaustion, proving >= 5x DPOR
+# reduction vs plain DFS.  Every other catalog spec -- exhaustion of each
+# pass-expected one, conviction of each seeded bug -- is a test_modelcheck
+# case in the runtest above.
 dune exec bin/modelcheck_run.exe -- -a evequoz-llsc -a sim-wait -a toy-blocking \
   --min-reduction 5 --require-exhaustive > /dev/null
-dune exec bin/modelcheck_run.exe -- -a evequoz-cas -a sharded-llsc \
-  --require-exhaustive > /dev/null
-# Blelloch-Wei model-checking gate: the full scenario matrix plus the
-# batch races to exhaustion, and the no-scan seeded bug (a recycled
-# reserved buffer losing an item to pointer ABA) must be convicted.
-dune exec bin/modelcheck_run.exe -- -a evequoz-bw -a evequoz-bw-noscan \
-  --require-exhaustive > /dev/null
-# Segmented-queue model-checking gate: the scenario matrix (append and
-# retire/recycle races included) to exhaustion, and the no-retire seeded
-# bug (a pinned reader observing a recycled segment's next lap) must be
-# convicted.
-dune exec bin/modelcheck_run.exe -- -a evequoz-seg -a evequoz-seg-noretire \
-  --require-exhaustive > /dev/null
-# SCQ model-checking gate: the scenario matrix for scq / scq-d / scq-wcq
-# to exhaustion, and the no-threshold seeded bug (a missed dequeue
-# retrying with no budget, so on a drained queue its own slot bumps chase
-# fresh tickets forever) must be convicted of livelock by the fair-probe
-# continuation.
-dune exec bin/modelcheck_run.exe -- -a scq -a scq-d -a scq-wcq -a scq-nothreshold \
-  --require-exhaustive > /dev/null
 # Burst-absorption gate: under a 10x offered-load burst the fixed ring
 # must shed via Timeout while the segmented queue absorbs everything,
 # and elasticity may cost at most 1.25x the fixed ring's steady-state

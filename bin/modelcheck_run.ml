@@ -1,12 +1,14 @@
 (* Exhaustive small-scope verification from the command line: run the
-   model-checking spec catalog (Scenarios.specs) through the DPOR explorer,
-   check safety on every completed schedule and the declared progress
-   guarantee on every divergent one, and fail loudly — with an
-   NBQ-FAULT-REPRO v2-mc line and the full interleaving dump — on any
-   violation an (algorithm, scenario) was not seeded to produce.
+   model-checking spec catalog (Scenarios.specs) through the explorer, each
+   spec in its own mode (DPOR, or preemption-bounded DFS for the trees DPOR
+   cannot exhaust), check safety on every completed schedule and the
+   declared progress guarantee on every divergent one, and fail loudly —
+   with an NBQ-FAULT-REPRO v2-mc line and the full interleaving dump — on
+   any outcome other than the spec's expected one (a pass, or a seeded
+   violation of the expected kind).
 
      dune exec bin/modelcheck_run.exe -- -a evequoz-llsc --min-reduction 5
-     dune exec bin/modelcheck_run.exe -- --json --max-steps 60
+     dune exec bin/modelcheck_run.exe -- --json
 
    --no-dpor switches the same engine to plain (optionally
    preemption-bounded) DFS — the baseline DPOR's reduction factor is
@@ -24,13 +26,12 @@ type row = {
   seconds : float;
 }
 
-let explore_spec ~dpor ~preemption_bound ~max_steps ~max_schedules
-    (spec : MC.Scenarios.spec) =
+let explore_spec ~dpor ?preemption_bound ?max_steps ~max_schedules spec =
   let t0 = Unix.gettimeofday () in
   let stats, violation =
     match
-      MC.Dpor.explore ~dpor ~preemption_bound ~max_steps ~max_schedules
-        ~progress:spec.progress spec.build_instance
+      MC.Scenarios.explore ~dpor ?preemption_bound ?max_steps ~max_schedules
+        spec
     with
     | stats -> (Some stats, None)
     | exception MC.Sim.Violation { schedule; message } ->
@@ -44,12 +45,9 @@ let explore_spec ~dpor ~preemption_bound ~max_steps ~max_schedules
    exploring further buys nothing.  A violation found by the baseline is
    fine (it explores a superset ordering); treat its schedule count at the
    point of discovery as a lower bound. *)
-let baseline_of ~max_steps ~max_schedules ~min_reduction spec dpor_schedules =
+let baseline_of ?max_steps ~max_schedules ~min_reduction spec dpor_schedules =
   let budget = min max_schedules ((min_reduction * dpor_schedules) + 1) in
-  match
-    explore_spec ~dpor:false ~preemption_bound:None ~max_steps
-      ~max_schedules:budget spec
-  with
+  match explore_spec ~dpor:false ?max_steps ~max_schedules:budget spec with
   | Some st, _, _ -> (st.schedules, not st.exhaustive)
   | None, _, _ -> (budget, true)
 
@@ -70,8 +68,12 @@ let json_of_row r =
        ("progress", Sink.String (MC.Props.progress_to_string s.progress));
        ( "expect",
          Sink.String
-           (match s.expect with `Pass -> "pass" | `Violation -> "violation")
-       );
+           (match s.expect with
+           | `Pass -> "pass"
+           | `Violation `Safety -> "safety violation"
+           | `Violation (`Liveness _) -> "liveness violation") );
+       ( "bound",
+         match s.bound with None -> Sink.Null | Some b -> Sink.Int b );
        ("seconds", Sink.Float r.seconds);
      ]
     @ (match r.stats with
@@ -116,14 +118,14 @@ let run algorithms scenarios dpor preemption_bound max_steps max_schedules
   in
   (match
      List.filter
-       (fun a -> not (List.mem a MC.Scenarios.spec_algorithms))
+       (fun a -> not (List.mem a MC.Scenarios.algorithms))
        algorithms
    with
   | [] -> ()
   | unknown ->
       Printf.eprintf "unknown algorithm(s): %s (know: %s)\n"
         (String.concat ", " unknown)
-        (String.concat ", " MC.Scenarios.spec_algorithms);
+        (String.concat ", " MC.Scenarios.algorithms);
       exit 2);
   if specs = [] then begin
     Printf.eprintf "no scenario matches the selection\n";
@@ -136,17 +138,25 @@ let run algorithms scenarios dpor preemption_bound max_steps max_schedules
     List.map
       (fun (spec : MC.Scenarios.spec) ->
         let stats, violation, seconds =
-          explore_spec ~dpor ~preemption_bound ~max_steps ~max_schedules spec
+          explore_spec ~dpor ?preemption_bound ?max_steps ~max_schedules spec
         in
         let baseline =
           match (min_reduction, stats) with
-          | Some r, Some st when dpor && violation = None ->
-              Some (baseline_of ~max_steps ~max_schedules ~min_reduction:r spec
+          | Some r, Some st when dpor && spec.bound = None && violation = None
+            ->
+              Some (baseline_of ?max_steps ~max_schedules ~min_reduction:r spec
                       st.schedules)
           | _ -> None
         in
-        let observed = match violation with None -> `Pass | Some _ -> `Violation in
-        let ok = observed = spec.expect in
+        (* The divergence class of a liveness bug is the tests' to check
+           (by replay); here the kind must match. *)
+        let ok =
+          match (violation, spec.expect) with
+          | None, `Pass -> true
+          | Some (_, message), `Violation kind ->
+              MC.Props.is_liveness_message message = (kind <> `Safety)
+          | _ -> false
+        in
         if not ok then incr failures;
         let reduction_cell =
           match (baseline, stats) with
@@ -154,7 +164,10 @@ let run algorithms scenarios dpor preemption_bound max_steps max_schedules
               Printf.sprintf "%s%.1fx"
                 (if capped then ">=" else "")
                 (float_of_int n /. float_of_int st.schedules)
-          | _ -> "-"
+          | _ -> (
+              match spec.bound with
+              | Some b when dpor -> Printf.sprintf "dfs b=%d" b
+              | _ -> "-")
         in
         (match (stats, violation) with
         | Some st, None ->
@@ -209,7 +222,10 @@ let run algorithms scenarios dpor preemption_bound max_steps max_schedules
                   Sink.Obj
                     [
                       ("dpor", Sink.Bool dpor);
-                      ("max_steps", Sink.Int max_steps);
+                      ( "max_steps",
+                        match max_steps with
+                        | None -> Sink.Null
+                        | Some n -> Sink.Int n );
                       ("max_schedules", Sink.Int max_schedules);
                       ( "preemption_bound",
                         match preemption_bound with
@@ -241,20 +257,21 @@ let scenarios_term =
   let doc = "Scenario slug to check (repeatable; default: all)." in
   Arg.(value & opt_all string [] & info [ "s"; "scenario" ] ~docv:"SLUG" ~doc)
 
-let dpor_term =
-  let doc = "Sleep-set + persistent-set DPOR (default).  $(b,--no-dpor) \
-             switches to plain DFS over the same choice tree." in
-  Arg.(value & opt ~vopt:true bool true & info [ "dpor" ] ~docv:"BOOL" ~doc)
-
 let no_dpor_term =
-  let doc = "Plain DFS (no partial-order reduction)." in
+  let doc =
+    "Plain DFS over the same choice tree (no partial-order reduction); by \
+     default each spec runs in its own mode, DPOR unless it carries a \
+     preemption bound."
+  in
   Arg.(value & flag & info [ "no-dpor" ] ~doc)
 
 let bound_term =
   let doc =
-    "Preemption bound for $(b,--no-dpor) mode (CHESS-style); DFS coverage \
-     is then complete for schedules with at most $(docv) preemptions.  \
-     Ignored under DPOR, which needs the full tree to stay sound."
+    "Preemption bound for plain DFS (CHESS-style): $(b,--no-dpor) runs, and \
+     specs that carry their own bound (which $(docv) overrides).  DFS \
+     coverage is then complete for schedules with at most $(docv) \
+     preemptions.  Ignored under DPOR, which needs the full tree to stay \
+     sound."
   in
   Arg.(
     value
@@ -264,11 +281,13 @@ let bound_term =
 let max_steps_term =
   let doc =
     "Per-schedule step bound; cut schedules are finished under a fair \
-     scheduler and classified by the liveness layer.  60 keeps every \
-     catalog scenario exhaustive in seconds; raising it grows the tree \
-     steeply (the two-ops-each scenarios pass 2M schedules by 150)."
+     scheduler and classified by the liveness layer.  The default, 60, \
+     keeps every catalog scenario exhaustive in seconds; raising it grows \
+     the tree steeply (the two-ops-each scenarios pass 2M schedules by \
+     150).  Specs that carry their own preemption bound default to 10000, \
+     so each of their schedules runs to completion."
   in
-  Arg.(value & opt int 60 & info [ "max-steps" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"N" ~doc)
 
 let max_schedules_term =
   let doc = "Schedule budget per scenario." in
@@ -296,15 +315,15 @@ let json_term =
 
 let cmd =
   let doc = "Exhaustively model-check the queues on small scenarios" in
-  let combine algorithms scenarios dpor no_dpor bound max_steps max_schedules
+  let combine algorithms scenarios no_dpor bound max_steps max_schedules
       min_reduction require_exhaustive json_path =
-    run algorithms scenarios (dpor && not no_dpor) bound max_steps
-      max_schedules min_reduction require_exhaustive json_path
+    run algorithms scenarios (not no_dpor) bound max_steps max_schedules
+      min_reduction require_exhaustive json_path
   in
   Cmd.v (Cmd.info "modelcheck_run" ~doc)
     Term.(
-      const combine $ algorithms_term $ scenarios_term $ dpor_term
-      $ no_dpor_term $ bound_term $ max_steps_term $ max_schedules_term
-      $ min_reduction_term $ require_exhaustive_term $ json_term)
+      const combine $ algorithms_term $ scenarios_term $ no_dpor_term
+      $ bound_term $ max_steps_term $ max_schedules_term $ min_reduction_term
+      $ require_exhaustive_term $ json_term)
 
 let () = exit (Cmd.eval cmd)

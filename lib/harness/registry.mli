@@ -133,6 +133,9 @@ val register_family : Family.t -> impl list
     result in the metrics and span layers.  Row names follow the registry's
     conventions (["<name>"], ["<name>-shard<N>"], ["<name>-blocking"]). *)
 
+val families : Family.t list
+(** Every registered family, in registration order. *)
+
 val all : impl list
 (** Every registered implementation (concurrent ones first). *)
 

@@ -4,7 +4,7 @@
    find every producer): one self-contained line that a later session can
    paste back to re-derive the failure.  For the model checker the payload
    is an (algorithm, scenario) spec key plus the explicit schedule — the
-   per-step task choices Sim.run_schedule and Dpor.replay consume. *)
+   per-step task choices Dpor.replay consumes. *)
 
 let marker = "NBQ-FAULT-REPRO"
 let version = "v2-mc"

@@ -1,6 +1,6 @@
 (** NBQ-FAULT-REPRO [v2-mc] lines: the model checker's counterexample
     format, consumable by [bin/torture.exe --replay] and, in code, by
-    {!Dpor.replay} / {!Sim.run_schedule} via {!Scenarios.find}. *)
+    {!Dpor.replay} via {!Scenarios.find}. *)
 
 type t = {
   algorithm : string;

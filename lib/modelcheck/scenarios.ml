@@ -4,8 +4,6 @@ module E = Nbq_obs.Event
 
 type op = Enq of int | Deq | Peek | Enq_batch of int list | Deq_batch of int
 
-type scenario = unit -> (unit -> unit) array * (unit -> unit)
-
 (* --- protocol-event sink for counterexample dumps ------------------------ *)
 
 (* The simulated queues are built with this hook, so the same counted
@@ -23,19 +21,37 @@ end
 
 (* --- recording ----------------------------------------------------------- *)
 
-let record recorder ~thread ~enq ~deq ?peek ?enq_batch ?deq_batch op =
+(* One simulated thread's view of a queue: the calls its ops make.
+   Handle-based queues register when the session opens (inside the
+   explored schedule, like a fresh paper thread) and deregister on
+   [close]. *)
+type session = {
+  enq : int -> bool;
+  deq : unit -> int option;
+  peek : (unit -> int option) option;
+  enq_batch : (int array -> int) option;
+  deq_batch : (int -> int list) option;
+  close : unit -> unit;
+}
+
+let plain ?peek enq deq () =
+  { enq; deq; peek; enq_batch = None; deq_batch = None; close = ignore }
+
+let missing what = invalid_arg ("Scenarios: this algorithm has no " ^ what)
+
+let record recorder ~thread s op =
   (match op with
   | Enq v ->
       ignore
         (H.record recorder ~thread (H.Enqueue v) (fun () ->
-             if enq v then H.Accepted else H.Rejected))
+             if s.enq v then H.Accepted else H.Rejected))
   | Deq ->
       ignore
         (H.record recorder ~thread H.Dequeue (fun () ->
-             match deq () with Some v -> H.Got v | None -> H.Observed_empty))
+             match s.deq () with Some v -> H.Got v | None -> H.Observed_empty))
   | Peek -> (
-      match peek with
-      | None -> invalid_arg "Scenarios: this algorithm has no peek"
+      match s.peek with
+      | None -> missing "peek"
       | Some peek ->
           ignore
             (H.record recorder ~thread H.Peek (fun () ->
@@ -43,8 +59,8 @@ let record recorder ~thread ~enq ~deq ?peek ?enq_batch ?deq_batch op =
                  | Some v -> H.Got v
                  | None -> H.Observed_empty)))
   | Enq_batch vs -> (
-      match enq_batch with
-      | None -> invalid_arg "Scenarios: this algorithm has no batch enqueue"
+      match s.enq_batch with
+      | None -> missing "batch enqueue"
       | Some enq_batch ->
           ignore
             (H.record_call recorder ~thread (fun () ->
@@ -59,8 +75,8 @@ let record recorder ~thread ~enq ~deq ?peek ?enq_batch ?deq_batch op =
                         else [])
                       vs))))
   | Deq_batch k -> (
-      match deq_batch with
-      | None -> invalid_arg "Scenarios: this algorithm has no batch dequeue"
+      match s.deq_batch with
+      | None -> missing "batch dequeue"
       | Some deq_batch ->
           ignore
             (H.record_call recorder ~thread (fun () ->
@@ -73,287 +89,10 @@ let record recorder ~thread ~enq ~deq ?peek ?enq_batch ?deq_batch op =
      progress (not a scheduling point). *)
   Sim.op_completed ()
 
-let lin_check ~capacity recorder () =
+let lin_check ~capacity recorder =
   match C.check_linearizable ~capacity (H.events recorder) with
   | C.Ok -> ()
   | C.Violation msg -> failwith msg
-
-(* Generic builder over any (enq, deq[, peek]) triple on fresh state. *)
-let generic ~make_queue ~spec_capacity ~prefill threads () =
-  let nthreads = List.length threads in
-  let enq, deq, peek = make_queue () in
-  let recorder = H.recorder ~threads:(nthreads + 1) in
-  Sim.run_sequential (fun () ->
-      List.iter
-        (fun v ->
-          record recorder ~thread:nthreads ~enq ~deq:(fun () -> None) (Enq v))
-        prefill);
-  let task i ops () =
-    List.iter (record recorder ~thread:i ~enq ~deq ?peek) ops
-  in
-  ( Array.of_list (List.mapi task threads),
-    lin_check ~capacity:spec_capacity recorder )
-
-module SimCell = Nbq_primitives.Llsc.Make_probed (Sim.Atomic) (Trace_hook)
-module SimQ1 = Nbq_core.Evequoz_llsc.Make_probed (SimCell) (Trace_hook)
-module SimQ2 = Nbq_core.Evequoz_cas.Make_probed (Sim.Atomic) (Trace_hook)
-module SimBW = Nbq_core.Evequoz_bw.Make_probed (Sim.Atomic) (Trace_hook)
-module SimShann = Nbq_baselines.Shann.Make (Sim.Atomic)
-module SimTz = Nbq_baselines.Tsigas_zhang.Make (Sim.Atomic)
-module SimMs = Nbq_baselines.Michael_scott.Make (Sim.Atomic)
-module SimHw = Nbq_baselines.Herlihy_wing.Make (Sim.Atomic)
-module SimLms = Nbq_baselines.Ladan_mozes_shavit.Make (Sim.Atomic)
-module SimValois = Nbq_baselines.Valois.Make (Sim.Atomic)
-
-(* The segmented unbounded queue (PR 9) with ideal LL/SC cells inside each
-   segment, so the explored state space is dominated by the chain protocol
-   — append, retire, hazard hand-off, recycle — rather than by the cell
-   backend already verified above. *)
-module SimSegBackend = Nbq_primitives.Llsc_backend.Of_cell (SimCell)
-
-module SimSeg =
-  Nbq_segmented.Segmented.Make_backend (Sim.Atomic) (SimSegBackend)
-    (Trace_hook)
-
-(* Nikolaev's SCQ (PR 10): the FAA-ticketed ring, with and without the
-   wCQ-style helping enqueue.  The no-threshold variant disables the
-   retry-budget counter — the seeded livelock the checker must convict:
-   without it an empty-side dequeuer's slot bumps and the enqueuer's
-   fresh tickets can chase each other forever. *)
-module SimScq = Nbq_scq.Scq.Make_probed (Sim.Atomic) (Trace_hook)
-module SimScqW = Nbq_scq.Scq.Make_wcq_probed (Sim.Atomic) (Trace_hook)
-
-module SimScqNothresh =
-  Nbq_scq.Scq.Make_full
-    (struct
-      include Nbq_scq.Scq.Default_config
-
-      let threshold = false
-    end)
-    (Sim.Atomic)
-    (Trace_hook)
-
-let algorithms =
-  [
-    "evequoz-llsc"; "evequoz-cas"; "evequoz-bw"; "evequoz-seg"; "shann";
-    "tsigas-zhang"; "ms-gc"; "herlihy-wing"; "lms-optimistic"; "valois-dcas";
-    "scq"; "scq-d"; "scq-wcq";
-  ]
-
-let build ~algorithm ~capacity ~prefill threads =
-  match algorithm with
-  | "evequoz-llsc" ->
-      generic ~spec_capacity:capacity ~prefill threads ~make_queue:(fun () ->
-          let q = SimQ1.create ~capacity in
-          ( (fun v -> SimQ1.try_enqueue q v),
-            (fun () -> SimQ1.try_dequeue q),
-            Some (fun () -> SimQ1.try_peek q) ))
-  | "evequoz-cas" ->
-      (* Explicit handles: registration runs inside the explored schedule,
-         once per simulated thread, like a fresh paper thread would. *)
-      fun () ->
-        let q = SimQ2.create ~capacity in
-        let nthreads = List.length threads in
-        let recorder = H.recorder ~threads:(nthreads + 1) in
-        Sim.run_sequential (fun () ->
-            let h = SimQ2.register q in
-            List.iter
-              (fun v ->
-                record recorder ~thread:nthreads
-                  ~enq:(fun v -> SimQ2.enqueue_with q h v)
-                  ~deq:(fun () -> None)
-                  (Enq v))
-              prefill;
-            SimQ2.deregister h);
-        let task i ops () =
-          let h = SimQ2.register q in
-          List.iter
-            (record recorder ~thread:i
-               ~enq:(fun v -> SimQ2.enqueue_with q h v)
-               ~deq:(fun () -> SimQ2.dequeue_with q h)
-               ~peek:(fun () -> SimQ2.peek_with q h))
-            ops;
-          SimQ2.deregister h
-        in
-        ( Array.of_list (List.mapi task threads),
-          lin_check ~capacity recorder )
-  | "evequoz-bw" ->
-      (* Same ring, Blelloch–Wei cells: handles are announcement slots, so
-         registration runs inside the explored schedule like the tag
-         protocol's — but per-operation reregistration is a no-op. *)
-      fun () ->
-        let q = SimBW.create ~capacity in
-        let nthreads = List.length threads in
-        let recorder = H.recorder ~threads:(nthreads + 1) in
-        Sim.run_sequential (fun () ->
-            let h = SimBW.register q in
-            List.iter
-              (fun v ->
-                record recorder ~thread:nthreads
-                  ~enq:(fun v -> SimBW.enqueue_with q h v)
-                  ~deq:(fun () -> None)
-                  (Enq v))
-              prefill;
-            SimBW.deregister h);
-        let task i ops () =
-          let h = SimBW.register q in
-          List.iter
-            (record recorder ~thread:i
-               ~enq:(fun v -> SimBW.enqueue_with q h v)
-               ~deq:(fun () -> SimBW.dequeue_with q h)
-               ~peek:(fun () -> SimBW.peek_with q h))
-            ops;
-          SimBW.deregister h
-        in
-        ( Array.of_list (List.mapi task threads),
-          lin_check ~capacity recorder )
-  | "evequoz-seg" ->
-      (* The segmented unbounded queue: [capacity] is the *segment*
-         capacity, the queue itself never rejects, so the linearizability
-         spec runs unbounded.  Explicit handles (one hazard record each)
-         register inside the explored schedule. *)
-      fun () ->
-        let q = SimSeg.create ~retire_threshold:1 ~capacity () in
-        let nthreads = List.length threads in
-        let recorder = H.recorder ~threads:(nthreads + 1) in
-        Sim.run_sequential (fun () ->
-            let h = SimSeg.register q in
-            List.iter
-              (fun v ->
-                record recorder ~thread:nthreads
-                  ~enq:(fun v -> SimSeg.enqueue_with q h v)
-                  ~deq:(fun () -> None)
-                  (Enq v))
-              prefill;
-            SimSeg.deregister q h);
-        let task i ops () =
-          let h = SimSeg.register q in
-          List.iter
-            (record recorder ~thread:i
-               ~enq:(fun v -> SimSeg.enqueue_with q h v)
-               ~deq:(fun () -> SimSeg.dequeue_with q h))
-            ops;
-          SimSeg.deregister q h
-        in
-        ( Array.of_list (List.mapi task threads),
-          lin_check ~capacity:max_int recorder )
-  | "shann" ->
-      generic ~spec_capacity:capacity ~prefill threads ~make_queue:(fun () ->
-          let q = SimShann.create ~capacity in
-          ( (fun v -> SimShann.try_enqueue q v),
-            (fun () -> SimShann.try_dequeue q),
-            None ))
-  | "tsigas-zhang" ->
-      generic ~spec_capacity:capacity ~prefill threads ~make_queue:(fun () ->
-          let q = SimTz.create ~capacity in
-          ( (fun v -> SimTz.try_enqueue q v),
-            (fun () -> SimTz.try_dequeue q),
-            None ))
-  | "ms-gc" ->
-      generic ~spec_capacity:max_int ~prefill threads ~make_queue:(fun () ->
-          let q = SimMs.create () in
-          ( (fun v ->
-              SimMs.enqueue q v;
-              true),
-            (fun () -> SimMs.try_dequeue q),
-            None ))
-  | "herlihy-wing" ->
-      generic ~spec_capacity:max_int ~prefill threads ~make_queue:(fun () ->
-          let q = SimHw.create () in
-          ( (fun v ->
-              SimHw.enqueue q v;
-              true),
-            (fun () -> SimHw.try_dequeue q),
-            None ))
-  | "valois-dcas" ->
-      generic ~spec_capacity:capacity ~prefill threads ~make_queue:(fun () ->
-          let q = SimValois.create ~capacity in
-          ( (fun v -> SimValois.try_enqueue q v),
-            (fun () -> SimValois.try_dequeue q),
-            None ))
-  | "lms-optimistic" ->
-      generic ~spec_capacity:max_int ~prefill threads ~make_queue:(fun () ->
-          let q = SimLms.create () in
-          ( (fun v ->
-              SimLms.enqueue q v;
-              true),
-            (fun () -> SimLms.try_dequeue q),
-            None ))
-  | "scq" ->
-      generic ~spec_capacity:capacity ~prefill threads ~make_queue:(fun () ->
-          let q = SimScq.Scq.create ~capacity in
-          ( (fun v -> SimScq.Scq.try_enqueue q v),
-            (fun () -> SimScq.Scq.try_dequeue q),
-            None ))
-  | "scq-d" ->
-      generic ~spec_capacity:capacity ~prefill threads ~make_queue:(fun () ->
-          let q = SimScq.Scqd.create ~capacity in
-          ( (fun v -> SimScq.Scqd.try_enqueue q v),
-            (fun () -> SimScq.Scqd.try_dequeue q),
-            None ))
-  | "scq-wcq" ->
-      generic ~spec_capacity:capacity ~prefill threads ~make_queue:(fun () ->
-          let q = SimScqW.Scq.create ~capacity in
-          ( (fun v -> SimScqW.Scq.try_enqueue q v),
-            (fun () -> SimScqW.Scq.try_dequeue q),
-            None ))
-  | other ->
-      invalid_arg
-        (Printf.sprintf "Scenarios.build: unknown algorithm %S (know: %s)"
-           other
-           (String.concat ", " algorithms))
-
-let standard_matrix =
-  [
-    ("enq|enq", 2, [], [ [ Enq 1 ]; [ Enq 2 ] ]);
-    ("enq|deq empty", 2, [], [ [ Enq 1 ]; [ Deq ] ]);
-    ("enq|deq nonempty", 2, [ 100 ], [ [ Enq 1 ]; [ Deq ] ]);
-    ("deq|deq", 4, [ 100; 200 ], [ [ Deq ]; [ Deq ] ]);
-    ("enq|deq at full", 2, [ 100; 200 ], [ [ Enq 1 ]; [ Deq ] ]);
-    ("2 ops each", 2, [], [ [ Enq 1; Deq ]; [ Enq 2; Deq ] ]);
-  ]
-
-(* ========================================================================= *)
-(* The spec catalog: scenarios as data, for the DPOR pass.                   *)
-(* ========================================================================= *)
-
-type spec = {
-  algorithm : string;
-  scenario : string;  (* slug, stable across sessions: the repro-line key *)
-  descr : string;
-  progress : Props.progress;
-  expect : [ `Pass | `Violation ];
-  build_instance : unit -> Dpor.instance;
-}
-
-let slug name =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> Char.lowercase_ascii c
-      | _ -> '-')
-    name
-
-(* The paper's progress claims, per algorithm.  Algorithm 2 simulates
-   LL/SC with CAS + tags: a reservation can be stolen and retaken forever
-   under mutual interference, so its guarantee is obstruction freedom, not
-   lock freedom (DESIGN.md §12 — the exhaustive pass finds no livelock
-   under the *fair* continuation, but the adversarial one is real).
-   Herlihy–Wing's dequeue is total (waits for an enqueuer), hence
-   blocking.  The Blelloch–Wei backend restores lock freedom from plain
-   CAS: its SC fails only when a competing SC succeeded, so [evequoz-bw]
-   falls under the default claim. *)
-let progress_of_algorithm = function
-  | "evequoz-cas" -> Props.Obstruction_free
-  | "herlihy-wing" -> Props.Blocking
-  (* SCQ's threshold counter bounds the dequeuers' retry budget, but an
-     enqueuer's ticket can still be invalidated by each bump the budget
-     pays for, so on the adversarial continuation we only claim progress
-     in isolation; the exhaustive pass must come back clean under the
-     step budget regardless (the conviction belongs to scq-nothreshold,
-     which waives the counter and claims lock freedom). *)
-  | "scq" | "scq-d" | "scq-wcq" -> Props.Obstruction_free
-  | _ -> Props.Lock_free
 
 (* Multiset of items that must still be in the queue when every recorded
    operation has responded: accepted enqueues minus dequeued gets. *)
@@ -391,225 +130,102 @@ let drain_all deq =
   in
   go []
 
-(* Conservation, checked by draining: what is left in the queue must be
-   exactly what the history says is left.  (Order of the remainder can be
-   ambiguous when concurrent enqueues raced, so multisets are compared;
-   FIFO order itself is the linearizability check's job.) *)
-let conservation_check recorder deq () =
-  Sim.run_sequential (fun () ->
-      let expected = remaining_of_history (H.events recorder) in
-      let drained = List.sort compare (drain_all deq) in
-      if drained <> expected then
-        failwith
-          (Printf.sprintf "conservation: drained [%s] but history left [%s]"
-             (String.concat ";" (List.map string_of_int drained))
-             (String.concat ";" (List.map string_of_int expected))))
+let ints l = String.concat ";" (List.map string_of_int l)
 
-(* --- strengthened per-algorithm instances -------------------------------- *)
+(* Conservation, checked by draining (under [Sim.run_sequential]): what is
+   left in the queue must be exactly what the history says is left.
+   (Order of the remainder can be ambiguous when concurrent enqueues
+   raced, so multisets are compared; FIFO order itself is the
+   linearizability check's job.) *)
+let conservation_check recorder deq =
+  let expected = remaining_of_history (H.events recorder) in
+  let drained = List.sort compare (drain_all deq) in
+  if drained <> expected then
+    failwith
+      (Printf.sprintf "conservation: drained [%s] but history left [%s]"
+         (ints drained) (ints expected))
 
-(* Algorithm 1 (LL/SC), with conservation-by-drain and a per-step index
-   invariant on top of the linearizability check. *)
-let llsc_instance ~capacity ~prefill threads () =
+(* --- the scenario shape -------------------------------------------------- *)
+
+(* Every queue scenario: the prefill runs as a prologue recorded under one
+   extra thread, then one task per op list, each in its own session.  A
+   completed schedule must be linearizable against the FIFO spec of
+   [spec_capacity] and conserve items (drained in a fresh session);
+   [quiescent] adds the queue's own hygiene checks after the drain, and
+   [invariant] is checked after every step. *)
+let queue_instance ~spec_capacity ~session ?(quiescent = ignore) ?invariant
+    ~prefill threads =
   let nthreads = List.length threads in
-  let q = SimQ1.create ~capacity in
-  let cap = Nbq_core.Queue_intf.round_capacity capacity in
   let recorder = H.recorder ~threads:(nthreads + 1) in
-  let enq v = SimQ1.try_enqueue q v in
-  let deq () = SimQ1.try_dequeue q in
-  let peek () = SimQ1.try_peek q in
   Sim.run_sequential (fun () ->
-      List.iter
-        (fun v ->
-          record recorder ~thread:nthreads ~enq ~deq:(fun () -> None) (Enq v))
-        prefill);
-  let task i ops () = List.iter (record recorder ~thread:i ~enq ~deq ~peek) ops in
-  {
-    Dpor.tasks = Array.of_list (List.mapi task threads);
-    check =
-      (fun () ->
-        lin_check ~capacity recorder ();
-        conservation_check recorder deq ());
-    invariant =
-      Some
-        (fun () ->
-          Sim.run_sequential (fun () ->
-              let l = SimQ1.tail_index q - SimQ1.head_index q in
-              if l < 0 || l > cap then
-                failwith
-                  (Printf.sprintf "index invariant: tail-head = %d not in [0,%d]"
-                     l cap)));
-  }
-
-(* Algorithm 2 (CAS-simulated LL/SC) with explicit handles; optionally
-   exercising the batch-run paths.  On top of linearizability:
-   conservation by drain, tag-registry hygiene at quiescence (owned
-   reservations return to the post-registration baseline; the registry
-   never outgrows the thread high-water mark), and the registry bound as a
-   per-step invariant. *)
-let cas_instance ~capacity ~prefill threads () =
-  let nthreads = List.length threads in
-  let q = SimQ2.create ~capacity in
-  let recorder = H.recorder ~threads:(nthreads + 1) in
-  let baseline_owned = ref 0 in
-  Sim.run_sequential (fun () ->
-      let h = SimQ2.register q in
-      List.iter
-        (fun v ->
-          record recorder ~thread:nthreads
-            ~enq:(fun v -> SimQ2.enqueue_with q h v)
-            ~deq:(fun () -> None)
-            (Enq v))
-        prefill;
-      SimQ2.deregister h;
-      baseline_owned := SimQ2.owned_count q);
-  let registry_cap () =
-    (* Every simulated thread plus the prologue/drain handle; the registry
-       tracks the high-water mark of concurrently registered threads
-       (paper §5's space adaptivity), so it may never exceed this. *)
-    nthreads + 1
-  in
+      let s = session () in
+      List.iter (fun v -> record recorder ~thread:nthreads s (Enq v)) prefill;
+      s.close ());
   let task i ops () =
-    let h = SimQ2.register q in
-    let enq v = SimQ2.enqueue_with q h v in
-    let deq () = SimQ2.dequeue_with q h in
-    let peek () = SimQ2.peek_with q h in
-    List.iter
-      (record recorder ~thread:i ~enq ~deq ~peek
-         ~enq_batch:(fun a -> SimQ2.enqueue_batch_with q h a)
-         ~deq_batch:(fun k -> SimQ2.dequeue_batch_with q h k))
-      ops;
-    SimQ2.deregister h
+    let s = session () in
+    List.iter (record recorder ~thread:i s) ops;
+    s.close ()
   in
   {
     Dpor.tasks = Array.of_list (List.mapi task threads);
     check =
       (fun () ->
-        lin_check ~capacity recorder ();
+        lin_check ~capacity:spec_capacity recorder;
         Sim.run_sequential (fun () ->
-            let h = SimQ2.register q in
-            let drained =
-              List.sort compare
-                (drain_all (fun () -> SimQ2.dequeue_with q h))
-            in
-            let expected = remaining_of_history (H.events recorder) in
-            if drained <> expected then
-              failwith
-                (Printf.sprintf
-                   "conservation: drained [%s] but history left [%s]"
-                   (String.concat ";" (List.map string_of_int drained))
-                   (String.concat ";" (List.map string_of_int expected)));
-            SimQ2.deregister h;
-            let owned = SimQ2.owned_count q in
-            if owned > !baseline_owned then
-              failwith
-                (Printf.sprintf
-                   "registry hygiene: %d tag vars still owned at quiescence \
-                    (baseline %d)"
-                   owned !baseline_owned);
-            let size = SimQ2.registry_size q in
-            if size > registry_cap () then
-              failwith
-                (Printf.sprintf
-                   "registry hygiene: %d tag vars allocated for %d threads"
-                   size (registry_cap ()))));
-    invariant =
-      Some
-        (fun () ->
-          Sim.run_sequential (fun () ->
-              let size = SimQ2.registry_size q in
-              if size > registry_cap () then
-                failwith
-                  (Printf.sprintf
-                     "registry invariant: %d tag vars allocated for %d threads"
-                     size (registry_cap ()))));
+            let s = session () in
+            conservation_check recorder s.deq;
+            s.close ();
+            quiescent ()));
+    invariant = Option.map (fun f () -> Sim.run_sequential f) invariant;
   }
 
-(* The Blelloch–Wei backend under the same ring, with the hygiene checks
-   reshaped for announcement-based reclamation: on top of linearizability
-   and conservation by drain, no deregistered handle may leave a published
-   announcement behind, every handle record recycles through [active]
-   (the chain never outgrows the thread high-water mark), and the retired
-   pile stays below the amortization threshold at quiescence — the
-   bounded-space claim of the constant-time construction. *)
-let bw_instance ~capacity ~prefill threads () =
-  let nthreads = List.length threads in
-  let q = SimBW.create ~capacity in
-  let recorder = H.recorder ~threads:(nthreads + 1) in
-  let baseline_owned = ref 0 in
-  Sim.run_sequential (fun () ->
-      let h = SimBW.register q in
-      List.iter
-        (fun v ->
-          record recorder ~thread:nthreads
-            ~enq:(fun v -> SimBW.enqueue_with q h v)
-            ~deq:(fun () -> None)
-            (Enq v))
-        prefill;
-      SimBW.deregister h;
-      baseline_owned := SimBW.owned_count q);
-  let registry_cap () = nthreads + 1 in
-  let task i ops () =
-    let h = SimBW.register q in
-    let enq v = SimBW.enqueue_with q h v in
-    let deq () = SimBW.dequeue_with q h in
-    let peek () = SimBW.peek_with q h in
-    List.iter
-      (record recorder ~thread:i ~enq ~deq ~peek
-         ~enq_batch:(fun a -> SimBW.enqueue_batch_with q h a)
-         ~deq_batch:(fun k -> SimBW.dequeue_batch_with q h k))
-      ops;
-    SimBW.deregister h
-  in
-  {
-    Dpor.tasks = Array.of_list (List.mapi task threads);
-    check =
-      (fun () ->
-        lin_check ~capacity recorder ();
-        Sim.run_sequential (fun () ->
-            let h = SimBW.register q in
-            let drained =
-              List.sort compare
-                (drain_all (fun () -> SimBW.dequeue_with q h))
-            in
-            let expected = remaining_of_history (H.events recorder) in
-            if drained <> expected then
-              failwith
-                (Printf.sprintf
-                   "conservation: drained [%s] but history left [%s]"
-                   (String.concat ";" (List.map string_of_int drained))
-                   (String.concat ";" (List.map string_of_int expected)));
-            SimBW.deregister h;
-            let owned = SimBW.owned_count q in
-            if owned > !baseline_owned then
-              failwith
-                (Printf.sprintf
-                   "handle hygiene: %d records still owned at quiescence \
-                    (baseline %d)"
-                   owned !baseline_owned);
-            let size = SimBW.registry_size q in
-            if size > registry_cap () then
-              failwith
-                (Printf.sprintf
-                   "handle hygiene: %d records allocated for %d threads" size
-                   (registry_cap ()));
-            let sp = SimBW.space q in
-            if sp.Nbq_primitives.Llsc_bw.announced <> 0 then
-              failwith
-                (Printf.sprintf
-                   "announcement hygiene: %d slots still announced at \
-                    quiescence"
-                   sp.Nbq_primitives.Llsc_bw.announced)));
-    invariant =
-      Some
-        (fun () ->
-          Sim.run_sequential (fun () ->
-              let size = SimBW.registry_size q in
-              if size > registry_cap () then
-                failwith
-                  (Printf.sprintf
-                     "handle invariant: %d records allocated for %d threads"
-                     size (registry_cap ()))));
-  }
+(* A queue driven through plain operations on fresh state: no handles, no
+   internal invariant.  [make capacity] returns (enqueue, dequeue); an
+   [unbounded] queue is checked against the unbounded FIFO spec. *)
+let simple ?(unbounded = false) make ~capacity ~prefill threads () =
+  let enq, deq = make capacity in
+  queue_instance
+    ~spec_capacity:(if unbounded then max_int else capacity)
+    ~session:(plain enq deq) ~prefill threads
+
+module SimCell = Nbq_primitives.Llsc.Make_probed (Sim.Atomic) (Trace_hook)
+module SimQ1 = Nbq_core.Evequoz_llsc.Make_probed (SimCell) (Trace_hook)
+module SimQ2 = Nbq_core.Evequoz_cas.Make_probed (Sim.Atomic) (Trace_hook)
+module SimBW = Nbq_core.Evequoz_bw.Make_probed (Sim.Atomic) (Trace_hook)
+module SimShann = Nbq_baselines.Shann.Make (Sim.Atomic)
+module SimTz = Nbq_baselines.Tsigas_zhang.Make (Sim.Atomic)
+module SimMs = Nbq_baselines.Michael_scott.Make (Sim.Atomic)
+module SimHw = Nbq_baselines.Herlihy_wing.Make (Sim.Atomic)
+module SimLms = Nbq_baselines.Ladan_mozes_shavit.Make (Sim.Atomic)
+module SimValois = Nbq_baselines.Valois.Make (Sim.Atomic)
+
+(* The segmented unbounded queue with ideal LL/SC cells inside each
+   segment, so the explored state space is dominated by the chain protocol
+   — append, retire, hazard hand-off, recycle — rather than by the cell
+   backend already verified above. *)
+module SimSegBackend = Nbq_primitives.Llsc_backend.Of_cell (SimCell)
+
+module SimSeg =
+  Nbq_segmented.Segmented.Make_backend (Sim.Atomic) (SimSegBackend)
+    (Trace_hook)
+
+(* Nikolaev's SCQ: the FAA-ticketed ring, with and without the
+   wCQ-style helping enqueue.  The no-threshold variant disables the
+   retry-budget counter — the seeded livelock the checker must convict:
+   without it an empty-side dequeuer's slot bumps and the enqueuer's
+   fresh tickets can chase each other forever. *)
+module SimScq = Nbq_scq.Scq.Make_probed (Sim.Atomic) (Trace_hook)
+module SimScqW = Nbq_scq.Scq.Make_wcq_probed (Sim.Atomic) (Trace_hook)
+
+module SimScqNothresh =
+  Nbq_scq.Scq.Make_full
+    (struct
+      include Nbq_scq.Scq.Default_config
+
+      let threshold = false
+    end)
+    (Sim.Atomic)
+    (Trace_hook)
 
 (* The seeded Blelloch–Wei bug: reclamation that ignores the announcement
    scan (threshold 1, so every SC recycles immediately) hands a delayed
@@ -629,40 +245,90 @@ module SimBWBug_backend =
 module SimBWBug =
   Nbq_core.Evequoz_ring.Make_probed (SimBWBug_backend) (Trace_hook)
 
-let bw_noscan_instance () =
-  let q = SimBWBug.create ~capacity:2 in
-  let recorder = H.recorder ~threads:2 in
-  let task i ops () =
-    let h = SimBWBug.register q in
-    List.iter
-      (record recorder ~thread:i
-         ~enq:(fun v -> SimBWBug.enqueue_with q h v)
-         ~deq:(fun () -> SimBWBug.dequeue_with q h))
-      ops;
-    SimBWBug.deregister h
-  in
-  let tasks = Array.of_list (List.mapi task [ [ Enq 1 ]; [ Enq 2; Deq ] ]) in
-  {
-    Dpor.tasks = tasks;
-    check =
-      (fun () ->
-        lin_check ~capacity:2 recorder ();
-        Sim.run_sequential (fun () ->
-            let h = SimBWBug.register q in
-            let drained =
-              List.sort compare
-                (drain_all (fun () -> SimBWBug.dequeue_with q h))
-            in
-            SimBWBug.deregister h;
-            let expected = remaining_of_history (H.events recorder) in
-            if drained <> expected then
-              failwith
-                (Printf.sprintf
-                   "conservation: drained [%s] but history left [%s]"
-                   (String.concat ";" (List.map string_of_int drained))
-                   (String.concat ";" (List.map string_of_int expected)))));
-    invariant = None;
-  }
+(* --- per-algorithm instances --------------------------------------------- *)
+
+(* Algorithm 1 (LL/SC), with a per-step index invariant. *)
+let llsc_instance ~capacity ~prefill threads () =
+  let q = SimQ1.create ~capacity in
+  let cap = Nbq_core.Queue_intf.round_capacity capacity in
+  queue_instance ~spec_capacity:capacity ~prefill threads
+    ~session:
+      (plain
+         ~peek:(fun () -> SimQ1.try_peek q)
+         (SimQ1.try_enqueue q)
+         (fun () -> SimQ1.try_dequeue q))
+    ~invariant:(fun () ->
+      let l = SimQ1.tail_index q - SimQ1.head_index q in
+      if l < 0 || l > cap then
+        failwith
+          (Printf.sprintf "index invariant: tail-head = %d not in [0,%d]" l
+             cap))
+
+(* The paper's ring behind explicit handles (Algorithm 2's tag protocol,
+   or Blelloch–Wei cells), with the batch-run paths.  Registration hygiene
+   at quiescence: owned [what] return to the post-prologue baseline, and
+   the registry never outgrows the thread high-water mark (every simulated
+   thread plus the prologue/drain handle — paper §5's space adaptivity),
+   which is also a per-step invariant.  [quiescent] adds the backend's own
+   checks. *)
+module Ring_instance (Q : Nbq_core.Evequoz_cas.CORE) = struct
+  let make ~what ~quiescent ~capacity ~prefill threads () =
+    let q = Q.create ~capacity in
+    let registry_cap = List.length threads + 1 in
+    let registry_bound check =
+      let size = Q.registry_size q in
+      if size > registry_cap then
+        failwith
+          (Printf.sprintf "registry %s: %d %s allocated for %d threads" check
+             size what registry_cap)
+    in
+    let baseline_owned = ref 0 in
+    let session () =
+      let h = Q.register q in
+      {
+        enq = Q.enqueue_with q h;
+        deq = (fun () -> Q.dequeue_with q h);
+        peek = Some (fun () -> Q.peek_with q h);
+        enq_batch = Some (Q.enqueue_batch_with q h);
+        deq_batch = Some (Q.dequeue_batch_with q h);
+        close = (fun () -> Q.deregister h);
+      }
+    in
+    let inst =
+      queue_instance ~spec_capacity:capacity ~session ~prefill threads
+        ~quiescent:(fun () ->
+          let owned = Q.owned_count q in
+          if owned > !baseline_owned then
+            failwith
+              (Printf.sprintf
+                 "registry hygiene: %d %s still owned at quiescence \
+                  (baseline %d)"
+                 owned what !baseline_owned);
+          registry_bound "hygiene";
+          quiescent q)
+        ~invariant:(fun () -> registry_bound "invariant")
+    in
+    (* The prologue has run: what it left owned is the baseline. *)
+    baseline_owned := Sim.run_sequential (fun () -> Q.owned_count q);
+    inst
+end
+
+module Cas_instance = Ring_instance (SimQ2)
+module Bw_instance = Ring_instance (SimBW)
+module Bw_noscan_instance = Ring_instance (SimBWBug)
+
+let cas_instance = Cas_instance.make ~what:"tag vars" ~quiescent:ignore
+
+(* Blelloch–Wei: additionally no deregistered handle may leave a published
+   announcement behind. *)
+let bw_instance =
+  Bw_instance.make ~what:"handle records" ~quiescent:(fun q ->
+      let announced = (SimBW.space q).Nbq_primitives.Llsc_bw.announced in
+      if announced <> 0 then
+        failwith
+          (Printf.sprintf
+             "announcement hygiene: %d slots still announced at quiescence"
+             announced))
 
 (* The segmented unbounded queue: [capacity] is the segment capacity, the
    linearizability spec is unbounded, and [retire_threshold 1] makes every
@@ -670,17 +336,16 @@ let bw_noscan_instance () =
    window.  [direct_free] is the seeded bug (evequoz-seg-noretire): the
    head-advance winner frees the drained segment without the hazard scan.
 
-   Strengthened checks on top of linearizability:
-   - conservation by drain, with reclamation hygiene at quiescence: after
-     every record has been reacquired and released once, no retired
-     segment may still be pending (nothing protects them anymore);
+   Strengthened checks on top of linearizability and conservation:
+   - reclamation hygiene at quiescence: after every record has been
+     reacquired and released once, no retired segment may still be
+     pending (nothing protects them anymore);
    - as a per-step invariant, the memory bound — segment k exists only
      after segments 0..k-1 each accepted a full complement, so the live
      chain never exceeds total_items/capacity + 1 — and the per-segment
      index windows lap_base <= head <= tail <= lap_base + capacity, the
      FIFO-across-segments witness. *)
-let seg_instance ?(direct_free = false) ~capacity ~prefill threads () =
-  let nthreads = List.length threads in
+let seg_instance ~direct_free ~capacity ~prefill threads () =
   let q = SimSeg.create ~direct_free ~retire_threshold:1 ~capacity () in
   let cap = Nbq_core.Queue_intf.round_capacity capacity in
   let total_items =
@@ -694,138 +359,192 @@ let seg_instance ?(direct_free = false) ~capacity ~prefill threads () =
         0 threads
   in
   let max_chain = (total_items / cap) + 1 in
-  let recorder = H.recorder ~threads:(nthreads + 1) in
-  Sim.run_sequential (fun () ->
-      let h = SimSeg.register q in
-      List.iter
-        (fun v ->
-          record recorder ~thread:nthreads
-            ~enq:(fun v -> SimSeg.enqueue_with q h v)
-            ~deq:(fun () -> None)
-            (Enq v))
-        prefill;
-      SimSeg.deregister q h);
-  let task i ops () =
+  let session () =
     let h = SimSeg.register q in
-    List.iter
-      (record recorder ~thread:i
-         ~enq:(fun v -> SimSeg.enqueue_with q h v)
-         ~deq:(fun () -> SimSeg.dequeue_with q h))
-      ops;
-    SimSeg.deregister q h
+    {
+      (plain (SimSeg.enqueue_with q h) (fun () -> SimSeg.dequeue_with q h) ())
+      with
+      close = (fun () -> SimSeg.deregister q h);
+    }
   in
+  queue_instance ~spec_capacity:max_int ~session ~prefill threads
+    ~quiescent:(fun () ->
+      (* Acquire every hazard record at once, then release each: every
+         release rescans its record's parked retirees, and with no hazard
+         held anything still pending is a leak. *)
+      let flush =
+        List.init (List.length threads + 2) (fun _ -> SimSeg.register q)
+      in
+      List.iter (fun h -> SimSeg.deregister q h) flush;
+      let pending = (SimSeg.stats q).Nbq_segmented.Segmented.retired_pending in
+      if pending <> 0 then
+        failwith
+          (Printf.sprintf
+             "reclamation hygiene: %d segments still retired at quiescence"
+             pending))
+    ~invariant:(fun () ->
+      let rec walk n seg =
+        let r = seg.SimSeg.ring in
+        let base = SimSeg.Ring.lap_base r in
+        let hd = SimSeg.Ring.head_index r in
+        let tl = SimSeg.Ring.tail_index r in
+        if not (base <= hd && hd <= tl && tl <= base + cap) then
+          failwith
+            (Printf.sprintf
+               "index window: segment %d has base %d head %d tail %d \
+                (capacity %d)"
+               (SimSeg.seg_id seg) base hd tl cap);
+        match Sim.Atomic.get seg.SimSeg.next with
+        | SimSeg.Nil -> n
+        | SimSeg.Next ns -> walk (n + 1) ns
+      in
+      let chain = walk 1 (Sim.Atomic.get q.SimSeg.head_seg) in
+      if chain > max_chain then
+        failwith
+          (Printf.sprintf
+             "segment bound: %d live segments for %d items of capacity %d \
+              (max %d)"
+             chain total_items cap max_chain))
+
+(* --- the algorithms ------------------------------------------------------ *)
+
+(* One entry per algorithm that runs on simulated atomics: its name, its
+   declared progress guarantee and its instance builder.  The catalog is
+   these entries × [standard_matrix], plus the extra specs below. *)
+type entry = {
+  name : string;
+  progress : Props.progress;
+  instance :
+    capacity:int -> prefill:int list -> op list list -> unit -> Dpor.instance;
+}
+
+(* The paper's progress claims.  Algorithm 2 simulates LL/SC with CAS +
+   tags: a reservation can be stolen and retaken forever under mutual
+   interference, so its guarantee is obstruction freedom, not lock
+   freedom (DESIGN.md §12 — the exhaustive pass finds no livelock under
+   the *fair* continuation, but the adversarial one is real).  The
+   Blelloch–Wei backend restores lock freedom from plain CAS: its SC fails
+   only when a competing SC succeeded. *)
+let llsc =
   {
-    Dpor.tasks = Array.of_list (List.mapi task threads);
-    check =
-      (fun () ->
-        lin_check ~capacity:max_int recorder ();
-        Sim.run_sequential (fun () ->
-            let h = SimSeg.register q in
-            let drained =
-              List.sort compare (drain_all (fun () -> SimSeg.dequeue_with q h))
-            in
-            let expected = remaining_of_history (H.events recorder) in
-            if drained <> expected then
-              failwith
-                (Printf.sprintf
-                   "conservation: drained [%s] but history left [%s]"
-                   (String.concat ";" (List.map string_of_int drained))
-                   (String.concat ";" (List.map string_of_int expected)));
-            SimSeg.deregister q h;
-            (* Acquire every hazard record at once, then release each:
-               every release rescans its record's parked retirees, and
-               with no hazard held anything still pending is a leak. *)
-            let flush =
-              List.init (nthreads + 2) (fun _ -> SimSeg.register q)
-            in
-            List.iter (fun h -> SimSeg.deregister q h) flush;
-            let st = SimSeg.stats q in
-            if st.Nbq_segmented.Segmented.retired_pending <> 0 then
-              failwith
-                (Printf.sprintf
-                   "reclamation hygiene: %d segments still retired at \
-                    quiescence"
-                   st.Nbq_segmented.Segmented.retired_pending)));
-    invariant =
-      Some
-        (fun () ->
-          Sim.run_sequential (fun () ->
-              let rec walk n seg =
-                let r = seg.SimSeg.ring in
-                let base = SimSeg.Ring.lap_base r in
-                let hd = SimSeg.Ring.head_index r in
-                let tl = SimSeg.Ring.tail_index r in
-                if not (base <= hd && hd <= tl && tl <= base + cap) then
-                  failwith
-                    (Printf.sprintf
-                       "index window: segment %d has base %d head %d tail %d \
-                        (capacity %d)"
-                       (SimSeg.seg_id seg) base hd tl cap);
-                match Sim.Atomic.get seg.SimSeg.next with
-                | SimSeg.Nil -> n
-                | SimSeg.Next ns -> walk (n + 1) ns
-              in
-              let chain = walk 1 (Sim.Atomic.get q.SimSeg.head_seg) in
-              if chain > max_chain then
-                failwith
-                  (Printf.sprintf
-                     "segment bound: %d live segments for %d items of \
-                      capacity %d (max %d)"
-                     chain total_items cap max_chain)));
+    name = "evequoz-llsc";
+    progress = Props.Lock_free;
+    instance = llsc_instance;
   }
 
-(* SCQ family (PR 10): linearizability plus conservation-by-drain.  No
-   per-step invariant: the size counter settles apart from the ring and
-   the admission gate, so even length <= capacity is transiently false
-   mid-step by design — only quiescent properties are sound, and the
-   drain checks those. *)
-let scq_instance ~make ~capacity ~prefill threads () =
-  let nthreads = List.length threads in
-  let enq, deq = make ~capacity in
-  let recorder = H.recorder ~threads:(nthreads + 1) in
-  Sim.run_sequential (fun () ->
-      List.iter
-        (fun v ->
-          record recorder ~thread:nthreads ~enq ~deq:(fun () -> None) (Enq v))
-        prefill);
-  let task i ops () = List.iter (record recorder ~thread:i ~enq ~deq) ops in
+let cas =
   {
-    Dpor.tasks = Array.of_list (List.mapi task threads);
-    check =
-      (fun () ->
-        lin_check ~capacity recorder ();
-        conservation_check recorder deq ());
-    invariant = None;
+    name = "evequoz-cas";
+    progress = Props.Obstruction_free;
+    instance = cas_instance;
   }
 
-let scq_make ~capacity =
-  let q = SimScq.Scq.create ~capacity in
-  ((fun v -> SimScq.Scq.try_enqueue q v), fun () -> SimScq.Scq.try_dequeue q)
+let bw =
+  { name = "evequoz-bw"; progress = Props.Lock_free; instance = bw_instance }
 
-let scqd_make ~capacity =
-  let q = SimScq.Scqd.create ~capacity in
-  ((fun v -> SimScq.Scqd.try_enqueue q v), fun () -> SimScq.Scqd.try_dequeue q)
+let seg =
+  {
+    name = "evequoz-seg";
+    progress = Props.Lock_free;
+    instance = seg_instance ~direct_free:false;
+  }
 
-let scq_wcq_make ~capacity =
-  let q = SimScqW.Scq.create ~capacity in
-  ((fun v -> SimScqW.Scq.try_enqueue q v), fun () -> SimScqW.Scq.try_dequeue q)
+let shann =
+  {
+    name = "shann";
+    progress = Props.Lock_free;
+    instance =
+      simple (fun capacity ->
+          let q = SimShann.create ~capacity in
+          (SimShann.try_enqueue q, fun () -> SimShann.try_dequeue q));
+  }
 
-(* Other algorithms: the linearizability check as before, no extra
-   invariant (their internals are baselines, not the paper's claims). *)
-let generic_instance ~algorithm ~capacity ~prefill threads () =
-  let tasks, check = build ~algorithm ~capacity ~prefill threads () in
-  { Dpor.tasks; check; invariant = None }
+(* SCQ's threshold counter bounds the dequeuers' retry budget, but an
+   enqueuer's ticket can still be invalidated by each bump the budget
+   pays for, so on the adversarial continuation we only claim progress in
+   isolation; the exhaustive pass must come back clean under the step
+   budget regardless (the conviction belongs to scq-nothreshold, which
+   waives the counter and claims lock freedom). *)
+let scq name make =
+  { name; progress = Props.Obstruction_free; instance = simple make }
 
-let matrix_instance ~algorithm ~capacity ~prefill threads =
-  match algorithm with
-  | "evequoz-llsc" -> llsc_instance ~capacity ~prefill threads
-  | "evequoz-cas" -> cas_instance ~capacity ~prefill threads
-  | "evequoz-bw" -> bw_instance ~capacity ~prefill threads
-  | "evequoz-seg" -> seg_instance ~capacity ~prefill threads
-  | "scq" -> scq_instance ~make:scq_make ~capacity ~prefill threads
-  | "scq-d" -> scq_instance ~make:scqd_make ~capacity ~prefill threads
-  | "scq-wcq" -> scq_instance ~make:scq_wcq_make ~capacity ~prefill threads
-  | _ -> generic_instance ~algorithm ~capacity ~prefill threads
+let entries =
+  [
+    llsc;
+    cas;
+    bw;
+    seg;
+    shann;
+    {
+      name = "tsigas-zhang";
+      progress = Props.Lock_free;
+      instance =
+        simple (fun capacity ->
+            let q = SimTz.create ~capacity in
+            (SimTz.try_enqueue q, fun () -> SimTz.try_dequeue q));
+    };
+    {
+      name = "ms-gc";
+      progress = Props.Lock_free;
+      instance =
+        simple ~unbounded:true (fun _ ->
+            let q = SimMs.create () in
+            ( (fun v ->
+                SimMs.enqueue q v;
+                true),
+              fun () -> SimMs.try_dequeue q ));
+    };
+    (* Herlihy–Wing's dequeue is total (it waits for an enqueuer): blocking. *)
+    {
+      name = "herlihy-wing";
+      progress = Props.Blocking;
+      instance =
+        simple ~unbounded:true (fun _ ->
+            let q = SimHw.create () in
+            ( (fun v ->
+                SimHw.enqueue q v;
+                true),
+              fun () -> SimHw.try_dequeue q ));
+    };
+    {
+      name = "lms-optimistic";
+      progress = Props.Lock_free;
+      instance =
+        simple ~unbounded:true (fun _ ->
+            let q = SimLms.create () in
+            ( (fun v ->
+                SimLms.enqueue q v;
+                true),
+              fun () -> SimLms.try_dequeue q ));
+    };
+    {
+      name = "valois-dcas";
+      progress = Props.Lock_free;
+      instance =
+        simple (fun capacity ->
+            let q = SimValois.create ~capacity in
+            (SimValois.try_enqueue q, fun () -> SimValois.try_dequeue q));
+    };
+    scq "scq" (fun capacity ->
+        let q = SimScq.Scq.create ~capacity in
+        (SimScq.Scq.try_enqueue q, fun () -> SimScq.Scq.try_dequeue q));
+    scq "scq-d" (fun capacity ->
+        let q = SimScq.Scqd.create ~capacity in
+        (SimScq.Scqd.try_enqueue q, fun () -> SimScq.Scqd.try_dequeue q));
+    scq "scq-wcq" (fun capacity ->
+        let q = SimScqW.Scq.create ~capacity in
+        (SimScqW.Scq.try_enqueue q, fun () -> SimScqW.Scq.try_dequeue q));
+  ]
+
+let standard_matrix =
+  [
+    ("enq|enq", 2, [], [ [ Enq 1 ]; [ Enq 2 ] ]);
+    ("enq|deq empty", 2, [], [ [ Enq 1 ]; [ Deq ] ]);
+    ("enq|deq nonempty", 2, [ 100 ], [ [ Enq 1 ]; [ Deq ] ]);
+    ("deq|deq", 4, [ 100; 200 ], [ [ Deq ]; [ Deq ] ]);
+    ("enq|deq at full", 2, [ 100; 200 ], [ [ Enq 1 ]; [ Deq ] ]);
+    ("2 ops each", 2, [], [ [ Enq 1; Deq ]; [ Enq 2; Deq ] ]);
+  ]
 
 (* --- post-paper scenarios: sharded facade, batched runs ------------------ *)
 
@@ -882,8 +601,7 @@ let sharded_instance () =
         if drained <> expected then
           failwith
             (Printf.sprintf "sharded conservation: drained [%s], expected [%s]"
-               (String.concat ";" (List.map string_of_int drained))
-               (String.concat ";" (List.map string_of_int expected))))
+               (ints drained) (ints expected)))
   in
   { Dpor.tasks; check; invariant = None }
 
@@ -996,169 +714,163 @@ let lost_wakeup_instance () =
 let scq_nothreshold_instance () =
   let q = SimScqNothresh.Scq.create ~capacity:1 in
   let recorder = H.recorder ~threads:2 in
-  let enq v = SimScqNothresh.Scq.try_enqueue q v in
-  let deq () = SimScqNothresh.Scq.try_dequeue q in
-  let task i ops () = List.iter (record recorder ~thread:i ~enq ~deq) ops in
-  let tasks = Array.of_list (List.mapi task [ [ Enq 1 ]; [ Deq; Deq ] ]) in
+  let s =
+    plain (SimScqNothresh.Scq.try_enqueue q)
+      (fun () -> SimScqNothresh.Scq.try_dequeue q)
+      ()
+  in
+  let task i ops () = List.iter (record recorder ~thread:i s) ops in
   {
-    Dpor.tasks;
-    check = lin_check ~capacity:2 recorder;
+    Dpor.tasks = Array.of_list (List.mapi task [ [ Enq 1 ]; [ Deq; Deq ] ]);
+    check = (fun () -> lin_check ~capacity:2 recorder);
     invariant = None;
   }
 
 (* --- the catalog --------------------------------------------------------- *)
 
-let matrix_specs algorithm =
-  List.map
-    (fun (name, capacity, prefill, threads) ->
-      {
-        algorithm;
-        scenario = slug name;
-        descr =
-          Printf.sprintf "%s, capacity %d, %d threads" name capacity
-            (List.length threads);
-        progress = progress_of_algorithm algorithm;
-        expect = `Pass;
-        build_instance = matrix_instance ~algorithm ~capacity ~prefill threads;
-      })
-    standard_matrix
+type spec = {
+  algorithm : string;
+  scenario : string;  (* slug, stable across sessions: the repro-line key *)
+  descr : string;
+  progress : Props.progress;
+  expect :
+    [ `Pass | `Violation of [ `Safety | `Liveness of [ `Stuck | `Livelock ] ] ];
+  bound : int option;  (* None: DPOR; Some b: plain DFS, preemption bound b *)
+  build_instance : unit -> Dpor.instance;
+}
 
-let extra_specs =
+let slug name =
+  String.map
+    (fun c ->
+      match c with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> Char.lowercase_ascii c
+      | _ -> '-')
+    name
+
+let spec ?bound ?(expect = `Pass) ~algorithm ~progress scenario descr
+    build_instance =
+  { algorithm; scenario; descr; progress; expect; bound; build_instance }
+
+(* A spec for an entry: a matrix-style row, or a named one-off. *)
+let row_spec ?bound (e : entry) (name, capacity, prefill, threads) =
+  spec ?bound ~algorithm:e.name ~progress:e.progress (slug name)
+    (Printf.sprintf "%s, capacity %d, %d threads" name capacity
+       (List.length threads))
+    (e.instance ~capacity ~prefill threads)
+
+let entry_spec (e : entry) = spec ~algorithm:e.name ~progress:e.progress
+
+(* A catalog-only pseudo-algorithm, claimed lock-free. *)
+let lock_free = spec ~progress:Props.Lock_free
+
+let peek_rows =
   [
-    {
-      algorithm = "sharded-llsc";
-      scenario = "steal-sweep-2x2";
-      descr = "2 shards x capacity 2, forced steal-sweep race (PR 3 facade)";
-      progress = Props.Lock_free;
-      expect = `Pass;
-      build_instance = sharded_instance;
-    };
-    {
-      algorithm = "evequoz-cas";
-      scenario = "batch-commit";
-      descr = "batch-run enqueue commit vs concurrent dequeue";
-      progress = Props.Obstruction_free;
-      expect = `Pass;
-      build_instance =
-        cas_instance ~capacity:2 ~prefill:[] [ [ Enq_batch [ 1; 2 ] ]; [ Deq ] ];
-    };
-    {
-      algorithm = "evequoz-cas";
-      scenario = "batch-drain";
-      descr = "batch-run dequeue vs concurrent enqueue at the full boundary";
-      progress = Props.Obstruction_free;
-      expect = `Pass;
-      build_instance =
-        cas_instance ~capacity:2 ~prefill:[ 7; 8 ] [ [ Deq_batch 2 ]; [ Enq 1 ] ];
-    };
-    {
-      algorithm = "evequoz-bw";
-      scenario = "batch-commit";
-      descr = "batch-run enqueue commit vs concurrent dequeue (BW cells)";
-      progress = Props.Lock_free;
-      expect = `Pass;
-      build_instance =
-        bw_instance ~capacity:2 ~prefill:[] [ [ Enq_batch [ 1; 2 ] ]; [ Deq ] ];
-    };
-    {
-      algorithm = "evequoz-bw";
-      scenario = "batch-drain";
-      descr =
-        "batch-run dequeue vs concurrent enqueue at the full boundary (BW \
-         cells)";
-      progress = Props.Lock_free;
-      expect = `Pass;
-      build_instance =
-        bw_instance ~capacity:2 ~prefill:[ 7; 8 ] [ [ Deq_batch 2 ]; [ Enq 1 ] ];
-    };
-    {
-      algorithm = "evequoz-seg";
-      scenario = "grow-during-drain";
-      descr =
-        "segmented: appends (pool reuse included) raced against the \
-         drain-retire hand-off on capacity-2 segments";
-      progress = Props.Lock_free;
-      expect = `Pass;
-      build_instance =
-        seg_instance ~capacity:2 ~prefill:[ 1; 2 ]
-          [ [ Deq; Deq; Deq ]; [ Enq 3; Enq 4 ] ];
-    };
-    {
-      algorithm = "evequoz-seg-noretire";
-      scenario = "recycled-segment-read";
-      descr =
-        "seeded bug: retire skips the hazard hand-off, so a stalled \
-         dequeuer observes the drained segment's recycled state";
-      progress = Props.Lock_free;
-      expect = `Violation;
-      build_instance =
-        seg_instance ~direct_free:true ~capacity:2 ~prefill:[ 1; 2; 3; 4 ]
-          [ [ Deq ]; [ Deq; Deq; Deq ] ];
-    };
-    {
-      algorithm = "scq-nothreshold";
-      scenario = "deq-chase-livelock";
-      descr =
-        "seeded bug: no threshold budget, so a missed dequeue retries \
-         unconditionally — slot bumps chase fresh tickets forever";
-      progress = Props.Lock_free;
-      expect = `Violation;
-      build_instance = scq_nothreshold_instance;
-    };
-    {
-      algorithm = "evequoz-bw-noscan";
-      scenario = "recycled-buffer-aba";
-      descr =
-        "seeded bug: reclamation without the announcement scan recycles a \
-         reserved buffer (pointer ABA loses an item)";
-      progress = Props.Lock_free;
-      expect = `Violation;
-      build_instance = bw_noscan_instance;
-    };
-    {
-      algorithm = "sim-wait";
-      scenario = "park-wake";
-      descr = "Blocking_ec dequeue parks; enqueue wakes (no lost wakeup)";
-      progress = Props.Lock_free;
-      expect = `Pass;
-      build_instance = sim_wait_instance;
-    };
-    {
-      algorithm = "sim-wait";
-      scenario = "lost-wakeup";
-      descr = "seeded bug: commit without the Dekker re-check strands waiter";
-      progress = Props.Lock_free;
-      expect = `Violation;
-      build_instance = lost_wakeup_instance;
-    };
-    {
-      algorithm = "toy-blocking";
-      scenario = "spin-on-dead-flag";
-      descr = "seeded bug: spin on a flag nobody sets, claimed lock-free";
-      progress = Props.Lock_free;
-      expect = `Violation;
-      build_instance = toy_blocking_instance;
-    };
+    ("peek|deq", 4, [ 100; 200 ], [ [ Peek ]; [ Deq ] ]);
+    ("peek|enq empty", 4, [], [ [ Peek ]; [ Enq 1 ] ]);
   ]
 
-let specs () =
-  List.concat_map matrix_specs algorithms @ extra_specs
+let three_threads = ("enq|enq|deq", 4, [], [ [ Enq 1 ]; [ Enq 2 ]; [ Deq ] ])
 
-let spec_algorithms =
-  algorithms
+let extra_specs =
+  (* Peek raced against mutators, and a third thread. *)
+  List.map (row_spec llsc) (peek_rows @ [ three_threads ])
+  @ List.map (row_spec cas) peek_rows
   @ [
-      "sharded-llsc"; "evequoz-bw-noscan"; "evequoz-seg-noretire";
-      "scq-nothreshold"; "sim-wait"; "toy-blocking";
+      (* DPOR does not exhaust this tree within 2M schedules (the tag
+         protocol's three-way reservation races); plain DFS under
+         preemption bound 4 does, in 1 890 986 uncut schedules. *)
+      row_spec ~bound:4 cas three_threads;
+      row_spec shann three_threads;
+      lock_free ~algorithm:"sharded-llsc" "steal-sweep-2x2"
+        "2 shards x capacity 2, forced steal-sweep race (sharded facade)"
+        sharded_instance;
+      entry_spec cas "batch-commit"
+        "batch-run enqueue commit vs concurrent dequeue"
+        (cas.instance ~capacity:2 ~prefill:[]
+           [ [ Enq_batch [ 1; 2 ] ]; [ Deq ] ]);
+      entry_spec cas "batch-drain"
+        "batch-run dequeue vs concurrent enqueue at the full boundary"
+        (cas.instance ~capacity:2 ~prefill:[ 7; 8 ]
+           [ [ Deq_batch 2 ]; [ Enq 1 ] ]);
+      entry_spec bw "batch-commit"
+        "batch-run enqueue commit vs concurrent dequeue (BW cells)"
+        (bw.instance ~capacity:2 ~prefill:[]
+           [ [ Enq_batch [ 1; 2 ] ]; [ Deq ] ]);
+      entry_spec bw "batch-drain"
+        "batch-run dequeue vs concurrent enqueue at the full boundary (BW \
+         cells)"
+        (bw.instance ~capacity:2 ~prefill:[ 7; 8 ]
+           [ [ Deq_batch 2 ]; [ Enq 1 ] ]);
+      entry_spec seg "grow-during-drain"
+        "segmented: appends (pool reuse included) raced against the \
+         drain-retire hand-off on capacity-2 segments"
+        (seg.instance ~capacity:2 ~prefill:[ 1; 2 ]
+           [ [ Deq; Deq; Deq ]; [ Enq 3; Enq 4 ] ]);
+      lock_free ~algorithm:"evequoz-seg-noretire" ~expect:(`Violation `Safety)
+        "recycled-segment-read"
+        "seeded bug: retire skips the hazard hand-off, so a stalled \
+         dequeuer observes the drained segment's recycled state"
+        (seg_instance ~direct_free:true ~capacity:2 ~prefill:[ 1; 2; 3; 4 ]
+           [ [ Deq ]; [ Deq; Deq; Deq ] ]);
+      lock_free ~algorithm:"scq-nothreshold"
+        ~expect:(`Violation (`Liveness `Livelock))
+        "deq-chase-livelock"
+        "seeded bug: no threshold budget, so a missed dequeue retries \
+         unconditionally — slot bumps chase fresh tickets forever"
+        scq_nothreshold_instance;
+      lock_free ~algorithm:"evequoz-bw-noscan" ~expect:(`Violation `Safety)
+        "recycled-buffer-aba"
+        "seeded bug: reclamation without the announcement scan recycles a \
+         reserved buffer (pointer ABA loses an item)"
+        (Bw_noscan_instance.make ~what:"handle records" ~quiescent:ignore
+           ~capacity:2
+           ~prefill:[] [ [ Enq 1 ]; [ Enq 2; Deq ] ]);
+      lock_free ~algorithm:"sim-wait" "park-wake"
+        "Blocking_ec dequeue parks; enqueue wakes (no lost wakeup)"
+        sim_wait_instance;
+      lock_free ~algorithm:"sim-wait"
+        ~expect:(`Violation (`Liveness `Stuck))
+        "lost-wakeup"
+        "seeded bug: commit without the Dekker re-check strands waiter"
+        lost_wakeup_instance;
+      lock_free ~algorithm:"toy-blocking"
+        ~expect:(`Violation (`Liveness `Stuck))
+        "spin-on-dead-flag"
+        "seeded bug: spin on a flag nobody sets, claimed lock-free"
+        toy_blocking_instance;
     ]
+
+let specs () =
+  List.concat_map (fun e -> List.map (row_spec e) standard_matrix) entries
+  @ extra_specs
+
+let algorithms =
+  List.fold_left
+    (fun acc s -> if List.mem s.algorithm acc then acc else s.algorithm :: acc)
+    [] (specs ())
+  |> List.rev
 
 let find ~algorithm ~scenario =
   List.find_opt
     (fun s -> s.algorithm = algorithm && s.scenario = scenario)
     (specs ())
 
-let scenario_of_spec s () =
-  let i = s.build_instance () in
-  (i.Dpor.tasks, i.Dpor.check)
+(* 60 steps, then the fair continuation, keeps DPOR's unbounded trees
+   finite.  A bounded spec's schedules are finite already, so by default
+   each runs to completion, as in the CHESS-style DFS. *)
+let explore ?max_steps ?max_schedules ?(dpor = true) ?preemption_bound s =
+  let preemption_bound =
+    match preemption_bound with Some _ as b -> b | None -> s.bound
+  in
+  let max_steps =
+    match max_steps with
+    | Some n -> n
+    | None -> if s.bound = None then 60 else 10_000
+  in
+  Dpor.explore
+    ~dpor:(dpor && s.bound = None)
+    ~preemption_bound ~max_steps ?max_schedules ~progress:s.progress
+    s.build_instance
 
 (* --- counterexample dump ------------------------------------------------- *)
 

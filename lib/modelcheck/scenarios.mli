@@ -1,20 +1,16 @@
-(** Ready-made model-checking scenarios for the repository's queues.
+(** The model-checking spec catalog: ready-made scenarios for the
+    repository's queues, as data.
 
     A scenario interleaves a few threads' worth of queue operations on a
-    simulated-atomics instantiation of an algorithm and checks every
-    completed schedule's history for linearizability against the bounded
-    FIFO specification.  Used by the test suite and by
-    [bin/modelcheck_run.exe].
-
-    Two surfaces:
-    - the legacy {!scenario} builder ({!build}), what {!Sim.explore}
-      consumes — a task array plus one end-of-schedule check;
-    - the {!spec} catalog ({!specs}), what the DPOR pass
-      ({!Dpor.explore}) consumes — the same scenarios as data, each with
-      a stable slug for NBQ-FAULT-REPRO lines, its algorithm's declared
-      progress class for the liveness layer, and strengthened checks
-      (conservation by drain, tag-registry hygiene, per-step index
-      invariants) on top of linearizability. *)
+    simulated-atomics instantiation of an algorithm.  Every completed
+    schedule's history must be linearizable against the bounded FIFO
+    specification and conserve items (checked by draining the queue);
+    the paper's own queues add per-algorithm hygiene checks (tag-registry
+    bounds, announcement hygiene, segment reclamation) and per-step index
+    invariants.  Each spec also carries its algorithm's declared progress
+    class for the liveness layer, a stable slug for NBQ-FAULT-REPRO
+    lines, and the exploration mode that exhausts it.  Used by the test
+    suite, by [bin/modelcheck_run.exe] and by [bin/torture.exe --replay]. *)
 
 type op =
   | Enq of int
@@ -23,35 +19,16 @@ type op =
   | Enq_batch of int list  (** one batch-run enqueue call (Algorithm 2) *)
   | Deq_batch of int  (** one batch-run dequeue call (Algorithm 2) *)
 
-type scenario = unit -> (unit -> unit) array * (unit -> unit)
-(** What {!Sim.explore} consumes. *)
-
-val build :
-  algorithm:string ->
-  capacity:int ->
-  prefill:int list ->
-  op list list ->
-  scenario
-(** [build ~algorithm ~capacity ~prefill threads] — [algorithm] is one of
-    {!algorithms}; [threads] is one op-list per simulated thread; the
-    prefilled items are folded into the checked history as a prologue.
-    Raises [Invalid_argument] on an unknown algorithm name. *)
-
-val algorithms : string list
-(** The functorized implementations that can run on simulated atomics:
-    both of the paper's algorithms, the Blelloch–Wei constant-time backend
-    ([evequoz-bw]), the segmented unbounded queue ([evequoz-seg], for
-    which [capacity] means the {e segment} capacity and the FIFO spec is
-    unbounded), plus Shann, Tsigas–Zhang, Michael–Scott, Herlihy–Wing and
-    Ladan-Mozes–Shavit. *)
-
 val standard_matrix : (string * int * int list * op list list) list
-(** The (name, capacity, prefill, threads) tuples every algorithm is
-    checked against: concurrent enqueues, enqueue/dequeue races on empty
-    and non-empty queues, competing dequeues, the full boundary, and a
-    two-ops-each crossing. *)
+(** The (name, capacity, prefill, threads) rows every catalog algorithm
+    is checked against: concurrent enqueues, enqueue/dequeue races on
+    empty and non-empty queues, competing dequeues, the full boundary,
+    and a two-ops-each crossing.  For the segmented queue [capacity] is
+    the {e segment} capacity and the FIFO spec is unbounded. *)
 
-(** {1 The spec catalog (DPOR pass)} *)
+val slug : string -> string
+(** The scenario slug of a row name: ["enq|deq empty"] is
+    ["enq-deq-empty"]. *)
 
 type spec = {
   algorithm : string;
@@ -60,45 +37,63 @@ type spec = {
           with [algorithm] this is the NBQ-FAULT-REPRO replay key *)
   descr : string;
   progress : Props.progress;  (** the algorithm's declared guarantee *)
-  expect : [ `Pass | `Violation ];
-      (** [`Violation] marks the seeded-bug scenarios that exist to prove
-          the checker convicts — the runner fails if they {e pass} *)
+  expect :
+    [ `Pass | `Violation of [ `Safety | `Liveness of [ `Stuck | `Livelock ] ] ];
+      (** [`Violation k] marks the seeded-bug scenarios that exist to
+          prove the checker convicts, with the kind of violation it must
+          find — for liveness, the divergence class the replayed schedule
+          must show ({!Props.Stuck} or {!Props.Livelock_witness}); the
+          runner fails if they {e pass} *)
+  bound : int option;
+      (** [None]: explored by DPOR.  [Some b]: a tree DPOR cannot exhaust
+          within budget, explored by plain DFS under preemption bound [b],
+          each schedule to completion (complete for every schedule with at
+          most [b] preemptions). *)
   build_instance : unit -> Dpor.instance;
 }
 
 val specs : unit -> spec list
-(** The full catalog: {!standard_matrix} × {!algorithms} with
-    strengthened checks, plus the post-paper scenarios (PR 3's sharded
-    facade steal-sweep race, the batch-run commit and drain races on both
+(** The full catalog: {!standard_matrix} × every algorithm that runs on
+    simulated atomics (both of the paper's algorithms, the Blelloch–Wei
+    backend [evequoz-bw], the segmented queue [evequoz-seg], Shann,
+    Tsigas–Zhang, Michael–Scott [ms-gc], Herlihy–Wing, Ladan-Mozes–Shavit
+    [lms-optimistic], Valois over software DCAS, and the SCQ rows), plus
+    extras: peek raced against mutators and a three-thread scenario
+    (Algorithms 1 and 2; three threads on Shann too), the sharded
+    facade's steal-sweep race, the batch-run commit and drain races on
     the tag-protocol and Blelloch–Wei cells, the segmented queue's
-    grow-during-drain race), the wait-layer scenarios (the production
-    eventcount under simulation: park/wake with no lost wakeup), and the
-    seeded-bug scenarios ([expect = `Violation]): a deliberately blocking
-    toy claimed lock-free, the eventcount handshake with its Dekker
-    re-check removed, Blelloch–Wei reclamation with the announcement scan
-    disabled (a recycled reserved buffer loses an item to pointer ABA),
-    and the segmented queue's retire with the hazard hand-off skipped (a
-    stalled dequeuer reads a recycled segment). *)
+    grow-during-drain race, the production eventcount under simulation
+    (park/wake with no lost wakeup), and the seeded-bug scenarios
+    ([expect = `Violation _]): a deliberately blocking toy claimed
+    lock-free, the eventcount handshake with its Dekker re-check removed,
+    Blelloch–Wei reclamation with the announcement scan disabled, the
+    segmented queue's retire with the hazard hand-off skipped, and SCQ
+    without its threshold budget. *)
 
-val spec_algorithms : string list
-(** {!algorithms} plus the catalog-only pseudo-algorithms
-    ([sharded-llsc], [evequoz-bw-noscan], [evequoz-seg-noretire],
+val algorithms : string list
+(** Every [algorithm] in {!specs}, in catalog order — the queue
+    algorithms plus the catalog-only pseudo-algorithms ([sharded-llsc],
+    [evequoz-bw-noscan], [evequoz-seg-noretire], [scq-nothreshold],
     [sim-wait], [toy-blocking]). *)
 
 val find : algorithm:string -> scenario:string -> spec option
 (** Look a spec up by its NBQ-FAULT-REPRO key. *)
 
-val scenario_of_spec : spec -> scenario
-(** Downgrade a spec to the legacy {!Sim.explore} surface (tasks +
-    end-of-schedule check; the per-step invariant is dropped). *)
-
-val progress_of_algorithm : string -> Props.progress
-(** [evequoz-cas] is {!Props.Obstruction_free} (a CAS-simulated LL/SC
-    reservation can be stolen and retaken forever under mutual
-    interference), [herlihy-wing] is {!Props.Blocking} (its dequeue waits
-    for an enqueuer), everything else — including [evequoz-bw], whose SC
-    fails only when a competing SC succeeded — claims
-    {!Props.Lock_free}. *)
+val explore :
+  ?max_steps:int ->
+  ?max_schedules:int ->
+  ?dpor:bool ->
+  ?preemption_bound:int ->
+  spec ->
+  Dpor.stats
+(** {!Dpor.explore} the spec in its own mode: DPOR, or plain DFS under
+    its [bound].  [~dpor:false] forces plain DFS (the reference mode
+    reduction factors are measured against); [preemption_bound] then
+    overrides the spec's bound.  [max_steps] defaults to 60, which keeps
+    every catalog spec exhaustive, except for a spec that carries a
+    [bound]: 10 000, so each of its schedules runs to completion instead
+    of being cut and finished by the fair continuation.  Raises
+    {!Sim.Violation}. *)
 
 val dump_schedule : spec -> int list -> out_channel -> unit
 (** Re-execute [schedule] on a fresh instance of [spec], printing every

@@ -166,113 +166,7 @@ module Exec = struct
     { performed; progressed = t.progress_hit }
 end
 
-(* --- Legacy DFS explorer (rebuilt on Exec, behavior unchanged) --- *)
-
-(* Execute one schedule.  [choices] pins the first decisions; beyond it the
-   schedule continues non-preemptively (keep running the current task).
-   Returns the status and the full decision trace (reversed): per
-   scheduling point, the set of choices the explorer may branch over and
-   the one taken.
-
-   [preemption_bound] caps the number of *preemptions* — switching away
-   from a still-enabled task.  Lock-free retry loops only rerun when
-   another thread interferes, so with finitely many preemptions every
-   schedule terminates, and the exploration is complete for all schedules
-   with at most that many preemptions (the CHESS insight: almost all
-   concurrency bugs need very few).  [None] = unbounded. *)
-let run_once tasks ~choices ~max_steps ~preemption_bound =
-  let ex = Exec.start tasks in
-  let rec loop steps choices rev_trace last preemptions =
-    match Exec.enabled ex with
-    | [] -> (`Completed, rev_trace)
-    | en ->
-        if steps >= max_steps then (`Diverged, rev_trace)
-        else begin
-          let may_preempt =
-            match preemption_bound with
-            | None -> true
-            | Some b -> preemptions < b
-          in
-          let allowed =
-            match last with
-            | Some l when List.mem l en -> if may_preempt then en else [ l ]
-            | Some _ | None -> en
-          in
-          let chosen, rest =
-            match choices with
-            | c :: cs ->
-                if List.mem c allowed then (c, cs)
-                else invalid_arg "Sim: schedule disagrees with allowed set"
-            | [] -> (List.hd allowed, [])
-          in
-          let preempted =
-            match last with
-            | Some l -> chosen <> l && List.mem l en
-            | None -> false
-          in
-          ignore (Exec.step ex chosen : Exec.step_info);
-          loop (steps + 1) rest
-            ((allowed, chosen) :: rev_trace)
-            (Some chosen)
-            (if preempted then preemptions + 1 else preemptions)
-        end
-  in
-  loop 0 choices [] None 0
-
-type stats = {
-  schedules : int;
-  completed : int;
-  diverged : int;
-  exhaustive : bool;
-}
-
 exception Violation of { schedule : int list; message : string }
-
-(* Next unexplored prefix after a run with decision trace [rev_trace]
-   (deepest decision first): backtrack to the deepest point with an
-   untried alternative. *)
-let next_prefix rev_trace =
-  let rec go = function
-    | [] -> None
-    | (en, chosen) :: shallower -> (
-        match List.find_opt (fun e -> e > chosen) en with
-        | Some alt -> Some (List.rev_append (List.map snd shallower) [ alt ])
-        | None -> go shallower)
-  in
-  go rev_trace
-
-let explore ?(max_steps = 10_000) ?(max_schedules = 1_000_000)
-    ?(preemption_bound = Some 4) scenario =
-  let schedules = ref 0 and completed = ref 0 and diverged = ref 0 in
-  let rec go prefix =
-    if !schedules >= max_schedules then false
-    else begin
-      incr schedules;
-      reset_locations ();
-      let tasks, check = scenario () in
-      let status, rev_trace =
-        run_once tasks ~choices:prefix ~max_steps ~preemption_bound
-      in
-      (match status with
-      | `Completed -> (
-          incr completed;
-          try check ()
-          with e ->
-            let schedule = List.rev_map snd rev_trace in
-            raise (Violation { schedule; message = Printexc.to_string e }))
-      | `Diverged -> incr diverged);
-      match next_prefix rev_trace with
-      | None -> true
-      | Some prefix' -> go prefix'
-    end
-  in
-  let exhaustive = go [] in
-  {
-    schedules = !schedules;
-    completed = !completed;
-    diverged = !diverged;
-    exhaustive;
-  }
 
 let run_sequential f =
   match_with f ()
@@ -288,12 +182,3 @@ let run_sequential f =
           | Parked _ -> Some (fun (k : (a, _) continuation) -> continue k ())
           | _ -> None);
     }
-
-let run_schedule ?(max_steps = max_int) scenario schedule =
-  reset_locations ();
-  let tasks, check = scenario () in
-  let status, _ =
-    run_once tasks ~choices:schedule ~max_steps ~preemption_bound:None
-  in
-  (match status with `Completed -> check () | `Diverged -> ());
-  status

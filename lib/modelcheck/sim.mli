@@ -1,33 +1,20 @@
 (** Stateless model checking of lock-free algorithms (in the style of
-    dscheck / CHESS).
+    dscheck / CHESS): the controlled scheduler.
 
     The algorithms in this repository are functors over
     {!Nbq_primitives.Atomic_intf.ATOMIC}.  {!Atomic} is an instrumented
     instantiation in which every atomic access is a {e scheduling point}:
     it performs an effect that suspends the simulated thread and returns
-    control to the explorer.  {!explore} then enumerates — by depth-first
-    search over the choice tree, re-executing the scenario once per
-    schedule — {b every} interleaving of the scenario's threads, invoking a
-    user check after each completed execution.
+    control to the scheduler.  {!Exec} runs one controlled execution of a
+    task array, one step at a time, exposing which tasks are runnable and
+    which atomic location each will touch next.  {!Dpor.explore} is the
+    explorer built on it: it enumerates the interleavings of a scenario by
+    re-execution, with partial-order reduction or as plain
+    (optionally preemption-bounded) DFS.
 
     Because the simulated threads run cooperatively inside one domain,
-    plain [ref]s implement the atomics and the exploration is fully
-    deterministic and reproducible.
-
-    Retry loops of lock-free algorithms can produce {e unboundedly long}
-    schedules under an adversarial scheduler (e.g. two threads endlessly
-    stealing each other's LL reservations in the paper's Algorithm 2 — a
-    livelock that is measure-zero in wall-clock time but real in the
-    schedule tree).  Schedules longer than [max_steps] are cut off and
-    counted as {e diverged} rather than explored further; the checker
-    therefore verifies every {e terminating} schedule and reports how many
-    divergent branches were pruned.  {!Dpor} refines both sides of this
-    picture: partial-order reduction over the access footprints exposed by
-    {!Exec}, and a fairness probe that classifies diverged branches.
-
-    {!explore} here remains the plain unreduced DFS — the baseline the
-    DPOR engine is measured against, and the engine behind the original
-    matrix tests. *)
+    plain [ref]s implement the atomics and every execution is fully
+    deterministic and reproducible. *)
 
 type access = { loc : int; kind : [ `Read | `Write ] }
 (** The shared-memory footprint of one scheduling point: which atomic
@@ -36,8 +23,9 @@ type access = { loc : int; kind : [ `Read | `Write ] }
     they end up failing — conservative for DPOR, never unsound. *)
 
 module Atomic : Nbq_primitives.Atomic_intf.ATOMIC
-(** Instrumented atomics.  Only meaningful inside a thread run by
-    {!explore}; calling them elsewhere raises [Effect.Unhandled]. *)
+(** Instrumented atomics.  Only meaningful inside a task run by {!Exec}
+    or under {!run_sequential}; calling them elsewhere raises
+    [Effect.Unhandled]. *)
 
 val yield : unit -> unit
 (** An explicit scheduling point, for modelling non-atomic interleaving
@@ -72,8 +60,7 @@ val reset_locations : unit -> unit
 
 (** The stepping core: one controlled execution of a task array, exposing
     exactly what a scheduler needs — who is runnable, what each runnable
-    task will touch next, and single-stepping.  {!explore} and {!Dpor}
-    are built on it. *)
+    task will touch next, and single-stepping.  {!Dpor} is built on it. *)
 module Exec : sig
   type footprint =
     | Access of access
@@ -109,51 +96,10 @@ module Exec : sig
       Raises [Invalid_argument] on a finished task. *)
 end
 
-type stats = {
-  schedules : int;      (** schedules executed (completed + diverged) *)
-  completed : int;      (** schedules in which every thread finished *)
-  diverged : int;       (** schedules cut off at [max_steps] *)
-  exhaustive : bool;    (** whether the whole tree was explored within
-                            [max_schedules] *)
-}
-
 exception Violation of { schedule : int list; message : string }
-(** Raised by {!explore} when the user check fails after some schedule;
-    [schedule] is the choice sequence that reproduces it. *)
-
-val explore :
-  ?max_steps:int ->
-  ?max_schedules:int ->
-  ?preemption_bound:int option ->
-  (unit -> (unit -> unit) array * (unit -> unit)) ->
-  stats
-(** [explore scenario] enumerates interleavings.  [scenario ()] must build
-    {e fresh} state and return [(threads, check)]: the simulated threads to
-    interleave and a check run after every completed schedule (raise to
-    signal a violation — it is re-raised as {!Violation} with the
-    reproducing schedule).
-
-    [preemption_bound] (default [Some 4]) caps context switches away from a
-    still-runnable thread, CHESS-style: coverage is then complete for all
-    schedules with at most that many preemptions, and — because a lock-free
-    retry loop only re-runs when another thread interferes — every schedule
-    terminates, so nothing diverges.  [None] explores the unbounded tree
-    (then livelock branches are cut at [max_steps] and counted in
-    [diverged]).
-
-    [max_steps] (default 10_000) bounds one schedule's length;
-    [max_schedules] (default 1_000_000) bounds the exploration. *)
-
-val run_schedule :
-  ?max_steps:int ->
-  (unit -> (unit -> unit) array * (unit -> unit)) -> int list ->
-  [ `Completed | `Diverged ]
-(** Re-execute one specific schedule (e.g. a {!Violation.schedule}) for
-    debugging; runs the check if the schedule completes.  Choices beyond
-    the list fall back to the lowest enabled thread.  [max_steps] (default
-    unbounded) cuts the run off as [`Diverged] — pass the schedule length
-    to replay a liveness counterexample without running its infinite
-    suffix. *)
+(** Raised by {!Dpor.explore} when a check fails after some schedule;
+    [schedule] is the choice sequence that reproduces it
+    ({!Dpor.replay}). *)
 
 val run_sequential : (unit -> 'a) -> 'a
 (** Run code that uses {!Atomic} outside the explorer, ignoring the

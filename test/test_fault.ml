@@ -9,6 +9,7 @@ module Hook = Nbq_primitives.Hook
 module Injector = Nbq_fault.Injector
 module Torture = Nbq_fault.Torture
 module Sim = Nbq_modelcheck.Sim
+module Dpor = Nbq_modelcheck.Dpor
 
 let quick name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
@@ -222,7 +223,7 @@ let composed_hook () =
 module SimCas =
   Nbq_core.Evequoz_cas.Make_probed (Sim.Atomic) (Sim.Yield_at_windows)
 
-let injected_cas_scenario () =
+let injected_cas_instance () =
   let q = SimCas.create ~capacity:2 in
   let deq_ok = Array.make 2 false in
   let worker i () =
@@ -233,19 +234,25 @@ let injected_cas_scenario () =
     | None -> ());
     SimCas.deregister h
   in
-  ( [| worker 0; worker 1 |],
-    fun () ->
-      if not (deq_ok.(0) && deq_ok.(1)) then
-        failwith "a dequeue lost its item";
-      let len = Sim.run_sequential (fun () -> SimCas.length q) in
-      if len <> 0 then failwith "queue not drained" )
+  {
+    Dpor.tasks = [| worker 0; worker 1 |];
+    check =
+      (fun () ->
+        if not (deq_ok.(0) && deq_ok.(1)) then
+          failwith "a dequeue lost its item";
+        let len = Sim.run_sequential (fun () -> SimCas.length q) in
+        if len <> 0 then failwith "queue not drained");
+    invariant = None;
+  }
 
 let explore_injected_cas_exhaustive () =
   let stats =
-    Sim.explore ~max_schedules:200_000 ~preemption_bound:(Some 2)
-      injected_cas_scenario
+    Dpor.explore ~dpor:false ~preemption_bound:(Some 2)
+      ~max_schedules:200_000 ~progress:Nbq_modelcheck.Props.Obstruction_free
+      injected_cas_instance
   in
-  Alcotest.(check bool) "schedules completed" true (stats.Sim.completed > 0)
+  Alcotest.(check bool) "exhaustive" true stats.Dpor.exhaustive;
+  Alcotest.(check bool) "schedules completed" true (stats.Dpor.completed > 0)
 
 let () =
   Alcotest.run "fault"

@@ -1,53 +1,58 @@
-(* Model-checking tests: exhaustively explore all (preemption-bounded)
-   interleavings of small scenarios against both of the paper's
-   algorithms, validating every completed execution's history with the
-   exact linearizability checker.  Also: sanity-check the explorer itself
-   by letting it FIND a planted lost-update bug and the Fig.1-style
-   corruption of a naive ring. *)
+(* Model-checking tests.  Every spec of the catalog
+   (Nbq_modelcheck.Scenarios) is explored in its own mode by exactly one
+   case (see the catalog walk): each pass-expected spec must be
+   exhaustive, and
+   each seeded bug convicted with the expected kind, a round-tripping
+   NBQ-FAULT-REPRO line and a schedule that Dpor.replay reproduces.  Also:
+   sanity-check the explorer itself on plain DFS (planted lost update,
+   Fig.1-style naive ring, exact counters), check that plain DFS reaches
+   the same verdicts as DPOR, and that every registry family is in the
+   catalog or exempted with a reason. *)
 
 module Sim = Nbq_modelcheck.Sim
-module H = Nbq_lincheck.History
-module C = Nbq_lincheck.Checker
-
+module Dpor = Nbq_modelcheck.Dpor
+module Props = Nbq_modelcheck.Props
+module Repro = Nbq_modelcheck.Repro
+module Scenarios = Nbq_modelcheck.Scenarios
 module SimCell = Nbq_primitives.Llsc.Make (Sim.Atomic)
-module SimQ1 = Nbq_core.Evequoz_llsc.Make (SimCell)
-module SimQ2 = Nbq_core.Evequoz_cas.Make (Sim.Atomic)
 
 let quick name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
+let instance tasks check = { Dpor.tasks; check; invariant = None }
 
-(* --- Explorer sanity --- *)
+(* --- Explorer sanity: plain DFS, CHESS-style preemption bound --- *)
+
+let dfs ?(bound = 4) build =
+  Dpor.explore ~dpor:false ~preemption_bound:(Some bound)
+    ~progress:Props.Lock_free build
 
 let explorer_finds_lost_update () =
   (* Two threads do a non-atomic increment (read, then write).  The
      explorer must find the interleaving where one update is lost. *)
-  let scenario () =
+  let build () =
     let c = Sim.Atomic.make 0 in
     let incr () =
       let v = Sim.Atomic.get c in
       Sim.Atomic.set c (v + 1)
     in
-    let check () =
-      let v = Sim.run_sequential (fun () -> Sim.Atomic.get c) in
-      if v <> 2 then failwith (Printf.sprintf "lost update: %d" v)
-    in
-    ([| incr; incr |], check)
+    instance [| incr; incr |] (fun () ->
+        let v = Sim.run_sequential (fun () -> Sim.Atomic.get c) in
+        if v <> 2 then failwith (Printf.sprintf "lost update: %d" v))
   in
-  match Sim.explore scenario with
+  match dfs build with
   | _ -> Alcotest.fail "explorer missed the lost update"
-  | exception Sim.Violation { schedule; message } ->
+  | exception Sim.Violation { schedule; message } -> (
       Alcotest.(check bool) "message mentions lost update" true
         (String.length message > 0);
       (* The violating schedule must reproduce deterministically. *)
-      (match Sim.run_schedule scenario schedule with
-      | `Completed -> Alcotest.fail "replay did not reproduce"
-      | exception Failure _ -> ()
-      | `Diverged -> Alcotest.fail "replay diverged")
+      match Dpor.replay ~progress:Props.Lock_free build schedule with
+      | { Dpor.status = `Completed; violation = Some _ } -> ()
+      | _ -> Alcotest.fail "replay did not reproduce")
 
 let explorer_cas_increment_exact () =
   (* CAS retry loops make the increment atomic: no interleaving loses an
      update, and with a preemption bound nothing diverges. *)
-  let scenario () =
+  let build () =
     let c = Sim.Atomic.make 0 in
     let incr () =
       let rec go () =
@@ -56,20 +61,18 @@ let explorer_cas_increment_exact () =
       in
       go ()
     in
-    let check () =
-      let v = Sim.run_sequential (fun () -> Sim.Atomic.get c) in
-      if v <> 3 then failwith (Printf.sprintf "bad count: %d" v)
-    in
-    ([| incr; incr; incr |], check)
+    instance [| incr; incr; incr |] (fun () ->
+        let v = Sim.run_sequential (fun () -> Sim.Atomic.get c) in
+        if v <> 3 then failwith (Printf.sprintf "bad count: %d" v))
   in
-  let stats = Sim.explore scenario in
-  Alcotest.(check bool) "exhaustive" true stats.Sim.exhaustive;
+  let stats = dfs build in
+  Alcotest.(check bool) "exhaustive" true stats.Dpor.exhaustive;
   Alcotest.(check int) "no divergence under preemption bound" 0
-    stats.Sim.diverged;
-  Alcotest.(check bool) "explored many schedules" true (stats.Sim.schedules > 10)
+    (Dpor.diverged stats);
+  Alcotest.(check int) "every bounded schedule" 1662 stats.Dpor.schedules
 
 let explorer_llsc_counter_exact () =
-  let scenario () =
+  let build () =
     let c = SimCell.make 0 in
     let incr () =
       let rec go () =
@@ -79,14 +82,11 @@ let explorer_llsc_counter_exact () =
       go ();
       go ()
     in
-    let check () =
-      let v = Sim.run_sequential (fun () -> SimCell.get c) in
-      if v <> 4 then failwith (Printf.sprintf "bad count: %d" v)
-    in
-    ([| incr; incr |], check)
+    instance [| incr; incr |] (fun () ->
+        let v = Sim.run_sequential (fun () -> SimCell.get c) in
+        if v <> 4 then failwith (Printf.sprintf "bad count: %d" v))
   in
-  let stats = Sim.explore scenario in
-  Alcotest.(check bool) "exhaustive" true stats.Sim.exhaustive
+  Alcotest.(check bool) "exhaustive" true (dfs build).Dpor.exhaustive
 
 module SimLc = Nbq_primitives.Llsc_cas.Make (Sim.Atomic)
 
@@ -101,7 +101,7 @@ module SimLc = Nbq_primitives.Llsc_cas.Make (Sim.Atomic)
      retries LL without a ReRegister and rewrites its variable under a
      second reader's pin — unless LL itself swaps out a pinned variable. *)
 let llsc_cas_counter ~threads ~per_thread ~preemption_bound () =
-  let scenario () =
+  let build () =
     let reg = SimLc.create_registry () in
     let c = SimLc.make 0 in
     let incr () =
@@ -116,38 +116,34 @@ let llsc_cas_counter ~threads ~per_thread ~preemption_bound () =
       done;
       SimLc.deregister h
     in
-    let check () =
-      let v = Sim.run_sequential (fun () -> SimLc.peek c) in
-      if v <> threads * per_thread then
-        failwith (Printf.sprintf "bad count: %d" v)
-    in
-    (Array.make threads incr, check)
+    instance (Array.make threads incr) (fun () ->
+        let v = Sim.run_sequential (fun () -> SimLc.peek c) in
+        if v <> threads * per_thread then
+          failwith (Printf.sprintf "bad count: %d" v))
   in
-  let stats = Sim.explore ~preemption_bound:(Some preemption_bound) scenario in
-  Alcotest.(check bool) "exhaustive" true stats.Sim.exhaustive
+  Alcotest.(check bool) "exhaustive" true
+    (dfs ~bound:preemption_bound build).Dpor.exhaustive
 
-let explorer_finds_naive_ring_bug () =
-  (* The naive ring (plain store into the tail slot, as in the Fig. 1
-     discussion) loses an item under concurrent enqueues; the explorer
-     must find it. *)
-  let scenario () =
-    let module A = Sim.Atomic in
-    let slots = Array.init 4 (fun _ -> A.make 0) in
-    let tail = A.make 0 in
-    let enq v () =
-      let t = A.get tail in
-      A.set slots.(t land 3) v;
-      ignore (A.compare_and_set tail t (t + 1))
-    in
-    let check () =
+(* The naive ring (plain store into the tail slot, as in the Fig. 1
+   discussion): it loses an item under concurrent enqueues. *)
+let naive_ring () =
+  let module A = Sim.Atomic in
+  let slots = Array.init 4 (fun _ -> A.make 0) in
+  let tail = A.make 0 in
+  let enq v () =
+    let t = A.get tail in
+    A.set slots.(t land 3) v;
+    ignore (A.compare_and_set tail t (t + 1));
+    Sim.op_completed ()
+  in
+  instance [| enq 1; enq 2 |] (fun () ->
       Sim.run_sequential (fun () ->
           let found = ref 0 in
           Array.iter (fun s -> if A.get s <> 0 then incr found) slots;
-          if !found <> 2 then failwith "naive ring lost an item")
-    in
-    ([| enq 1; enq 2 |], check)
-  in
-  match Sim.explore scenario with
+          if !found <> 2 then failwith "naive ring lost an item"))
+
+let explorer_finds_naive_ring_bug () =
+  match dfs naive_ring with
   | _ -> Alcotest.fail "explorer missed the naive-ring bug"
   | exception Sim.Violation _ -> ()
 
@@ -155,7 +151,7 @@ let explorer_mcas_transfer_atomic () =
   (* Two concurrent 2-word MCAS transfers between the same cells: over all
      interleavings the sum is conserved and both transfers apply. *)
   let module M = Nbq_primitives.Mcas.Make (Sim.Atomic) in
-  let scenario () =
+  let build () =
     let a = M.make 100 and b = M.make 0 in
     let transfer amount () =
       let rec attempt () =
@@ -170,345 +166,286 @@ let explorer_mcas_transfer_atomic () =
       in
       attempt ()
     in
-    let check () =
-      Sim.run_sequential (fun () ->
-          let va = M.value (M.read a) and vb = M.value (M.read b) in
-          if va + vb <> 100 then
-            failwith (Printf.sprintf "sum broken: %d + %d" va vb);
-          if va <> 70 then
-            failwith (Printf.sprintf "transfers lost: a = %d" va))
-    in
-    ([| transfer 10; transfer 20 |], check)
+    instance [| transfer 10; transfer 20 |] (fun () ->
+        Sim.run_sequential (fun () ->
+            let va = M.value (M.read a) and vb = M.value (M.read b) in
+            if va + vb <> 100 then
+              failwith (Printf.sprintf "sum broken: %d + %d" va vb);
+            if va <> 70 then
+              failwith (Printf.sprintf "transfers lost: a = %d" va)))
   in
-  let stats = Sim.explore ~preemption_bound:(Some 3) scenario in
-  Alcotest.(check bool) "exhaustive" true stats.Sim.exhaustive;
-  Alcotest.(check int) "no divergence" 0 stats.Sim.diverged
+  let stats = dfs ~bound:3 build in
+  Alcotest.(check bool) "exhaustive" true stats.Dpor.exhaustive;
+  Alcotest.(check int) "no divergence" 0 (Dpor.diverged stats)
 
 let explorer_sequential_bound_zero () =
   (* preemption bound 0: only thread-at-a-time schedules; for two threads
      of straight-line atomic code that is exactly 2 schedules. *)
-  let scenario () =
+  let build () =
     let c = Sim.Atomic.make 0 in
     let bump () = ignore (Sim.Atomic.fetch_and_add c 1) in
-    ([| bump; bump |], fun () -> ())
+    instance [| bump; bump |] ignore
   in
-  let stats = Sim.explore ~preemption_bound:(Some 0) scenario in
-  Alcotest.(check bool) "exhaustive" true stats.Sim.exhaustive;
-  Alcotest.(check int) "exactly 2 schedules" 2 stats.Sim.schedules
-
-(* --- Linearizability of the paper's algorithms, exhaustively --- *)
-
-(* Scenario builders live in Nbq_modelcheck.Scenarios (shared with
-   bin/modelcheck_run.exe); this suite drives them plus a couple of
-   exploration-mode variations. *)
-
-module Scenarios = Nbq_modelcheck.Scenarios
-
-let q1_scenario ~capacity ~prefill threads =
-  Scenarios.build ~algorithm:"evequoz-llsc" ~capacity ~prefill threads
-
-let q2_scenario ~capacity ~prefill threads =
-  Scenarios.build ~algorithm:"evequoz-cas" ~capacity ~prefill threads
-
-(* --- The scenario matrix --- *)
-
-let check_exhaustive name scenario =
-  match Sim.explore ~max_schedules:2_000_000 scenario with
-  | stats ->
-      Alcotest.(check bool) (name ^ ": explored the whole tree") true
-        stats.Sim.exhaustive;
-      Alcotest.(check int) (name ^ ": no divergence under bound") 0
-        stats.Sim.diverged;
-      Alcotest.(check bool) (name ^ ": nontrivial tree") true
-        (stats.Sim.schedules > 1)
-  | exception Sim.Violation { schedule; message } ->
-      Alcotest.fail
-        (Printf.sprintf "%s: schedule [%s] violates linearizability: %s" name
-           (String.concat ";" (List.map string_of_int schedule))
-           message)
-
-let q1_enq_enq () =
-  check_exhaustive "q1 enq|enq"
-    (q1_scenario ~capacity:2 ~prefill:[] Scenarios.[ [ Enq 1 ]; [ Enq 2 ] ])
-
-let q1_enq_deq_empty () =
-  check_exhaustive "q1 enq|deq on empty"
-    (q1_scenario ~capacity:2 ~prefill:[] Scenarios.[ [ Enq 1 ]; [ Deq ] ])
-
-let q1_enq_deq_nonempty () =
-  check_exhaustive "q1 enq|deq on 1 item"
-    (q1_scenario ~capacity:2 ~prefill:[ 100 ] Scenarios.[ [ Enq 1 ]; [ Deq ] ])
-
-let q1_deq_deq () =
-  check_exhaustive "q1 deq|deq on 2 items"
-    (q1_scenario ~capacity:4 ~prefill:[ 100; 200 ] Scenarios.[ [ Deq ]; [ Deq ] ])
-
-let q1_full_boundary () =
-  check_exhaustive "q1 enq|deq at full"
-    (q1_scenario ~capacity:2 ~prefill:[ 100; 200 ] Scenarios.[ [ Enq 1 ]; [ Deq ] ])
-
-let q1_two_ops_each () =
-  check_exhaustive "q1 (enq;deq)|(enq;deq)"
-    (q1_scenario ~capacity:2 ~prefill:[] Scenarios.[ [ Enq 1; Deq ]; [ Enq 2; Deq ] ])
-
-let q1_three_threads () =
-  check_exhaustive "q1 enq|enq|deq"
-    (q1_scenario ~capacity:4 ~prefill:[] Scenarios.[ [ Enq 1 ]; [ Enq 2 ]; [ Deq ] ])
-
-let q2_enq_enq () =
-  check_exhaustive "q2 enq|enq"
-    (q2_scenario ~capacity:2 ~prefill:[] Scenarios.[ [ Enq 1 ]; [ Enq 2 ] ])
-
-let q2_enq_deq_empty () =
-  check_exhaustive "q2 enq|deq on empty"
-    (q2_scenario ~capacity:2 ~prefill:[] Scenarios.[ [ Enq 1 ]; [ Deq ] ])
-
-let q2_enq_deq_nonempty () =
-  check_exhaustive "q2 enq|deq on 1 item"
-    (q2_scenario ~capacity:2 ~prefill:[ 100 ] Scenarios.[ [ Enq 1 ]; [ Deq ] ])
-
-let q2_deq_deq () =
-  check_exhaustive "q2 deq|deq on 2 items"
-    (q2_scenario ~capacity:4 ~prefill:[ 100; 200 ] Scenarios.[ [ Deq ]; [ Deq ] ])
-
-let q2_full_boundary () =
-  check_exhaustive "q2 enq|deq at full"
-    (q2_scenario ~capacity:2 ~prefill:[ 100; 200 ] Scenarios.[ [ Enq 1 ]; [ Deq ] ])
-
-let q2_two_ops_each () =
-  check_exhaustive "q2 (enq;deq)|(enq;deq)"
-    (q2_scenario ~capacity:2 ~prefill:[] Scenarios.[ [ Enq 1; Deq ]; [ Enq 2; Deq ] ])
-
-(* The same standard matrix for each additional simulatable baseline. *)
-let baseline_matrix algorithm () =
-  List.iter
-    (fun (name, capacity, prefill, threads) ->
-      check_exhaustive
-        (algorithm ^ " " ^ name)
-        (Scenarios.build ~algorithm ~capacity ~prefill threads))
-    Scenarios.standard_matrix
-
-let shann_matrix = baseline_matrix "shann"
-let tz_matrix = baseline_matrix "tsigas-zhang"
-let ms_matrix = baseline_matrix "ms-gc"
-let lms_matrix = baseline_matrix "lms-optimistic"
-
-(* MCAS-heavy operations explode the bound-4 tree; bound 3 keeps the
-   exploration exhaustive while still covering all 3-preemption races. *)
-let valois_matrix () =
-  List.iter
-    (fun (name, capacity, prefill, threads) ->
-      let scenario =
-        Scenarios.build ~algorithm:"valois-dcas" ~capacity ~prefill threads
-      in
-      match
-        Sim.explore ~preemption_bound:(Some 3) ~max_schedules:2_000_000
-          scenario
-      with
-      | stats ->
-          Alcotest.(check bool)
-            ("valois " ^ name ^ ": explored the whole tree")
-            true stats.Sim.exhaustive;
-          Alcotest.(check int)
-            ("valois " ^ name ^ ": no divergence")
-            0 stats.Sim.diverged
-      | exception Sim.Violation { schedule; message } ->
-          Alcotest.fail
-            (Printf.sprintf "valois %s: schedule [%s]: %s" name
-               (String.concat ";" (List.map string_of_int schedule))
-               message))
-    Scenarios.standard_matrix
-
-(* Herlihy–Wing's dequeue *waits* for a ticketed-but-unstored enqueue (the
-   original is a total queue), so schedules that park the enqueuer diverge
-   even under a preemption bound.  Those spin tails are choice-free, so a
-   small step cap prices them in; we verify every terminating schedule and
-   that divergent branches exist only where the blocking is expected. *)
-let hw_matrix () =
-  List.iter
-    (fun (name, capacity, prefill, threads) ->
-      let scenario =
-        Scenarios.build ~algorithm:"herlihy-wing" ~capacity ~prefill threads
-      in
-      match
-        Sim.explore ~preemption_bound:(Some 3) ~max_steps:200
-          ~max_schedules:2_000_000 scenario
-      with
-      | stats ->
-          Alcotest.(check bool)
-            ("herlihy-wing " ^ name ^ ": explored the whole tree")
-            true stats.Sim.exhaustive;
-          Alcotest.(check bool)
-            ("herlihy-wing " ^ name ^ ": nontrivial")
-            true
-            (stats.Sim.completed > 1)
-      | exception Sim.Violation { schedule; message } ->
-          Alcotest.fail
-            (Printf.sprintf "herlihy-wing %s: schedule [%s]: %s" name
-               (String.concat ";" (List.map string_of_int schedule))
-               message))
-    Scenarios.standard_matrix
-
-let q2_three_threads () =
-  check_exhaustive "q2 enq|enq|deq"
-    (q2_scenario ~capacity:4 ~prefill:[]
-       Scenarios.[ [ Enq 1 ]; [ Enq 2 ]; [ Deq ] ])
-
-let shann_three_threads () =
-  check_exhaustive "shann enq|enq|deq"
-    (Scenarios.build ~algorithm:"shann" ~capacity:4 ~prefill:[]
-       Scenarios.[ [ Enq 1 ]; [ Enq 2 ]; [ Deq ] ])
-
-(* Peek (extension feature) raced against mutators. *)
-let q1_peek_vs_deq () =
-  check_exhaustive "q1 peek|deq"
-    (q1_scenario ~capacity:4 ~prefill:[ 100; 200 ]
-       Scenarios.[ [ Peek ]; [ Deq ] ])
-
-let q1_peek_vs_enq_empty () =
-  check_exhaustive "q1 peek|enq on empty"
-    (q1_scenario ~capacity:4 ~prefill:[] Scenarios.[ [ Peek ]; [ Enq 1 ] ])
-
-let q2_peek_vs_deq () =
-  check_exhaustive "q2 peek|deq"
-    (q2_scenario ~capacity:4 ~prefill:[ 100; 200 ]
-       Scenarios.[ [ Peek ]; [ Deq ] ])
-
-let q2_peek_vs_enq_empty () =
-  check_exhaustive "q2 peek|enq on empty"
-    (q2_scenario ~capacity:4 ~prefill:[] Scenarios.[ [ Peek ]; [ Enq 1 ] ])
-
-let q2_livelock_branches_exist () =
-  (* Without the preemption bound, the reservation-stealing ping-pong of
-     the CAS simulation produces genuinely unbounded schedules — the
-     obstruction-freedom caveat discussed in DESIGN.md.  Verify the
-     explorer observes (and safely prunes) such branches, and that no
-     terminating schedule is ever wrong. *)
-  let scenario = q2_scenario ~capacity:2 ~prefill:[] [ [ Enq 1 ]; [ Enq 2 ] ] in
-  match
-    Sim.explore ~preemption_bound:None ~max_steps:300 ~max_schedules:20_000
-      scenario
-  with
-  | stats ->
-      Alcotest.(check bool) "found divergent (livelock) branches" true
-        (stats.Sim.diverged > 0)
-  | exception Sim.Violation { message; _ } -> Alcotest.fail message
-
-(* --- DPOR + temporal properties --- *)
-
-module Dpor = Nbq_modelcheck.Dpor
-module Props = Nbq_modelcheck.Props
-module Repro = Nbq_modelcheck.Repro
+  let stats = dfs ~bound:0 build in
+  Alcotest.(check bool) "exhaustive" true stats.Dpor.exhaustive;
+  Alcotest.(check int) "exactly 2 schedules" 2 stats.Dpor.schedules
 
 let find_spec algorithm scenario =
   match Scenarios.find ~algorithm ~scenario with
   | Some s -> s
   | None -> Alcotest.failf "spec %s/%s missing from the catalog" algorithm scenario
 
-(* A seeded liveness bug must be convicted, its NBQ-FAULT-REPRO line must
-   survive a print/parse roundtrip, and the schedule must reproduce the
-   verdict through both replay surfaces. *)
-let seeded_bug_convicted algorithm scenario () =
-  let spec = find_spec algorithm scenario in
-  match Dpor.explore ~max_steps:60 ~progress:spec.progress spec.build_instance with
-  | _ -> Alcotest.failf "%s/%s: seeded bug not convicted" algorithm scenario
-  | exception Sim.Violation { schedule; message } ->
-      Alcotest.(check bool) "classified as liveness" true
-        (Props.is_liveness_message message);
-      (* repro-line roundtrip *)
-      let repro =
-        Repro.of_violation ~algorithm:spec.algorithm ~scenario:spec.scenario
-          ~message schedule
+let q2_livelock_branches_exist () =
+  (* Without a preemption bound, the reservation-stealing ping-pong of the
+     CAS simulation produces unboundedly long schedules — the
+     obstruction-freedom caveat discussed in DESIGN.md.  The explorer must
+     observe them (cut at the step bound, then resolved or classified by
+     the fair continuation) and no terminating schedule may be wrong. *)
+  let stats =
+    Scenarios.explore ~dpor:false ~max_steps:300 ~max_schedules:20_000
+      (find_spec "evequoz-cas" "enq-enq")
+  in
+  Alcotest.(check bool) "found cut branches" true
+    (stats.Dpor.resolved + Dpor.diverged stats > 0)
+
+(* --- The catalog --- *)
+
+let class_name = function
+  | `Safety -> "safety"
+  | `Liveness `Stuck -> "liveness (stuck)"
+  | `Liveness `Livelock -> "liveness (livelock witness)"
+
+(* A convicted seeded bug: its NBQ-FAULT-REPRO line survives a
+   print/parse roundtrip, and Dpor.replay re-derives the same violation
+   from the schedule with the expected class — safety on a completed
+   run, or a liveness divergence that is stuck (spinning or parked) or a
+   livelock witness. *)
+let convicted (s : Scenarios.spec) label kind schedule message =
+  let repro =
+    Repro.of_violation ~algorithm:s.algorithm ~scenario:s.scenario ~message
+      schedule
+  in
+  (match Repro.parse ("log noise " ^ Repro.to_line repro) with
+  | Some r ->
+      Alcotest.(check bool) (label ^ ": repro roundtrip") true (r = repro)
+  | None -> Alcotest.failf "%s: repro line did not parse back" label);
+  match Dpor.replay ~progress:s.progress s.build_instance schedule with
+  | { Dpor.violation = Some m; status } ->
+      Alcotest.(check string) (label ^ ": replayed violation") message m;
+      let observed =
+        match status with
+        | `Completed | `Fair_completed -> "safety"
+        | `Diverged (Props.Stuck _) -> class_name (`Liveness `Stuck)
+        | `Diverged (Props.Livelock_witness _) ->
+            class_name (`Liveness `Livelock)
+        | `Diverged Props.Benign_retry -> "liveness (benign retry)"
       in
-      let line = Repro.to_line repro in
-      (match Repro.parse ("prefix noise " ^ line) with
-      | Some r ->
-          Alcotest.(check string) "algorithm" algorithm r.Repro.algorithm;
-          Alcotest.(check string) "scenario" scenario r.Repro.scenario;
-          Alcotest.(check (list int)) "schedule" schedule r.Repro.schedule;
-          Alcotest.(check bool) "kind" true (r.Repro.kind = `Liveness)
-      | None -> Alcotest.fail "repro line did not parse back");
-      (* Dpor.replay re-derives the violation *)
-      (match
-         Dpor.replay ~progress:spec.progress spec.build_instance schedule
-       with
-      | { Dpor.violation = Some _; status = `Diverged (Props.Stuck _) } -> ()
-      | { Dpor.violation = Some _; _ } ->
-          Alcotest.fail "replay violated but not as Stuck"
-      | { Dpor.violation = None; _ } ->
-          Alcotest.fail "replay did not reproduce the violation");
-      (* ... and the legacy surface agrees the schedule diverges. *)
-      (match
-         Sim.run_schedule ~max_steps:(List.length schedule)
-           (Scenarios.scenario_of_spec spec)
-           schedule
-       with
-      | `Diverged -> ()
-      | `Completed -> Alcotest.fail "run_schedule completed unexpectedly")
+      Alcotest.(check string) (label ^ ": violation class") (class_name kind)
+        observed
+  | { Dpor.violation = None; _ } ->
+      Alcotest.failf "%s: replay did not reproduce the violation" label
 
-let dpor_convicts_toy_blocking =
-  seeded_bug_convicted "toy-blocking" "spin-on-dead-flag"
+(* Explore a spec (in its own mode unless overridden) and require the
+   outcome it expects; a passing spec returns its stats.  Under a
+   preemption bound every schedule is finite, so a passing bounded run
+   must also have cut none at the step bound: its tree is then the whole
+   bounded tree, as with an unlimited step bound. *)
+let check_spec ?max_steps ?dpor ?preemption_bound (s : Scenarios.spec) =
+  let label = s.algorithm ^ "/" ^ s.scenario in
+  match Scenarios.explore ?max_steps ?dpor ?preemption_bound s with
+  | stats -> (
+      match s.expect with
+      | `Pass ->
+          Alcotest.(check bool) (label ^ ": exhaustive") true
+            stats.Dpor.exhaustive;
+          if preemption_bound <> None || s.bound <> None then begin
+            Alcotest.(check int) (label ^ ": no divergence under bound") 0
+              (Dpor.diverged stats);
+            Alcotest.(check int) (label ^ ": no schedule cut under bound") 0
+              stats.Dpor.resolved
+          end;
+          Some stats
+      | `Violation _ -> Alcotest.failf "%s: seeded bug not convicted" label)
+  | exception Sim.Violation { schedule; message } -> (
+      match s.expect with
+      | `Pass ->
+          Alcotest.failf "%s: schedule [%s]: %s" label
+            (String.concat ";" (List.map string_of_int schedule))
+            message
+      | `Violation kind ->
+          convicted s label kind schedule message;
+          None)
 
-let dpor_convicts_lost_wakeup = seeded_bug_convicted "sim-wait" "lost-wakeup"
+(* --- The catalog walk --- *)
 
-let dpor_park_wake_no_lost_wakeup () =
-  (* The production eventcount (Blocking_ec over Eventcount_core) under
-     simulation: every schedule either completes or resolves under the
-     fair continuation, and no schedule strands the parked consumer. *)
-  let spec = find_spec "sim-wait" "park-wake" in
-  match Dpor.explore ~max_steps:60 ~progress:spec.progress spec.build_instance with
-  | stats ->
-      Alcotest.(check bool) "exhaustive" true stats.Dpor.exhaustive;
-      Alcotest.(check int) "no stuck branch" 0 stats.Dpor.stuck;
-      Alcotest.(check bool) "nontrivial tree" true (stats.Dpor.schedules > 50)
-  | exception Sim.Violation { message; _ } -> Alcotest.fail message
+(* Every spec is explored in its own mode by exactly one case.  The
+   cases below keep the suite's long-standing names; each claims the
+   specs [pick] selects, explores them at [max_steps] (the explorer's
+   default when omitted), and [extra] adds checks on a passing spec's
+   stats. *)
+type walk = {
+  name : string;
+  tier : Alcotest.speed_level;
+  pick : Scenarios.spec -> bool;
+  max_steps : int option;
+  extra : Dpor.stats -> unit;
+}
+
+let walk ?max_steps ?(extra = ignore) tier name pick =
+  { name; tier; pick; max_steps; extra }
+
+let alg algorithms (s : Scenarios.spec) = List.mem s.algorithm algorithms
+let key algorithm scenario (s : Scenarios.spec) =
+  s.algorithm = algorithm && s.scenario = scenario
+
+(* The paper's two algorithms' specs, keyed by the case names of the
+   "algorithm-1" and "algorithm-2" groups: the slug of the name, except
+   the three-thread scenario. *)
+let q_names =
+  [ "enq|enq"; "enq|deq empty"; "enq|deq nonempty"; "deq|deq";
+    "enq|deq at full"; "2 ops each"; "three threads"; "peek|deq";
+    "peek|enq empty" ]
+
+let q_slug = function "three threads" -> "enq-enq-deq" | n -> Scenarios.slug n
+
+let algorithm_2_walks =
+  List.map (fun n -> walk `Slow n (key "evequoz-cas" (q_slug n))) q_names
+
+let baseline_walks =
+  walk `Slow "shann matrix" (fun (s : Scenarios.spec) ->
+      s.algorithm = "shann" && s.scenario <> "enq-enq-deq")
+  :: walk `Slow "shann three threads" (key "shann" "enq-enq-deq")
+  :: List.map
+       (fun a -> walk `Slow (a ^ " matrix") (alg [ a ]))
+       [ "tsigas-zhang"; "ms-gc"; "herlihy-wing"; "lms-optimistic";
+         "valois-dcas" ]
+
+let dpor_walks =
+  [
+    walk `Quick "convicts toy-blocking spin" (alg [ "toy-blocking" ]);
+    walk `Quick "convicts eventcount lost wakeup" (key "sim-wait" "lost-wakeup");
+    (* The production eventcount under simulation: no schedule strands
+       the parked consumer. *)
+    walk `Quick "park/wake has no lost wakeup" (key "sim-wait" "park-wake")
+      ~extra:(fun stats ->
+        Alcotest.(check int) "no stuck branch" 0 stats.Dpor.stuck;
+        Alcotest.(check bool) "nontrivial tree" true
+          (stats.Dpor.schedules > 50));
+    walk `Quick "algorithm-1 matrix exhaustive" (alg [ "evequoz-llsc" ]);
+    walk `Quick "blelloch-wei matrix exhaustive" (alg [ "evequoz-bw" ]);
+    walk `Quick "convicts BW no-scan recycling" (alg [ "evequoz-bw-noscan" ]);
+    (* The segmented queue's trees are explored 150 steps deep before the
+       fair continuation takes over. *)
+    walk `Quick "segmented matrix exhaustive" (alg [ "evequoz-seg" ])
+      ~max_steps:150;
+    walk `Quick "convicts segmented no-retire"
+      (alg [ "evequoz-seg-noretire" ]) ~max_steps:150;
+    (* The SCQ rings claim obstruction freedom: every tree must still
+       complete under the step budget. *)
+    walk `Slow "scq matrix exhaustive" (alg [ "scq"; "scq-d"; "scq-wcq" ])
+      ~extra:(fun stats ->
+        Alcotest.(check int) "no stuck branch" 0 stats.Dpor.stuck);
+    walk `Quick "convicts scq no-threshold livelock" (alg [ "scq-nothreshold" ]);
+    walk `Quick "sharded + batch scenarios"
+      (fun (s : Scenarios.spec) ->
+        s.algorithm = "sharded-llsc"
+        || key "evequoz-cas" "batch-commit" s
+        || key "evequoz-cas" "batch-drain" s)
+      ~extra:(fun stats ->
+        Alcotest.(check bool) "nontrivial" true (stats.Dpor.schedules > 1));
+  ]
+
+let walk_case w =
+  Alcotest.test_case w.name w.tier (fun () ->
+      match List.filter w.pick (Scenarios.specs ()) with
+      | [] -> Alcotest.failf "%s: claims no spec" w.name
+      | l ->
+          List.iter
+            (fun s -> Option.iter w.extra (check_spec ?max_steps:w.max_steps s))
+            l)
+
+let walks = algorithm_2_walks @ baseline_walks @ dpor_walks
+
+let catalog_partitioned () =
+  (* Every spec is explored in its own mode by exactly one case: a new
+     spec or algorithm must be placed in a named case above. *)
+  List.iter
+    (fun (s : Scenarios.spec) ->
+      let n = List.length (List.filter (fun w -> w.pick s) walks) in
+      if n <> 1 then
+        Alcotest.failf "%s/%s is claimed by %d cases" s.algorithm s.scenario n)
+    (Scenarios.specs ())
+
+(* The reference check: plain DFS under preemption bound 4 (the mode the
+   bounded spec runs in) reaches the same verdict as the catalog's own
+   mode on Algorithm 1's specs (one case each, the suite's "algorithm-1"
+   group) and on every seeded bug. *)
+let dfs_reference s = ignore (check_spec ~dpor:false ~preemption_bound:4 s)
+
+let algorithm_1_cases =
+  List.map
+    (fun n ->
+      slow n (fun () -> dfs_reference (find_spec "evequoz-llsc" (q_slug n))))
+    q_names
+
+let dfs_reference_seeded () =
+  List.iter
+    (fun (s : Scenarios.spec) -> if s.expect <> `Pass then dfs_reference s)
+    (Scenarios.specs ())
+
+(* Every registry family is either model-checked or exempted here, with
+   the reason: a new family cannot skip the checker silently. *)
+let exempt =
+  [
+    ( "evequoz-llsc-weak",
+      "weak cells draw spurious SC failures from a real PRNG on real atomics" );
+    ("ms-hp-sorted", "hazard pointers are not functorized over ATOMIC");
+    ("ms-hp-unsorted", "hazard pointers are not functorized over ATOMIC");
+    ("ms-ebr", "epoch reclamation is not functorized over ATOMIC");
+    ("ms-doherty", "its cells are not functorized over ATOMIC yet");
+    ("two-lock", "lock-based: blocking by construction");
+    ("lock-ring", "lock-based: blocking by construction");
+    ( "evequoz-seg-bw",
+      "its chain is checked as evequoz-seg and its cells as evequoz-bw" );
+    ("seq-ring", "sequential: no synchronization to check");
+  ]
+
+let registry_covered () =
+  List.iter
+    (fun (f : Nbq_harness.Registry.Family.t) ->
+      let checked = List.mem f.name Scenarios.algorithms in
+      let exempted = List.mem_assoc f.name exempt in
+      if checked = exempted then
+        Alcotest.failf "%s: %s" f.name
+          (if checked then "model-checked but still exempted"
+           else "neither in the spec catalog nor exempted"))
+    Nbq_harness.Registry.families
+
+(* --- DPOR engine --- *)
 
 let dpor_catches_planted_safety_bug () =
-  (* The naive Fig.1-style ring again, this time through the DPOR engine:
-     reduction must not prune the item-losing interleaving away. *)
-  let build () =
-    let module A = Sim.Atomic in
-    let slots = Array.init 4 (fun _ -> A.make 0) in
-    let tail = A.make 0 in
-    let enq v () =
-      let t = A.get tail in
-      A.set slots.(t land 3) v;
-      ignore (A.compare_and_set tail t (t + 1));
-      Sim.op_completed ()
-    in
-    let check () =
-      Sim.run_sequential (fun () ->
-          let found = ref 0 in
-          Array.iter (fun s -> if A.get s <> 0 then incr found) slots;
-          if !found <> 2 then failwith "naive ring lost an item")
-    in
-    { Dpor.tasks = [| enq 1; enq 2 |]; check; invariant = None }
-  in
-  match Dpor.explore ~progress:Props.Lock_free build with
+  (* The naive ring again, through the DPOR engine: reduction must not
+     prune the item-losing interleaving away. *)
+  match Dpor.explore ~progress:Props.Lock_free naive_ring with
   | _ -> Alcotest.fail "DPOR missed the naive-ring bug"
   | exception Sim.Violation { schedule; message } -> (
       Alcotest.(check bool) "safety, not liveness" false
         (Props.is_liveness_message message);
-      match Dpor.replay ~progress:Props.Lock_free build schedule with
+      match Dpor.replay ~progress:Props.Lock_free naive_ring schedule with
       | { Dpor.violation = Some _; _ } -> ()
       | { Dpor.violation = None; _ } ->
           Alcotest.fail "replay did not reproduce")
 
 let dpor_reduction_factor () =
   (* The acceptance bar: on the standard matrix, DPOR needs >= 5x fewer
-     schedules than unreduced DFS (preemption_bound None) over the same
-     tree.  The DFS budget is capped at 5x the DPOR count + 1, so hitting
-     the cap proves the ratio. *)
+     schedules than unreduced DFS over the same tree.  The DFS budget is
+     capped at 5x the DPOR count + 1, so hitting the cap proves the
+     ratio. *)
   let spec = find_spec "evequoz-llsc" "enq-enq" in
-  let dpor_stats =
-    Dpor.explore ~max_steps:60 ~progress:spec.progress spec.build_instance
-  in
+  let dpor_stats = Scenarios.explore spec in
   Alcotest.(check bool) "DPOR exhaustive" true dpor_stats.Dpor.exhaustive;
   let budget = (5 * dpor_stats.Dpor.schedules) + 1 in
-  let dfs_stats =
-    Dpor.explore ~dpor:false ~max_steps:60 ~max_schedules:budget
-      ~progress:spec.progress spec.build_instance
-  in
+  let dfs_stats = Scenarios.explore ~dpor:false ~max_schedules:budget spec in
   Alcotest.(check bool) "DFS needs >= 5x the schedules" true
     ((not dfs_stats.Dpor.exhaustive)
     || dfs_stats.Dpor.schedules >= 5 * dpor_stats.Dpor.schedules)
@@ -524,7 +461,7 @@ let dpor_livelock_witness_classified () =
         Sim.Atomic.set c i
       done
     in
-    { Dpor.tasks = [| spin 1; spin 2 |]; check = (fun () -> ()); invariant = None }
+    instance [| spin 1; spin 2 |] ignore
   in
   (match Dpor.explore ~max_schedules:50 ~progress:Props.Lock_free build with
   | _ -> Alcotest.fail "livelock witness not convicted under lock-freedom"
@@ -537,216 +474,10 @@ let dpor_livelock_witness_classified () =
       Alcotest.(check bool) "witnesses observed" true (stats.Dpor.livelock > 0)
   | exception Sim.Violation { message; _ } -> Alcotest.fail message
 
-let dpor_llsc_matrix_quick () =
-  (* The full standard matrix for Algorithm 1 through DPOR with the
-     strengthened checks (conservation by drain, index invariant) — small
-     enough to stay in the quick tier. *)
-  List.iter
-    (fun (s : Scenarios.spec) ->
-      if s.algorithm = "evequoz-llsc" then
-        match
-          Dpor.explore ~max_steps:60 ~progress:s.progress s.build_instance
-        with
-        | stats ->
-            Alcotest.(check bool)
-              (s.scenario ^ ": exhaustive") true stats.Dpor.exhaustive
-        | exception Sim.Violation { schedule; message } ->
-            Alcotest.failf "%s: schedule [%s]: %s" s.scenario
-              (String.concat ";" (List.map string_of_int schedule))
-              message)
-    (Scenarios.specs ())
-
-let dpor_bw_matrix_quick () =
-  (* The Blelloch–Wei backend: the whole standard matrix (plus its batch
-     specs) through DPOR with the strengthened checks — conservation by
-     drain, handle-recycling bound, announcement hygiene.  The trees are
-     small (the constant-time protocol has no tag handshake), so this
-     exhaustive pass fits the quick tier. *)
-  List.iter
-    (fun (s : Scenarios.spec) ->
-      if s.algorithm = "evequoz-bw" then
-        match
-          Dpor.explore ~max_steps:60 ~progress:s.progress s.build_instance
-        with
-        | stats ->
-            Alcotest.(check bool)
-              (s.scenario ^ ": exhaustive") true stats.Dpor.exhaustive
-        | exception Sim.Violation { schedule; message } ->
-            Alcotest.failf "%s: schedule [%s]: %s" s.scenario
-              (String.concat ";" (List.map string_of_int schedule))
-              message)
-    (Scenarios.specs ())
-
-let dpor_convicts_bw_noscan () =
-  (* Disabling the announcement scan recycles a buffer a delayed enqueuer
-     still holds reserved; its SC then succeeds against the recycled
-     pointer and the item vanishes.  The checker must find that
-     interleaving (a safety violation, convicted by conservation), and the
-     schedule must reproduce through replay. *)
-  let spec = find_spec "evequoz-bw-noscan" "recycled-buffer-aba" in
-  match
-    Dpor.explore ~max_steps:60 ~progress:spec.progress spec.build_instance
-  with
-  | _ -> Alcotest.fail "seeded BW reclamation bug not convicted"
-  | exception Sim.Violation { schedule; message } -> (
-      Alcotest.(check bool) "safety, not liveness" false
-        (Props.is_liveness_message message);
-      match
-        Dpor.replay ~progress:spec.progress spec.build_instance schedule
-      with
-      | { Dpor.violation = Some _; _ } -> ()
-      | { Dpor.violation = None; _ } ->
-          Alcotest.fail "replay did not reproduce the violation")
-
-let dpor_seg_matrix () =
-  (* The segmented unbounded queue over ideal cells: the whole standard
-     matrix plus the grow-during-drain race through DPOR with the
-     strengthened checks — conservation by drain, reclamation hygiene at
-     quiescence, and the segment-count bound plus per-segment index
-     windows as per-step invariants. *)
-  List.iter
-    (fun (s : Scenarios.spec) ->
-      if s.algorithm = "evequoz-seg" then
-        match
-          Dpor.explore ~max_steps:150 ~progress:s.progress s.build_instance
-        with
-        | stats ->
-            Alcotest.(check bool)
-              (s.scenario ^ ": exhaustive") true stats.Dpor.exhaustive
-        | exception Sim.Violation { schedule; message } ->
-            Alcotest.failf "%s: schedule [%s]: %s" s.scenario
-              (String.concat ";" (List.map string_of_int schedule))
-              message)
-    (Scenarios.specs ())
-
-let dpor_convicts_seg_noretire () =
-  (* Skipping the hazard hand-off on retire lets a stalled dequeuer
-     observe the drained segment's recycled state — here reporting empty
-     while items sit in the successor.  The checker must find that
-     interleaving (a safety violation, convicted by linearizability) and
-     the schedule must reproduce through replay. *)
-  let spec = find_spec "evequoz-seg-noretire" "recycled-segment-read" in
-  match
-    Dpor.explore ~max_steps:150 ~progress:spec.progress spec.build_instance
-  with
-  | _ -> Alcotest.fail "seeded segment-reclamation bug not convicted"
-  | exception Sim.Violation { schedule; message } -> (
-      Alcotest.(check bool) "safety, not liveness" false
-        (Props.is_liveness_message message);
-      match
-        Dpor.replay ~progress:spec.progress spec.build_instance schedule
-      with
-      | { Dpor.violation = Some _; _ } -> ()
-      | { Dpor.violation = None; _ } ->
-          Alcotest.fail "replay did not reproduce the violation")
-
-let dpor_scq_matrix () =
-  (* Nikolaev's SCQ (plain, SCQD pairing, wCQ-style helping): the whole
-     standard matrix through DPOR with linearizability plus
-     conservation-by-drain.  The rings claim obstruction freedom (an
-     enqueuer's ticket can be invalidated by every bump the dequeuers'
-     budget pays for), so every tree must still complete exhaustively
-     under the step budget with no violation. *)
-  List.iter
-    (fun (s : Scenarios.spec) ->
-      if List.mem s.algorithm [ "scq"; "scq-d"; "scq-wcq" ] then
-        match
-          Dpor.explore ~max_steps:60 ~progress:s.progress s.build_instance
-        with
-        | stats ->
-            Alcotest.(check bool)
-              (s.algorithm ^ "/" ^ s.scenario ^ ": exhaustive")
-              true stats.Dpor.exhaustive;
-            Alcotest.(check int)
-              (s.algorithm ^ "/" ^ s.scenario ^ ": no stuck branch")
-              0 stats.Dpor.stuck
-        | exception Sim.Violation { schedule; message } ->
-            Alcotest.failf "%s/%s: schedule [%s]: %s" s.algorithm s.scenario
-              (String.concat ";" (List.map string_of_int schedule))
-              message)
-    (Scenarios.specs ())
-
-let dpor_convicts_scq_nothreshold () =
-  (* The seeded SCQ livelock: without the threshold's retry budget a
-     missed dequeue goes again unconditionally, and the drained-queue
-     dequeuer bumps slots and drags tail forever.  The checker must
-     convict it as a *liveness* violation carrying a livelock witness,
-     the NBQ-FAULT-REPRO v2-mc line must survive a print/parse
-     roundtrip, and the schedule must re-derive the same verdict through
-     replay. *)
-  let spec = find_spec "scq-nothreshold" "deq-chase-livelock" in
-  match
-    Dpor.explore ~max_steps:60 ~progress:spec.progress spec.build_instance
-  with
-  | _ -> Alcotest.fail "seeded SCQ no-threshold livelock not convicted"
-  | exception Sim.Violation { schedule; message } ->
-      Alcotest.(check bool) "classified as liveness" true
-        (Props.is_liveness_message message);
-      let repro =
-        Repro.of_violation ~algorithm:spec.algorithm ~scenario:spec.scenario
-          ~message schedule
-      in
-      let line = Repro.to_line repro in
-      (match Repro.parse ("log noise " ^ line) with
-      | Some r ->
-          Alcotest.(check string) "algorithm" "scq-nothreshold"
-            r.Repro.algorithm;
-          Alcotest.(check string) "scenario" "deq-chase-livelock"
-            r.Repro.scenario;
-          Alcotest.(check (list int)) "schedule" schedule r.Repro.schedule;
-          Alcotest.(check bool) "kind" true (r.Repro.kind = `Liveness)
-      | None -> Alcotest.fail "repro line did not parse back");
-      (match
-         Dpor.replay ~progress:spec.progress spec.build_instance schedule
-       with
-      | { Dpor.violation = Some _; status = `Diverged (Props.Livelock_witness _)
-        } ->
-          ()
-      | { Dpor.violation = Some _; _ } ->
-          Alcotest.fail "replay violated but not as a livelock witness"
-      | { Dpor.violation = None; _ } ->
-          Alcotest.fail "replay did not reproduce the violation");
-      (* ... and the legacy surface agrees the schedule diverges. *)
-      (match
-         Sim.run_schedule ~max_steps:(List.length schedule)
-           (Scenarios.scenario_of_spec spec)
-           schedule
-       with
-      | `Diverged -> ()
-      | `Completed -> Alcotest.fail "run_schedule completed unexpectedly")
-
-let dpor_extra_specs_quick () =
-  (* The post-paper scenarios: sharded steal-sweep and Algorithm 2's
-     batch-run commit/drain races.  Tiny trees, strong checks. *)
-  List.iter
-    (fun (algorithm, scenario) ->
-      let s = find_spec algorithm scenario in
-      match
-        Dpor.explore ~max_steps:60 ~progress:s.progress s.build_instance
-      with
-      | stats ->
-          Alcotest.(check bool)
-            (algorithm ^ "/" ^ scenario ^ ": exhaustive")
-            true stats.Dpor.exhaustive;
-          Alcotest.(check bool)
-            (algorithm ^ "/" ^ scenario ^ ": nontrivial")
-            true (stats.Dpor.schedules > 1)
-      | exception Sim.Violation { schedule; message } ->
-          Alcotest.failf "%s/%s: schedule [%s]: %s" algorithm scenario
-            (String.concat ";" (List.map string_of_int schedule))
-            message)
-    [
-      ("sharded-llsc", "steal-sweep-2x2");
-      ("evequoz-cas", "batch-commit");
-      ("evequoz-cas", "batch-drain");
-    ]
-
 let dump_schedule_renders () =
   let spec = find_spec "toy-blocking" "spin-on-dead-flag" in
   let schedule =
-    match
-      Dpor.explore ~max_steps:60 ~progress:spec.progress spec.build_instance
-    with
+    match Scenarios.explore spec with
     | _ -> Alcotest.fail "expected a violation"
     | exception Sim.Violation { schedule; _ } -> schedule
   in
@@ -803,58 +534,26 @@ let () =
           slow "simulated LL/SC counter, retry after steal"
             (llsc_cas_counter ~threads:3 ~per_thread:1 ~preemption_bound:4);
         ] );
-      ( "algorithm-1",
-        [
-          slow "enq|enq" q1_enq_enq;
-          slow "enq|deq empty" q1_enq_deq_empty;
-          slow "enq|deq nonempty" q1_enq_deq_nonempty;
-          slow "deq|deq" q1_deq_deq;
-          slow "enq|deq at full" q1_full_boundary;
-          slow "2 ops each" q1_two_ops_each;
-          slow "three threads" q1_three_threads;
-          slow "peek|deq" q1_peek_vs_deq;
-          slow "peek|enq empty" q1_peek_vs_enq_empty;
-        ] );
+      ("algorithm-1", algorithm_1_cases);
       ( "algorithm-2",
+        List.map walk_case algorithm_2_walks
+        @ [ slow "livelock branches exist unbounded" q2_livelock_branches_exist ]
+      );
+      ("baselines", List.map walk_case baseline_walks);
+      ( "catalog",
         [
-          slow "enq|enq" q2_enq_enq;
-          slow "enq|deq empty" q2_enq_deq_empty;
-          slow "enq|deq nonempty" q2_enq_deq_nonempty;
-          slow "deq|deq" q2_deq_deq;
-          slow "enq|deq at full" q2_full_boundary;
-          slow "2 ops each" q2_two_ops_each;
-          slow "three threads" q2_three_threads;
-          slow "peek|deq" q2_peek_vs_deq;
-          slow "peek|enq empty" q2_peek_vs_enq_empty;
-          slow "livelock branches exist unbounded" q2_livelock_branches_exist;
-        ] );
-      ( "baselines",
-        [
-          slow "shann matrix" shann_matrix;
-          slow "shann three threads" shann_three_threads;
-          slow "tsigas-zhang matrix" tz_matrix;
-          slow "ms-gc matrix" ms_matrix;
-          slow "herlihy-wing matrix" hw_matrix;
-          slow "lms-optimistic matrix" lms_matrix;
-          slow "valois-dcas matrix" valois_matrix;
+          quick "every registry family is covered" registry_covered;
+          quick "every spec is walked once" catalog_partitioned;
         ] );
       ( "dpor",
-        [
-          quick "convicts toy-blocking spin" dpor_convicts_toy_blocking;
-          quick "convicts eventcount lost wakeup" dpor_convicts_lost_wakeup;
-          quick "park/wake has no lost wakeup" dpor_park_wake_no_lost_wakeup;
-          quick "catches planted safety bug" dpor_catches_planted_safety_bug;
-          quick ">=5x reduction vs plain DFS" dpor_reduction_factor;
-          quick "livelock witness classification" dpor_livelock_witness_classified;
-          quick "algorithm-1 matrix exhaustive" dpor_llsc_matrix_quick;
-          quick "blelloch-wei matrix exhaustive" dpor_bw_matrix_quick;
-          quick "convicts BW no-scan recycling" dpor_convicts_bw_noscan;
-          quick "segmented matrix exhaustive" dpor_seg_matrix;
-          quick "convicts segmented no-retire" dpor_convicts_seg_noretire;
-          slow "scq matrix exhaustive" dpor_scq_matrix;
-          quick "convicts scq no-threshold livelock" dpor_convicts_scq_nothreshold;
-          quick "sharded + batch scenarios" dpor_extra_specs_quick;
-          quick "dump_schedule renders" dump_schedule_renders;
-          quick "repro parse rejects noise" repro_parse_rejects_noise;
-        ] );
+        List.map walk_case dpor_walks
+        @ [
+            quick "catches planted safety bug" dpor_catches_planted_safety_bug;
+            quick ">=5x reduction vs plain DFS" dpor_reduction_factor;
+            slow "plain DFS reaches the same verdicts" dfs_reference_seeded;
+            quick "livelock witness classification"
+              dpor_livelock_witness_classified;
+            quick "dump_schedule renders" dump_schedule_renders;
+            quick "repro parse rejects noise" repro_parse_rejects_noise;
+          ] );
     ]
