@@ -291,7 +291,6 @@ module type EVENTCOUNT = sig
   val create : ?hook:(module Nbq_primitives.Hook.S) -> unit -> t
 
   val await :
-    ?spin:int ->
     ?deadline:float ->
     ?max_park:int ->
     t ->
@@ -306,9 +305,10 @@ end
     the wait layer to the production [Nbq_wait.Eventcount], and
     {!Blocking} additionally fixes the hook to a no-op.
 
-    Unlike a spin loop, a blocked operation here spins only briefly
-    and then {e parks its domain} on an eventcount (one for "became
-    non-empty", one for "became non-full"), so waiting costs no CPU and —
+    Unlike a spin loop, a blocked operation here polls the queue only
+    briefly (about once a microsecond, for about a millisecond) and then
+    {e parks its domain} on an eventcount (one for "became non-empty",
+    one for "became non-full"), so waiting costs no CPU and —
     crucially under oversubscription — no scheduler slices that the
     producers being waited for could have used.  Each successful
     enqueue/dequeue through this wrapper issues the corresponding wake;

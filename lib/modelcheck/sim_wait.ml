@@ -56,7 +56,7 @@ module Make () = struct
       let drain p = Sim.Atomic.set p.notified false
     end
 
-    let now () = 0.
+    let past d = 0. >= d
     let default_spin = 0
     (* No pre-park spin: under simulation the spin phase only multiplies
        schedule states without reaching different protocol states. *)

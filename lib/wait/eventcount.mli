@@ -96,19 +96,22 @@ val wake_all : t -> int
     Non-blocking. *)
 
 val await :
-  ?spin:int ->
   ?deadline:float ->
   ?max_park:int ->
   t ->
   (unit -> 'a option) ->
   [ `Ok of 'a | `Timeout ]
-(** [await t cond] — the full wait loop: try [cond] once; spin through a
-    bounded jittered backoff (re-trying [cond]) for [spin] rounds (default
-    30); then repeat \{prepare; re-check; commit\} until [cond] yields
-    [Some v] or [deadline] passes.  A deadline already in the past still
-    tries [cond] (at least once) but never parks.  [max_park] is passed
-    through to {!commit_wait}.  [cond] must be safe to call repeatedly
-    from the waiting domain. *)
+(** [await t cond] — the full wait loop: try [cond] once; then spin,
+    polling [cond] every 32 [Domain.cpu_relax] pauses (about 1 us) for up
+    to 1280 polls (about 1.3 ms), reading the clock for [deadline] every
+    64 polls; then repeat \{prepare; re-check; commit\} until [cond]
+    yields [Some v] or [deadline] passes.  A condition that comes true
+    during the spin is seen within about one poll, and the spin allocates
+    nothing per poll.  A deadline that passes during the spin is noticed
+    within 64 polls, without parking.  A deadline already in the past
+    still tries [cond] (at least once) but never parks.  [max_park] is
+    passed through to {!commit_wait}.  [cond] must be safe to call
+    repeatedly from the waiting domain. *)
 
 (** {2 Hygiene}
 

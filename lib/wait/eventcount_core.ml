@@ -38,13 +38,15 @@ module type ENV = sig
   module Atomic : Nbq_primitives.Atomic_intf.ATOMIC
   module Parker : PARKER
 
-  val now : unit -> float
-  (** Wall clock for deadlines (the simulated env freezes it at 0). *)
+  val past : float -> bool
+  (** [past d]: the wall clock has reached the absolute deadline [d] (the
+      simulated env freezes the clock at 0).  A predicate rather than a
+      clock read, so checking a deadline boxes no float. *)
 
   val default_spin : int
-  (** [await]'s pre-park spin budget.  0 under simulation: the spin phase
-      is pure scheduling noise there, and skipping it keeps the choice
-      tree at its real protocol states. *)
+  (** [await]'s pre-park spin budget, in polls of the condition.  0 under
+      simulation: the spin phase is pure scheduling noise there, and
+      skipping it keeps the choice tree at its real protocol states. *)
 end
 
 module Hook = Nbq_primitives.Hook
@@ -228,7 +230,7 @@ module Make (E : ENV) = struct
       end
       else
         match deadline with
-        | Some d when E.now () >= d ->
+        | Some d when E.past d ->
             if withdraw t w then `Timeout else `Woken
         | _ ->
             t.hit Hook.Wait_park;
@@ -262,25 +264,35 @@ module Make (E : ENV) = struct
 
   (* ---- the full wait loop --------------------------------------------- *)
 
-  let default_spin = E.default_spin
+  (* The spin phase polls [cond] at a fixed grain: [poll_relax] pauses
+     (about 1 us) between polls, for [E.default_spin] polls.  A condition
+     that comes true mid-spin is therefore seen within about one grain.
+     The clock is read only every [clock_polls] polls, so a deadline
+     overshoots by at most that many grains.  The loop allocates nothing
+     per poll. *)
+  let poll_relax = 32
+  let clock_polls = 64
 
-  let await ?(spin = default_spin) ?deadline ?max_park t cond =
+  let await ?deadline ?max_park t cond =
     match cond () with
     | Some v -> `Ok v
     | None -> (
         let past () =
-          match deadline with Some d -> E.now () >= d | None -> false
+          match deadline with Some d -> E.past d | None -> false
         in
         if past () then `Timeout
         else
-          let b = Nbq_primitives.Backoff.create ~jitter:true () in
           let rec spin_phase n =
             if n <= 0 then `Spin_done
             else begin
-              Nbq_primitives.Backoff.once b;
+              for _ = 1 to poll_relax do
+                Domain.cpu_relax ()
+              done;
               match cond () with
               | Some v -> `Ok v
-              | None -> if past () then `Timeout else spin_phase (n - 1)
+              | None ->
+                  if n land (clock_polls - 1) = 0 && past () then `Timeout
+                  else spin_phase (n - 1)
             end
           in
           let rec park_loop () =
@@ -306,7 +318,7 @@ module Make (E : ENV) = struct
                           | Some v -> `Ok v
                           | None -> `Timeout)))
           in
-          match spin_phase spin with
+          match spin_phase E.default_spin with
           | (`Ok _ | `Timeout) as r -> r
           | `Spin_done -> park_loop ())
 end

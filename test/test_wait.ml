@@ -2,8 +2,9 @@
    bookkeeping (prepare/cancel hygiene, wake claiming and the cancel
    pass-on, seq fast paths), deadline semantics (a past deadline must
    never park), park-window cancellation leaving no dangling waiter, the
-   parker's notify/tick behaviour, and cross-domain park/wake through
-   [await]. *)
+   parker's notify/tick behaviour, cross-domain park/wake through
+   [await], and the pre-park spin (no allocation per poll, deadlines
+   honoured without parking). *)
 
 module EC = Nbq_wait.Eventcount
 module Parker = Nbq_wait.Parker
@@ -191,6 +192,50 @@ let test_max_park_backstop () =
   Alcotest.(check bool) "backstop rescued the silent wake" true
     (Domain.join waiter = `Ok 1)
 
+(* --- Spin phase ---
+
+   Before it parks, [await] polls its condition at a fixed grain for a
+   fixed number of polls.  Each poll must allocate nothing, and a wait
+   that ends inside the spin budget must never park. *)
+
+(* Minor words for one [await] whose condition holds on its [k]-th call,
+   which must not park. *)
+let spin_cost k =
+  let parks = ref 0 and calls = ref 0 in
+  let ec = EC.create ~hook:(on Wait_park (fun () -> incr parks)) () in
+  let cond () =
+    incr calls;
+    if !calls >= k then Some !calls else None
+  in
+  let deadline = now () +. 5. in
+  let w0 = Gc.minor_words () in
+  let r = EC.await ~deadline ec cond in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) (Printf.sprintf "%d polls never park" k) 0 !parks;
+  Alcotest.(check bool) "condition met on its k-th call" true (r = `Ok k);
+  words
+
+let test_spin_allocates_nothing_per_poll () =
+  let w10 = spin_cost 10 in
+  let w1000 = spin_cost 1000 in
+  if Float.abs (w1000 -. w10) > 16. then
+    Alcotest.failf "1000 polls took %.0f minor words, 10 polls %.0f" w1000
+      w10
+
+(* A deadline well inside the spin budget ends the wait in the spin: a
+   [`Timeout] no earlier than the deadline, and no park.  Should the
+   domain be descheduled past the spin, [await] still checks the deadline
+   before it prepares a waiter. *)
+let test_spin_deadline_no_park () =
+  let parks = ref 0 in
+  let ec = EC.create ~hook:(on Wait_park (fun () -> incr parks)) () in
+  let deadline = now () +. 0.0001 in
+  let r = EC.await ~deadline ec (fun () -> None) in
+  let ended = now () in
+  Alcotest.(check bool) "timed out" true (r = `Timeout);
+  Alcotest.(check bool) "not before the deadline" true (ended >= deadline);
+  Alcotest.(check int) "never parked" 0 !parks
+
 (* --- Blocking wrapper over an unbounded (segmented) queue ---
 
    The contract the segmented tentpole adds to the wait layer: an
@@ -279,6 +324,13 @@ let () =
           Alcotest.test_case "cross-domain park and wake" `Quick
             test_await_cross_domain;
           Alcotest.test_case "max_park backstop" `Quick test_max_park_backstop;
+        ] );
+      ( "spin",
+        [
+          Alcotest.test_case "spin allocates nothing per poll" `Quick
+            test_spin_allocates_nothing_per_poll;
+          Alcotest.test_case "deadline inside the spin never parks" `Quick
+            test_spin_deadline_no_park;
         ] );
       ( "unbounded-blocking",
         [
