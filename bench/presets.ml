@@ -182,7 +182,7 @@ let all =
       ~domains:[ cores; 2 * cores; 4 * cores ] ~big_heap:true
       (names [ "evequoz-cas" ]);
     preset "gate-park" "park gate: 16 parked domains"
-      ~loop:(Handoff ([ Park ], 100)) ~domains:[ 16 ] ~big_heap:true
+      ~loop:(Handoff ([ Park ], 100)) ~domains:[ 16 ] ~runs:1 ~big_heap:true
       (names [ "evequoz-cas" ]);
     preset "burst-sweep" "10x burst absorption: segmented vs fixed ring"
       ~bench:"burst_sweep" ~loop:Burst ~domains:[ 1 ] fixed_vs_segmented;

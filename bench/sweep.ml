@@ -409,8 +409,7 @@ let worker ~produce ~mode ~stop (q : Registry.instance) () =
    capacity-64 queue (a single domain alternates the roles).  Returns the
    items produced and consumed, the drained leftover, the slowest
    worker's operation count and the elapsed time. *)
-let handoff_cell (impl : Registry.impl) ~domains ~mode ~seconds =
-  let q = impl.create ~capacity:64 in
+let handoff_cell (q : Registry.instance) ~domains ~mode ~seconds =
   let t0 = Unix.gettimeofday () in
   let per =
     if domains < 2 then begin
@@ -438,33 +437,81 @@ let handoff_cell (impl : Registry.impl) ~domains ~mode ~seconds =
   let slowest = List.fold_left (fun m (_, k) -> min m k) max_int per in
   (sum true per, sum false per, drain q, slowest, elapsed)
 
-(* Cells last 100 x scale seconds (2 s at the default scale).  All spin
-   cells run before the first park cell: the first real park starts the
-   wait layer's ticker domain for the rest of the process, and its
-   wakeups would preempt later spinners. *)
+(* Cells last 100 x scale seconds (2 s at the default scale) and run
+   [p.runs] times each; a cell's row is its median run by throughput.
+   All spin cells run before the first park cell: the first real park
+   starts the wait layer's ticker domain for the rest of the process, and
+   its wakeups would preempt later spinners.  With [--metrics] the park
+   cells run on probed instances, and a second table gives the wait
+   layer's parks, wakes and cancels and the ticker's broadcasts per
+   thousand consumed items, over all of a cell's runs. *)
 let handoff o p modes min_ops =
   let seconds = 100.0 *. p.scale in
   let t =
     Table.create
       ~title:
-        (Printf.sprintf "%s  [%.1f s per cell, capacity 64]" p.title seconds)
+        (Printf.sprintf "%s  [%.1f s per cell, capacity 64, median of %d runs]"
+           p.title seconds p.runs)
       ~columns:
         [ "queue"; "domains"; "mode"; "produced"; "consumed"; "Mitems/s";
           "min-domain-ops"; "conserved" ]
+  and waits =
+    Table.create ~title:(p.title ^ ": wait-layer events per 1000 items")
+      ~columns:
+        [ "queue"; "domains"; "mode"; "Mitems/s"; "parks/kitem"; "wakes/kitem";
+          "cancels/kitem"; "ticks/kitem" ]
   in
   let cell mode c domains =
     let impl = (c.make 64).impl in
     let variant = if mode = Spin then "spin" else "park" in
-    say "# %s: %s @ %d domains, %s" p.name c.label domains variant;
-    let pr, co, left, slowest, seconds =
-      handoff_cell impl ~domains ~mode ~seconds
+    let metrics =
+      if o.metrics && mode = Park then Some (Metrics.create ()) else None
     in
-    let r = row p ~variant ~queue:impl.name ~domains ~items:co ~seconds in
+    let ticks0 = Nbq_wait.Parker.ticks () in
+    let once i =
+      say "# %s: %s @ %d domains, %s (run %d/%d)" p.name c.label domains
+        variant (i + 1) p.runs;
+      let q =
+        match metrics with
+        | Some metrics -> impl.create_probed ~metrics ~capacity:64
+        | None -> impl.create ~capacity:64
+      in
+      let pr, co, left, slowest, seconds =
+        handoff_cell q ~domains ~mode ~seconds
+      in
+      let r = row p ~variant ~queue:impl.name ~domains ~items:co ~seconds in
+      (r, pr, co, left, slowest)
+    in
+    let runs =
+      List.sort
+        (fun (a, _, _, _, _) (b, _, _, _, _) ->
+          Float.compare a.Bench_summary.mitems_per_s b.Bench_summary.mitems_per_s)
+        (List.init p.runs once)
+    in
+    let r, pr, co, left, slowest = List.nth runs (p.runs / 2) in
+    let r = { r with runs = p.runs } in
     Table.add_row t
       [ impl.name; string_of_int domains; variant; string_of_int pr;
         string_of_int co; Printf.sprintf "%.4f" r.mitems_per_s;
         string_of_int slowest; (if pr = co + left then "yes" else "NO") ];
-    (r, pr = co + left, slowest >= min_ops)
+    Option.iter
+      (fun m ->
+        let items =
+          List.fold_left (fun n (_, _, co, _, _) -> n + co) 0 runs
+        in
+        let per_k n = Table.cell_float (1000. *. float n /. float (max 1 items)) in
+        let count e = Metrics.count m e in
+        Table.add_row waits
+          [ impl.name; string_of_int domains; variant;
+            Printf.sprintf "%.4f" r.mitems_per_s;
+            per_k (count Nbq_obs.Event.Wait_park);
+            per_k (count Nbq_obs.Event.Wait_wake);
+            per_k (count Nbq_obs.Event.Wait_cancel);
+            per_k (Nbq_wait.Parker.ticks () - ticks0) ])
+      metrics;
+    ( r,
+      List.for_all (fun (_, pr, co, left, _) -> pr = co + left) runs,
+      List.for_all (fun (_, _, _, _, slowest) -> slowest >= min_ops) runs )
   in
   let results =
     List.concat_map
@@ -473,6 +520,7 @@ let handoff o p modes min_ops =
       modes
   in
   emit o t;
+  if o.metrics then emit o waits;
   let ok =
     verdicts p.title
       [ ("item conservation in every cell",

@@ -299,118 +299,114 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
     H.hit Hook.Counter_bump;
     B.counter_publish counter ~from ~target
 
+  (* The run loops below are top-level functions over explicit arguments,
+     so a batch allocates only its items' own blocks (the [Item]s and the
+     returned list). *)
+
+  let imin (a : int) b = if a <= b then a else b
+
+  (* Paper path for whatever the fast path could not place. *)
+  let rec enq_slow t h items i =
+    if i >= Array.length items then i
+    else if enqueue_loop t h (Item (Array.unsafe_get items i)) then
+      enq_slow t h items (i + 1)
+    else i
+
+  (* Fill slots [tl + j], [j < n], with [items.(accepted + j)]; returns
+     the number filled. *)
+  let rec enq_fill t h items ~tl ~accepted ~n j =
+    if j >= n then j
+    else begin
+      (* [land mask] keeps the index in bounds by construction. *)
+      let cell = Array.unsafe_get t.slots ((tl + j) land t.mask) in
+      let obs = B.observe cell h in
+      (* Foreign item, a competing reservation, or the counter already past
+         this slot (a long preemption could hand us a freed next-lap
+         cell): reconcile via the paper path. *)
+      if B.observed_holds obs Empty && B.counter_get t.tail - (tl + j) <= 0
+      then
+        if B.commit cell h obs (Item (Array.unsafe_get items (accepted + j)))
+        then enq_fill t h items ~tl ~accepted ~n (j + 1)
+        else begin
+          H.hit Hook.Sc_fail;
+          j
+        end
+      else j
+    end
+
+  let rec enq_fast t h items accepted =
+    let total = Array.length items in
+    if accepted >= total then total
+    else begin
+      let tl = B.counter_get t.tail in
+      let hd = B.counter_get t.head in
+      let free = t.mask + 1 - (tl - hd) in
+      if free <= 0 then accepted (* full (conservative under head lag) *)
+      else begin
+        let n = imin (total - accepted) free in
+        let filled = enq_fill t h items ~tl ~accepted ~n 0 in
+        if filled > 0 then publish t.tail tl (tl + filled);
+        if filled = n then enq_fast t h items (accepted + filled)
+        else enq_slow t h items (accepted + filled)
+      end
+    end
+
   let enqueue_batch_with t h items =
     B.reregister h;
-    let total = Array.length items in
-    let cap = t.mask + 1 in
-    (* Paper path for whatever the fast path could not place. *)
-    let rec slow i =
-      if i >= total then total
-      else if enqueue_loop t h (Item (Array.unsafe_get items i)) then
-        slow (i + 1)
-      else i
-    in
-    let rec fast accepted =
-      if accepted >= total then total
+    enq_fast t h items 0
+
+  let rec deq_slow t h left =
+    if left <= 0 then []
+    else
+      match dequeue_loop t h with
+      | Some x -> x :: deq_slow t h (left - 1)
+      | None -> []
+
+  (* Take slots [hd + j], [j < n], in order, stopping at the first
+     interference.  The run's length is the number taken, and it is [n]
+     exactly when the run was clean. *)
+  let rec deq_fill t h ~hd ~n j =
+    if j >= n then []
+    else begin
+      let cell = Array.unsafe_get t.slots ((hd + j) land t.mask) in
+      let obs = B.observe cell h in
+      match B.observed_get obs with
+      | Item x when B.counter_get t.head - (hd + j) <= 0 ->
+          if B.commit cell h obs Empty then x :: deq_fill t h ~hd ~n (j + 1)
+          else begin
+            H.hit Hook.Sc_fail;
+            []
+          end
+      | Empty | Item _ | Consumed -> []
+      | exception Not_found -> [] (* a competing reservation in the run *)
+    end
+
+  (* Lists are built in queue order on the unwind (one cons per item, no
+     final reverse); runs are bounded by [k], so the recursion depth is
+     the caller's batch size. *)
+  let rec deq_fast t h k got =
+    if got >= k then []
+    else begin
+      let hd = B.counter_get t.head in
+      let tl = B.counter_get t.tail in
+      let n = imin (k - got) (tl - hd) in
+      if n <= 0 then [] (* empty (conservative under tail lag) *)
       else begin
-        let tl = B.counter_get t.tail in
-        let hd = B.counter_get t.head in
-        let free = cap - (tl - hd) in
-        if free <= 0 then accepted (* full (conservative under head lag) *)
-        else begin
-          let n = min (total - accepted) free in
-          let rec fill j =
-            if j >= n then j
-            else begin
-              (* [land mask] keeps the index in bounds by construction. *)
-              let cell = Array.unsafe_get t.slots ((tl + j) land t.mask) in
-              let obs = B.observe cell h in
-              (* Foreign item, a competing reservation, or the counter
-                 already past this slot (a long preemption could hand us a
-                 freed next-lap cell): reconcile via the paper path. *)
-              if
-                B.observed_holds obs Empty
-                && B.counter_get t.tail - (tl + j) <= 0
-              then
-                if
-                  B.commit cell h obs
-                    (Item (Array.unsafe_get items (accepted + j)))
-                then fill (j + 1)
-                else begin
-                  H.hit Hook.Sc_fail;
-                  j
-                end
-              else j
-            end
-          in
-          let filled = fill 0 in
-          if filled > 0 then publish t.tail tl (tl + filled);
-          if filled = n then fast (accepted + filled)
-          else slow (accepted + filled)
-        end
+        let run = deq_fill t h ~hd ~n 0 in
+        let taken = List.length run in
+        if taken > 0 then publish t.head hd (hd + taken);
+        (* The common case — one clean run covering the whole demand —
+           returns the run as built; list appends only happen when a run
+           was cut short (interference or a momentarily short queue). *)
+        if taken = n && taken >= k - got then run
+        else if taken = n then run @ deq_fast t h k (got + taken)
+        else run @ deq_slow t h (k - got - taken)
       end
-    in
-    fast 0
+    end
 
   let dequeue_batch_with t h k =
     B.reregister h;
-    let rec slow left =
-      if left <= 0 then []
-      else
-        match dequeue_loop t h with
-        | Some x -> x :: slow (left - 1)
-        | None -> []
-    in
-    (* Lists are built in queue order on the unwind (one cons per item, no
-       final reverse); runs are bounded by [k], so the recursion depth is
-       the caller's batch size. *)
-    let rec fast got =
-      if got >= k then []
-      else begin
-        let hd = B.counter_get t.head in
-        let tl = B.counter_get t.tail in
-        let n = min (k - got) (tl - hd) in
-        if n <= 0 then [] (* empty (conservative under tail lag) *)
-        else begin
-          let taken = ref 0 in
-          let clean = ref true in
-          let rec fill j =
-            if j >= n then []
-            else begin
-              let cell = Array.unsafe_get t.slots ((hd + j) land t.mask) in
-              let obs = B.observe cell h in
-              match B.observed_get obs with
-              | Item x when B.counter_get t.head - (hd + j) <= 0 ->
-                  if B.commit cell h obs Empty then begin
-                    incr taken;
-                    x :: fill (j + 1)
-                  end
-                  else begin
-                    H.hit Hook.Sc_fail;
-                    clean := false;
-                    []
-                  end
-              | Empty | Item _ | Consumed ->
-                  clean := false;
-                  []
-              | exception Not_found ->
-                  (* A competing reservation in the run. *)
-                  clean := false;
-                  []
-            end
-          in
-          let run = fill 0 in
-          if !taken > 0 then publish t.head hd (hd + !taken);
-          (* The common case — one clean run covering the whole demand —
-             returns the run as built; list appends only happen when a run
-             was cut short (interference or a momentarily short queue). *)
-          if !clean && !taken >= k - got then run
-          else if !clean then run @ fast (got + !taken)
-          else run @ slow (k - got - !taken)
-        end
-      end
-    in
-    fast 0
+    deq_fast t h k 0
 
   let length t =
     let n = B.counter_get t.tail - B.counter_get t.head in

@@ -284,18 +284,25 @@ end
     eventcount surface it uses.  [Nbq_wait.Eventcount] matches it; so does
     the model checker's simulated instantiation
     ([Nbq_modelcheck.Sim_wait]), which is how the park/wake paths of
-    {!Blocking_ec} run under exhaustive schedule exploration. *)
+    {!Blocking_ec} run under exhaustive schedule exploration.
+
+    [await t ~deadline cond arg] waits until [cond arg] yields [Some v]
+    and returns that same [Some v], or [None] once the absolute
+    [deadline] has passed ([infinity]: never, and no clock read).  The
+    condition's argument is explicit so a caller passes a function built
+    once, not a closure per call. *)
 module type EVENTCOUNT = sig
   type t
 
   val create : ?hook:(module Nbq_primitives.Hook.S) -> unit -> t
 
   val await :
-    ?deadline:float ->
     ?max_park:int ->
     t ->
-    (unit -> 'a option) ->
-    [ `Ok of 'a | `Timeout ]
+    deadline:float ->
+    ('b -> 'a option) ->
+    'b ->
+    'a option
 
   val wake_one : t -> bool
 end
@@ -353,11 +360,23 @@ module Blocking_ec
 
   val dequeue_budget : 'a t -> retries:int -> [ `Ok of 'a | `Timeout ]
 end = struct
-  type 'a t = { q : 'a Q.t; not_empty : EC.t; not_full : EC.t }
+  type 'a t = {
+    q : 'a Q.t;
+    not_empty : EC.t;
+    not_full : EC.t;
+    enq_cond : 'a -> unit option;  (* built once per queue *)
+  }
 
   let mk_ec () = EC.create ~hook:(module H) ()
 
-  let of_queue q = { q; not_empty = mk_ec (); not_full = mk_ec () }
+  let of_queue q =
+    {
+      q;
+      not_empty = mk_ec ();
+      not_full = mk_ec ();
+      enq_cond = (fun x -> if Q.try_enqueue q x then Some () else None);
+    }
+
   let create ~capacity = of_queue (Q.create ~capacity)
   let queue t = t.q
 
@@ -369,33 +388,31 @@ end = struct
      and wake_one's empty-stack fast path makes the uncontended cost a
      single atomic load. *)
 
-  let enq_cond t x () = if Q.try_enqueue t.q x then Some () else None
+  let enqueue_until t ~deadline x =
+    match EC.await t.not_full ~deadline t.enq_cond x with
+    | Some () ->
+        ignore (EC.wake_one t.not_empty : bool);
+        `Ok
+    | None -> `Timeout
+
+  let dequeue_until t ~deadline =
+    match EC.await t.not_empty ~deadline Q.try_dequeue t.q with
+    | Some x ->
+        ignore (EC.wake_one t.not_full : bool);
+        `Ok x
+    | None -> `Timeout
 
   let enqueue t x =
-    match EC.await t.not_full (enq_cond t x) with
-    | `Ok () -> ignore (EC.wake_one t.not_empty : bool)
+    match enqueue_until t ~deadline:infinity x with
+    | `Ok -> ()
     | `Timeout -> assert false (* no deadline *)
 
   let dequeue t =
-    match EC.await t.not_empty (fun () -> Q.try_dequeue t.q) with
-    | `Ok x ->
+    match EC.await t.not_empty ~deadline:infinity Q.try_dequeue t.q with
+    | Some x ->
         ignore (EC.wake_one t.not_full : bool);
         x
-    | `Timeout -> assert false
-
-  let enqueue_until t ~deadline x =
-    match EC.await ~deadline t.not_full (enq_cond t x) with
-    | `Ok () ->
-        ignore (EC.wake_one t.not_empty : bool);
-        `Ok
-    | `Timeout -> `Timeout
-
-  let dequeue_until t ~deadline =
-    match EC.await ~deadline t.not_empty (fun () -> Q.try_dequeue t.q) with
-    | `Ok x ->
-        ignore (EC.wake_one t.not_full : bool);
-        `Ok x
-    | `Timeout -> `Timeout
+    | None -> assert false (* no deadline *)
 
   (* Budget variants stay spin-based (see the signature), but still issue
      wakes on success so parked peers benefit. *)

@@ -23,14 +23,11 @@ let now = Unix.gettimeofday
 
 (* Take one item (a positive int) out of [slot], compare-and-swap so a
    victim and a live consumer can race for it safely. *)
-let take slot () =
-  let rec go () =
-    let v = Atomic.get slot in
-    if v <= 0 then None
-    else if Atomic.compare_and_set slot v (v - 1) then Some v
-    else go ()
-  in
-  go ()
+let rec take slot =
+  let v = Atomic.get slot in
+  if v <= 0 then None
+  else if Atomic.compare_and_set slot v (v - 1) then Some v
+  else take slot
 
 (* Spin until [pred] holds or [deadline] passes.  Used to sequence the
    adversarial schedule: Wake_lost needs a committed waiter before the
@@ -74,7 +71,7 @@ let wake_lost_round ~action ~slack () =
   let consumer =
     Domain.spawn (fun () ->
         let t0 = now () in
-        let r = EC.await ~deadline ec (take slot) in
+        let r = EC.await ec ~deadline take slot in
         (r, now () -. t0))
   in
   wait_for ~deadline (fun () -> Atomic.get committed);
@@ -93,7 +90,7 @@ let wake_lost_round ~action ~slack () =
   let result, waited = Domain.join consumer in
   Injector.release inj;
   Option.iter Domain.join waker;
-  let ok = match result with `Ok 1 -> true | `Ok _ | `Timeout -> false in
+  let ok = match result with Some 1 -> true | Some _ | None -> false in
   (Injector.triggered inj, ok, waited)
 
 (* One Park_window round: a victim consumer crashes/stalls between
@@ -109,7 +106,7 @@ let park_window_round ~action ~slack () =
   let deadline = now () +. slack in
   let victim =
     Domain.spawn (fun () ->
-        try ignore (EC.await ~deadline ec (take slot))
+        try ignore (EC.await ec ~deadline take slot)
         with Injector.Crashed -> ())
   in
   (* The live consumer passes through the same hook, so it must not be
@@ -119,7 +116,7 @@ let park_window_round ~action ~slack () =
   let live =
     Domain.spawn (fun () ->
         let t0 = now () in
-        let r = EC.await ~deadline ec (take slot) in
+        let r = EC.await ec ~deadline take slot in
         (r, now () -. t0))
   in
   (* The victim's node stays published (state: waiting) whether it
@@ -131,7 +128,7 @@ let park_window_round ~action ~slack () =
   let result, waited = Domain.join live in
   Injector.release inj;
   Domain.join victim;
-  let ok = match result with `Ok _ -> true | `Timeout -> false in
+  let ok = Option.is_some result in
   (Injector.triggered inj, ok, waited)
 
 let run ?(iterations = 300) ?(deadline_slack = 2.0) ~point ~action () =

@@ -43,21 +43,20 @@ type impl = {
    wake (DESIGN.md §10). *)
 let until_ops ?hook ~enqueue ~dequeue () =
   let not_empty = EC.create ?hook () and not_full = EC.create ?hook () in
+  (* Built once per instance: the wait layer passes the item to it. *)
+  let enq_cond p = if enqueue p then Some () else None in
   let enqueue_until ~deadline p =
-    match
-      EC.await ~deadline not_full (fun () ->
-          if enqueue p then Some () else None)
-    with
-    | `Ok () ->
+    match EC.await not_full ~deadline enq_cond p with
+    | Some () ->
         ignore (EC.wake_one not_empty : bool);
         true
-    | `Timeout -> false
+    | None -> false
   and dequeue_until ~deadline =
-    match EC.await ~deadline not_empty dequeue with
-    | `Ok x ->
+    match EC.await not_empty ~deadline dequeue () with
+    | Some _ as r ->
         ignore (EC.wake_one not_full : bool);
-        Some x
-    | `Timeout -> None
+        r
+    | None -> None
   in
   (enqueue_until, dequeue_until)
 
@@ -232,15 +231,9 @@ let sharded_instance ~hook ~(q : payload Nbq_scale.Sharded.t) ~enqueue
     dequeue_batch;
     length;
     enqueue_until =
-      (fun ~deadline p ->
-        match Nbq_scale.Sharded.enqueue_until w ~deadline p with
-        | `Ok -> true
-        | `Timeout -> false);
+      (fun ~deadline p -> Nbq_scale.Sharded.enqueue_until w ~deadline p);
     dequeue_until =
-      (fun ~deadline ->
-        match Nbq_scale.Sharded.dequeue_until w ~deadline with
-        | `Ok x -> Some x
-        | `Timeout -> None);
+      (fun ~deadline -> Nbq_scale.Sharded.dequeue_until w ~deadline);
   }
 
 (* The "-shardN" row: the facade's functor veneer over N built queues,

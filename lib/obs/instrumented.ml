@@ -49,7 +49,7 @@ module Make (M : METRICS) (Q : Queue_intf.CONC) :
       end
       else Q.try_dequeue t
     in
-    if r = None then Metrics.emit m Event.Empty_retry;
+    (match r with None -> Metrics.emit m Event.Empty_retry | Some _ -> ());
     r
 
   (* Batches are always timed (one timed call already amortizes the two

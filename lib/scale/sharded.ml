@@ -78,118 +78,122 @@ let stole t =
 
 let home t = t.home ()
 
+(* The steal sweeps: shards [h + i], [h + i + 1], ... in cyclic order
+   after the home shard [h], as top-level functions over explicit
+   arguments so a sweep allocates no closure. *)
+let cyclic n h i = if h + i >= n then h + i - n else h + i
+
+let foreign t h i =
+  Array.unsafe_get t.shards (cyclic (Array.length t.shards) h i)
+
+let rec enq_sweep t h i x =
+  if i >= Array.length t.shards then false
+  else if (foreign t h i).enq x then begin
+    stole t;
+    true
+  end
+  else enq_sweep t h (i + 1) x
+
 let try_enqueue t x =
-  let n = Array.length t.shards in
   let h = home t in
   if (Array.unsafe_get t.shards h).enq x then true
-  else if n = 1 then false
+  else if Array.length t.shards = 1 then false
   else begin
     t.hit Hook.Shard_steal;
-    let rec sweep i =
-      if i >= n then false
-      else
-        let s = if h + i >= n then h + i - n else h + i in
-        if (Array.unsafe_get t.shards s).enq x then begin
-          stole t;
-          true
-        end
-        else sweep (i + 1)
-    in
-    sweep 1
+    enq_sweep t h 1 x
   end
 
+let rec deq_sweep t h i =
+  if i >= Array.length t.shards then None
+  else
+    match (foreign t h i).deq () with
+    | Some _ as r ->
+        stole t;
+        r
+    | None -> deq_sweep t h (i + 1)
+
 let try_dequeue t =
-  let n = Array.length t.shards in
   let h = home t in
   match (Array.unsafe_get t.shards h).deq () with
   | Some _ as r -> r
   | None ->
-      if n = 1 then None
+      if Array.length t.shards = 1 then None
       else begin
         t.hit Hook.Shard_steal;
-        let rec sweep i =
-          if i >= n then None
-          else
-            let s = if h + i >= n then h + i - n else h + i in
-            match (Array.unsafe_get t.shards s).deq () with
-            | Some _ as r ->
-                stole t;
-                r
-            | None -> sweep (i + 1)
-        in
-        sweep 1
+        deq_sweep t h 1
       end
 
 (* Like [try_dequeue] but reports which shard served the item, so tests
    can assert per-shard FIFO order without trusting the facade. *)
+let rec source_sweep t h i =
+  if i >= Array.length t.shards then None
+  else
+    match (foreign t h i).deq () with
+    | Some x ->
+        stole t;
+        Some (cyclic (Array.length t.shards) h i, x)
+    | None -> source_sweep t h (i + 1)
+
 let try_dequeue_with_source t =
-  let n = Array.length t.shards in
   let h = home t in
   match (Array.unsafe_get t.shards h).deq () with
   | Some x -> Some (h, x)
   | None ->
-      if n = 1 then None
+      if Array.length t.shards = 1 then None
       else begin
         t.hit Hook.Shard_steal;
-        let rec sweep i =
-          if i >= n then None
-          else
-            let s = if h + i >= n then h + i - n else h + i in
-            match (Array.unsafe_get t.shards s).deq () with
-            | Some x ->
-                stole t;
-                Some (s, x)
-            | None -> sweep (i + 1)
-        in
-        sweep 1
+        source_sweep t h 1
       end
+
+(* Each foreign shard takes the next remainder of [items] (a copy: the
+   shard operations take whole arrays); returns the total accepted. *)
+let rec enq_batch_sweep t h i items accepted =
+  let total = Array.length items in
+  if accepted >= total || i >= Array.length t.shards then accepted
+  else
+    let rest = Array.sub items accepted (total - accepted) in
+    let k = (foreign t h i).enq_batch rest in
+    if k > 0 then stole t;
+    enq_batch_sweep t h (i + 1) items (accepted + k)
 
 let try_enqueue_batch t items =
   let total = Array.length items in
   if total = 0 then 0
   else begin
-    let n = Array.length t.shards in
     let h = home t in
-    let accepted = ref ((Array.unsafe_get t.shards h).enq_batch items) in
-    if !accepted < total && n > 1 then begin
+    let accepted = (Array.unsafe_get t.shards h).enq_batch items in
+    if accepted < total && Array.length t.shards > 1 then begin
       t.hit Hook.Shard_steal;
-      let i = ref 1 in
-      while !accepted < total && !i < n do
-        let s = if h + !i >= n then h + !i - n else h + !i in
-        let rest = Array.sub items !accepted (total - !accepted) in
-        let k = (Array.unsafe_get t.shards s).enq_batch rest in
-        if k > 0 then begin
-          stole t;
-          accepted := !accepted + k
-        end;
-        incr i
-      done
-    end;
-    !accepted
+      enq_batch_sweep t h 1 items accepted
+    end
+    else accepted
   end
+
+(* Up to [k] more items from the foreign shards, in sweep order.  A run
+   is copied only when a later shard contributes too. *)
+let rec deq_batch_sweep t h i k =
+  if k <= 0 || i >= Array.length t.shards then []
+  else
+    match (foreign t h i).deq_batch k with
+    | [] -> deq_batch_sweep t h (i + 1) k
+    | run -> (
+        stole t;
+        match deq_batch_sweep t h (i + 1) (k - List.length run) with
+        | [] -> run
+        | more -> run @ more)
 
 let try_dequeue_batch t k =
   if k <= 0 then []
   else begin
-    let n = Array.length t.shards in
     let h = home t in
     let got = (Array.unsafe_get t.shards h).deq_batch k in
     let m = List.length got in
-    if m >= k || n = 1 then got
+    if m >= k || Array.length t.shards = 1 then got
     else begin
       t.hit Hook.Shard_steal;
-      let rec sweep i chunks m =
-        if m >= k || i >= n then List.concat (List.rev chunks)
-        else
-          let s = if h + i >= n then h + i - n else h + i in
-          let more = (Array.unsafe_get t.shards s).deq_batch (k - m) in
-          match more with
-          | [] -> sweep (i + 1) chunks m
-          | _ ->
-              stole t;
-              sweep (i + 1) (more :: chunks) (m + List.length more)
-      in
-      sweep 1 [ got ] m
+      match deq_batch_sweep t h 1 (k - m) with
+      | [] -> got
+      | more -> got @ more
     end
   end
 
@@ -272,6 +276,7 @@ type 'a waitable = {
   base : 'a t;
   not_empty : Eventcount.t array;
   not_full : Eventcount.t array;
+  enq_cond : 'a -> unit option;  (* built once per waitable *)
 }
 
 let waitable ?hook base =
@@ -281,6 +286,7 @@ let waitable ?hook base =
     base;
     not_empty = Array.init n mk;
     not_full = Array.init n mk;
+    enq_cond = (fun x -> if try_enqueue base x then Some () else None);
   }
 
 let base w = w.base
@@ -289,45 +295,33 @@ let base w = w.base
    cyclic order, stopping at the first delivered wake.  Stopping early is
    what keeps one enqueue from waking the whole fleet; sweeping at all is
    what keeps a waiter parked on a foreign shard from being invisible. *)
-let wake_sweep ecs h =
+let rec wake_sweep ecs h i =
   let n = Array.length ecs in
-  let rec go i =
-    if i < n then
-      let s = if h + i >= n then h + i - n else h + i in
-      if not (Eventcount.wake_one (Array.unsafe_get ecs s)) then go (i + 1)
-  in
-  go 0
-
-let enq_cond w x () = if try_enqueue w.base x then Some () else None
-
-let enqueue w x =
-  let h = home w.base in
-  match Eventcount.await w.not_full.(h) (enq_cond w x) with
-  | `Ok () -> wake_sweep w.not_empty h
-  | `Timeout -> assert false (* no deadline *)
-
-let dequeue w =
-  let h = home w.base in
-  match Eventcount.await w.not_empty.(h) (fun () -> try_dequeue w.base) with
-  | `Ok x ->
-      wake_sweep w.not_full h;
-      x
-  | `Timeout -> assert false
+  if
+    i < n && not (Eventcount.wake_one (Array.unsafe_get ecs (cyclic n h i)))
+  then wake_sweep ecs h (i + 1)
 
 let enqueue_until w ~deadline x =
   let h = home w.base in
-  match Eventcount.await ~deadline w.not_full.(h) (enq_cond w x) with
-  | `Ok () ->
-      wake_sweep w.not_empty h;
-      `Ok
-  | `Timeout -> `Timeout
+  match Eventcount.await w.not_full.(h) ~deadline w.enq_cond x with
+  | Some () ->
+      wake_sweep w.not_empty h 0;
+      true
+  | None -> false
 
 let dequeue_until w ~deadline =
   let h = home w.base in
-  match
-    Eventcount.await ~deadline w.not_empty.(h) (fun () -> try_dequeue w.base)
-  with
-  | `Ok x ->
-      wake_sweep w.not_full h;
-      `Ok x
-  | `Timeout -> `Timeout
+  match Eventcount.await w.not_empty.(h) ~deadline try_dequeue w.base with
+  | Some _ as r ->
+      wake_sweep w.not_full h 0;
+      r
+  | None -> None
+
+let enqueue w x =
+  let ok = enqueue_until w ~deadline:infinity x in
+  assert ok (* no deadline *)
+
+let dequeue w =
+  match dequeue_until w ~deadline:infinity with
+  | Some x -> x
+  | None -> assert false (* no deadline *)

@@ -182,9 +182,13 @@ val dequeue : 'a waitable -> 'a
 (** Spin briefly, then park on the home shard's not-empty eventcount until
     some shard yields an item; wakes one not-full waiter on success. *)
 
-val enqueue_until : 'a waitable -> deadline:float -> 'a -> [ `Ok | `Timeout ]
+val enqueue_until : 'a waitable -> deadline:float -> 'a -> bool
 (** {!enqueue} with an absolute [Unix.gettimeofday] deadline (resolution:
-    the wait layer's ~1ms tick).  Always makes at least one attempt; never
-    parks once the deadline has passed. *)
+    the wait layer's ~1ms tick; [infinity] for none); [false] on timeout.
+    Always makes at least one attempt; never parks once the deadline has
+    passed.  A call that does not park allocates nothing beyond what the
+    shard operations do. *)
 
-val dequeue_until : 'a waitable -> deadline:float -> [ `Ok of 'a | `Timeout ]
+val dequeue_until : 'a waitable -> deadline:float -> 'a option
+(** {!dequeue} with a deadline, as {!enqueue_until}; [None] on timeout.
+    The [Some] is the one the facade's [try_dequeue] built. *)

@@ -96,22 +96,28 @@ val wake_all : t -> int
     Non-blocking. *)
 
 val await :
-  ?deadline:float ->
-  ?max_park:int ->
-  t ->
-  (unit -> 'a option) ->
-  [ `Ok of 'a | `Timeout ]
-(** [await t cond] — the full wait loop: try [cond] once; then spin,
-    polling [cond] every 32 [Domain.cpu_relax] pauses (about 1 us) for up
-    to 1280 polls (about 1.3 ms), reading the clock for [deadline] every
-    64 polls; then repeat \{prepare; re-check; commit\} until [cond]
-    yields [Some v] or [deadline] passes.  A condition that comes true
-    during the spin is seen within about one poll, and the spin allocates
-    nothing per poll.  A deadline that passes during the spin is noticed
-    within 64 polls, without parking.  A deadline already in the past
-    still tries [cond] (at least once) but never parks.  [max_park] is
-    passed through to {!commit_wait}.  [cond] must be safe to call
-    repeatedly from the waiting domain. *)
+  ?max_park:int -> t -> deadline:float -> ('b -> 'a option) -> 'b -> 'a option
+(** [await t ~deadline cond arg] — the full wait loop: try [cond arg]
+    once; then spin, polling [cond arg] every 32 [Domain.cpu_relax] pauses
+    (about 1 us) for up to 1280 polls (about 1.3 ms), reading the clock
+    for [deadline] every 64 polls; then repeat \{prepare; re-check;
+    commit\} until [cond arg] yields [Some v] or [deadline] passes.
+
+    The result is [cond]'s own [Some v], returned as it is, or [None] on
+    timeout.  [deadline] is an absolute [Unix.gettimeofday] time;
+    [infinity] means no deadline, and then the clock is never read.  The
+    condition takes its argument explicitly so that a caller can pass a
+    function built once (or a top-level one) instead of a closure per
+    call: a wait whose condition holds before any park allocates nothing
+    beyond what [cond] itself allocates, and the spin allocates nothing
+    per poll.
+
+    A condition that comes true during the spin is seen within about one
+    poll.  A deadline that passes during the spin is noticed within 64
+    polls, without parking.  A deadline already in the past still tries
+    [cond] (at least once) but never parks.  [max_park] is passed through
+    to {!commit_wait}.  [cond] must be safe to call repeatedly from the
+    waiting domain. *)
 
 (** {2 Hygiene}
 

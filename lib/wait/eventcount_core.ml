@@ -175,12 +175,12 @@ module Make (E : ENV) = struct
        its condition true before this read, and a waiter publishes before
        re-checking the condition — so a waiter missing from the stack here
        will see the condition on its re-check and never sleep on it. *)
-    if Atomic.get t.head = None then false
-    else begin
-      atomic_incr t.seq;
-      t.hit Hook.Wake_lost;
-      pop_and_signal t
-    end
+    match Atomic.get t.head with
+    | None -> false
+    | Some _ ->
+        atomic_incr t.seq;
+        t.hit Hook.Wake_lost;
+        pop_and_signal t
 
   and pop_and_signal t =
     match Atomic.get t.head with
@@ -209,116 +209,114 @@ module Make (E : ENV) = struct
 
   let default_max_park = 32
 
-  let commit_wait ?deadline ?(max_park = default_max_park) t w =
+  (* [past d]: the absolute deadline [d] has passed.  [infinity] is "no
+     deadline" and never reads the clock. *)
+  let past deadline = deadline < infinity && E.past deadline
+
+  let rec sleep_loop t w ~deadline ~max_park slices =
+    if Atomic.get w.state = 1 then `Woken
+    else if Atomic.get t.seq <> w.born then begin
+      (* The epoch moved under us: some wake happened (possibly one whose
+         sender crashed before delivering a signal).  Withdraw and report
+         [`Woken] so the caller re-checks its condition. *)
+      ignore (withdraw t w : bool);
+      `Woken
+    end
+    else if slices >= max_park then begin
+      (* Slice cap: even a wakeup lost entirely outside the wait layer (a
+         producer dying between its successful operation and its wake
+         call) costs the sleeper at most [max_park] ticks before it
+         re-checks its condition from scratch. *)
+      ignore (withdraw t w : bool);
+      `Woken
+    end
+    else if past deadline then if withdraw t w then `Timeout else `Woken
+    else begin
+      t.hit Hook.Wait_park;
+      (match Parker.park w.parker with `Notified | `Tick -> ());
+      sleep_loop t w ~deadline ~max_park (slices + 1)
+    end
+
+  let commit_wait ?(deadline = infinity) ?(max_park = default_max_park) t w =
     t.hit Hook.Park_window;
-    let rec sleep_loop slices =
-      if Atomic.get w.state = 1 then `Woken
-      else if Atomic.get t.seq <> w.born then begin
-        (* The epoch moved under us: some wake happened (possibly one whose
-           sender crashed before delivering a signal).  Withdraw and report
-           [`Woken] so the caller re-checks its condition. *)
-        ignore (withdraw t w : bool);
-        `Woken
-      end
-      else if slices >= max_park then begin
-        (* Slice cap: even a wakeup lost entirely outside the wait layer (a
-           producer dying between its successful operation and its wake
-           call) costs the sleeper at most [max_park] ticks before it
-           re-checks its condition from scratch. *)
-        ignore (withdraw t w : bool);
-        `Woken
-      end
-      else
-        match deadline with
-        | Some d when E.past d ->
-            if withdraw t w then `Timeout else `Woken
-        | _ ->
-            t.hit Hook.Wait_park;
-            (match Parker.park w.parker with `Notified | `Tick -> ());
-            sleep_loop (slices + 1)
-    in
-    let r = sleep_loop 0 in
+    let r = sleep_loop t w ~deadline ~max_park 0 in
     Parker.drain w.parker;
     r
 
   let wake_all t =
-    if Atomic.get t.head = None then 0
-    else begin
-      atomic_incr t.seq;
-      t.hit Hook.Wake_lost;
-      let rec drain count = function
-        | None -> count
-        | Some n ->
-            let count =
-              if Atomic.compare_and_set n.state 0 1 then begin
-                t.hit Hook.Wait_wake;
-                Parker.notify n.parker;
-                count + 1
-              end
-              else count
-            in
-            drain count n.next
-      in
-      drain 0 (atomic_exchange t.head None)
-    end
+    match Atomic.get t.head with
+    | None -> 0
+    | Some _ ->
+        atomic_incr t.seq;
+        t.hit Hook.Wake_lost;
+        let rec drain count = function
+          | None -> count
+          | Some n ->
+              let count =
+                if Atomic.compare_and_set n.state 0 1 then begin
+                  t.hit Hook.Wait_wake;
+                  Parker.notify n.parker;
+                  count + 1
+                end
+                else count
+              in
+              drain count n.next
+        in
+        drain 0 (atomic_exchange t.head None)
 
   (* ---- the full wait loop --------------------------------------------- *)
 
-  (* The spin phase polls [cond] at a fixed grain: [poll_relax] pauses
+  (* The spin phase polls [cond arg] at a fixed grain: [poll_relax] pauses
      (about 1 us) between polls, for [E.default_spin] polls.  A condition
      that comes true mid-spin is therefore seen within about one grain.
      The clock is read only every [clock_polls] polls, so a deadline
      overshoots by at most that many grains.  The loop allocates nothing
-     per poll. *)
+     per poll.
+
+     The loops below are top-level functions that carry the condition and
+     its argument explicitly, and the condition's own [Some] is the
+     result: a wait that needs no park allocates nothing. *)
   let poll_relax = 32
   let clock_polls = 64
 
-  let await ?deadline ?max_park t cond =
-    match cond () with
-    | Some v -> `Ok v
+  let rec spin_phase t ~deadline ~max_park cond arg n =
+    if n <= 0 then park_loop t ~deadline ~max_park cond arg
+    else begin
+      for _ = 1 to poll_relax do
+        Domain.cpu_relax ()
+      done;
+      match cond arg with
+      | Some _ as r -> r
+      | None ->
+          if n land (clock_polls - 1) = 0 && past deadline then None
+          else spin_phase t ~deadline ~max_park cond arg (n - 1)
+    end
+
+  and park_loop t ~deadline ~max_park cond arg =
+    match cond arg with
+    | Some _ as r -> r
     | None -> (
-        let past () =
-          match deadline with Some d -> E.past d | None -> false
-        in
-        if past () then `Timeout
+        if past deadline then None
         else
-          let rec spin_phase n =
-            if n <= 0 then `Spin_done
-            else begin
-              for _ = 1 to poll_relax do
-                Domain.cpu_relax ()
-              done;
-              match cond () with
-              | Some v -> `Ok v
-              | None ->
-                  if n land (clock_polls - 1) = 0 && past () then `Timeout
-                  else spin_phase (n - 1)
-            end
-          in
-          let rec park_loop () =
-            match cond () with
-            | Some v -> `Ok v
-            | None ->
-                if past () then `Timeout
-                else
-                  let w = prepare_wait t in
-                  (* The publish above and this re-check are the two halves
-                     of the Dekker handshake with the enqueuing side. *)
-                  (match cond () with
-                  | Some v ->
-                      cancel_wait t w;
-                      `Ok v
-                  | None -> (
-                      match commit_wait ?deadline ?max_park t w with
-                      | `Woken -> park_loop ()
-                      | `Timeout -> (
-                          (* One last try: the condition may have come true
-                             in the same instant the deadline expired. *)
-                          match cond () with
-                          | Some v -> `Ok v
-                          | None -> `Timeout)))
-          in
-          match spin_phase E.default_spin with
-          | (`Ok _ | `Timeout) as r -> r
-          | `Spin_done -> park_loop ())
+          let w = prepare_wait t in
+          (* The publish above and this re-check are the two halves of
+             the Dekker handshake with the enqueuing side. *)
+          match cond arg with
+          | Some _ as r ->
+              cancel_wait t w;
+              r
+          | None -> (
+              match commit_wait ~deadline ~max_park t w with
+              | `Woken -> park_loop t ~deadline ~max_park cond arg
+              | `Timeout ->
+                  (* One last try: the condition may have come true in the
+                     same instant the deadline expired. *)
+                  cond arg))
+
+  let await ?(max_park = default_max_park) t ~deadline cond arg =
+    match cond arg with
+    | Some _ as r -> r
+    | None ->
+        if past deadline then None
+        else spin_phase t ~deadline ~max_park cond arg E.default_spin
 end

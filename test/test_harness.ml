@@ -394,6 +394,36 @@ let runner_all_concurrent_impls_smoke () =
         (m.Runner.summary.Stats.mean >= 0.0))
     Registry.concurrent
 
+(* --- Words per operation ---
+
+   Minor words per call of [op], averaged over [n] calls after as many
+   warm-up calls (handles registered, segments recycled). *)
+let words_per ?(n = 1_000) op =
+  for _ = 1 to n do op () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do op () done;
+  (Gc.minor_words () -. w0) /. float n
+
+(* An [enqueue_until] + [dequeue_until] pair on a queue that is neither
+   full nor empty allocates what a plain pair does: the item's own blocks.
+   The wait layer and the registry's until path add nothing. *)
+let until_pair_words name () =
+  let inst = (Registry.find name).Registry.create ~capacity:64 in
+  let p = { Registry.tag = 1 } and deadline = Unix.gettimeofday () +. 60. in
+  ignore (inst.Registry.enqueue p : bool);
+  let plain =
+    words_per (fun () ->
+        ignore (inst.Registry.enqueue p : bool);
+        ignore (inst.Registry.dequeue () : Registry.payload option))
+  and until =
+    words_per (fun () ->
+        ignore (inst.Registry.enqueue_until ~deadline p : bool);
+        ignore (inst.Registry.dequeue_until ~deadline : Registry.payload option))
+  in
+  if Float.abs (until -. plain) > 0.5 then
+    Alcotest.failf "%s: until pair %.2f words, plain pair %.2f" name until
+      plain
+
 let () =
   Alcotest.run "harness"
     [
@@ -407,6 +437,12 @@ let () =
           quick "instances independent" registry_instances_independent;
           quick "expected members present" registry_expected_members;
         ] );
+      ( "words",
+        List.map
+          (fun name ->
+            quick (name ^ " until pair allocates as a plain pair")
+              (until_pair_words name))
+          [ "evequoz-seg"; "evequoz-llsc"; "evequoz-cas-shard4" ] );
       ( "stats",
         [
           quick "known values" stats_known_values;

@@ -352,6 +352,41 @@ let wrapped_suites =
   |> List.concat_map (fun impl ->
          [ wrapped_suite impl 1; wrapped_suite impl 4 ])
 
+(* --- Words per operation on evequoz-cas-shard4 ---
+
+   Measured after warm-up with preallocated payloads, on the home shard.
+   A 5+5 batch round allocates only its items' own blocks: per item the
+   [Item], the two boxes the slot CASes install and the result's cons
+   cell, 9 words, so 45 a round.  An empty facade operation (home probe
+   plus a steal sweep over every shard) allocates nothing. *)
+let words_per ?(n = 1_000) op =
+  for _ = 1 to n do op () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do op () done;
+  (Gc.minor_words () -. w0) /. float n
+
+let shard4 () = (Registry.find "evequoz-cas-shard4").Registry.create ~capacity:64
+
+let shard4_batch_round_words () =
+  let inst = shard4 () in
+  let items = Array.init 5 (fun tag -> { Registry.tag }) in
+  let words =
+    words_per (fun () ->
+        ignore (inst.Registry.enqueue_batch items : int);
+        ignore (inst.Registry.dequeue_batch 5 : Registry.payload list))
+  in
+  Alcotest.(check int) "queue drained" 0 (inst.Registry.length ());
+  Alcotest.(check (float 0.01)) "words per 5+5 round" 45. words
+
+let shard4_empty_ops_allocate_nothing () =
+  let inst = shard4 () in
+  Alcotest.(check (float 0.01)) "words per empty dequeue" 0.
+    (words_per (fun () ->
+         ignore (inst.Registry.dequeue () : Registry.payload option)));
+  Alcotest.(check (float 0.01)) "words per empty dequeue_batch" 0.
+    (words_per (fun () ->
+         ignore (inst.Registry.dequeue_batch 5 : Registry.payload list)))
+
 let () =
   Alcotest.run "scale"
     (( "sharded",
@@ -372,6 +407,10 @@ let () =
          quick "length exact when quiescent" length_exact_when_quiescent;
          quick "functor veneer roundtrip" functor_veneer_roundtrip;
          quick "probed row counts steals" probed_registry_row_counts_steals;
+         quick "shard4 batch round allocates its items only"
+           shard4_batch_round_words;
+         quick "shard4 empty ops allocate nothing"
+           shard4_empty_ops_allocate_nothing;
          slow "length bounded under concurrency"
            length_bounded_under_concurrency;
          slow "per-shard FIFO (concurrent)" per_shard_fifo_concurrent;

@@ -4,7 +4,8 @@
    never park), park-window cancellation leaving no dangling waiter, the
    parker's notify/tick behaviour, cross-domain park/wake through
    [await], and the pre-park spin (no allocation per poll, deadlines
-   honoured without parking). *)
+   honoured without parking, nothing allocated by a wait that is ready at
+   once). *)
 
 module EC = Nbq_wait.Eventcount
 module Parker = Nbq_wait.Parker
@@ -24,8 +25,8 @@ let on (p : Nbq_primitives.Hook.point) f : (module Nbq_primitives.Hook.S) =
 let test_past_deadline_no_park () =
   let parks = ref 0 in
   let ec = EC.create ~hook:(on Wait_park (fun () -> incr parks)) () in
-  let r = EC.await ~deadline:(now () -. 1.0) ec (fun () -> None) in
-  Alcotest.(check bool) "timed out" true (r = `Timeout);
+  let r = EC.await ec ~deadline:(now () -. 1.0) (fun () -> None) () in
+  Alcotest.(check bool) "timed out" true (Option.is_none r);
   Alcotest.(check int) "never parked" 0 !parks;
   let w, c = EC.audit ec in
   Alcotest.(check int) "no waiter left behind" 0 w;
@@ -34,8 +35,8 @@ let test_past_deadline_no_park () =
 (* A past deadline still succeeds when the condition already holds. *)
 let test_past_deadline_still_tries () =
   let ec = EC.create () in
-  let r = EC.await ~deadline:(now () -. 1.0) ec (fun () -> Some 7) in
-  Alcotest.(check bool) "one attempt made" true (r = `Ok 7)
+  let r = EC.await ec ~deadline:(now () -. 1.0) (fun () -> Some 7) () in
+  Alcotest.(check (option int)) "one attempt made" (Some 7) r
 
 (* --- Protocol bookkeeping --- *)
 
@@ -95,8 +96,8 @@ let test_cancel_during_park_window_fault () =
            (on Park_window (fun () -> Unix.sleepf 0.03)))
       ()
   in
-  let r = EC.await ~deadline:(now () +. 0.005) ec (fun () -> None) in
-  Alcotest.(check bool) "timed out" true (r = `Timeout);
+  let r = EC.await ec ~deadline:(now () +. 0.005) (fun () -> None) () in
+  Alcotest.(check bool) "timed out" true (Option.is_none r);
   Alcotest.(check int) "the node was withdrawn (cancelled)" 1 !cancels;
   let w, c = EC.audit ec in
   Alcotest.(check int) "no dangling waiter after the fault" 0 w;
@@ -118,22 +119,22 @@ let test_crash_in_park_window_not_stranding () =
   let cond () = if Atomic.get slot = 1 then Some 1 else None in
   let victim =
     Domain.spawn (fun () ->
-        match EC.await ~deadline:(now () +. 2.0) ec cond with
-        | (_ : [ `Ok of int | `Timeout ]) -> false
+        match EC.await ec ~deadline:(now () +. 2.0) cond () with
+        | (_ : int option) -> false
         | exception Nbq_fault.Injector.Crashed -> true)
   in
   Alcotest.(check bool) "victim crashed mid-park" true (Domain.join victim);
   Alcotest.(check int) "corpse node left on the stack" 1 (fst (EC.audit ec));
   (* A live waiter behind the corpse still completes. *)
   let live =
-    Domain.spawn (fun () -> EC.await ~deadline:(now () +. 2.0) ec cond)
+    Domain.spawn (fun () -> EC.await ec ~deadline:(now () +. 2.0) cond ())
   in
   Unix.sleepf 0.01;
   Atomic.set slot 1;
   ignore (EC.wake_one ec);
   ignore (EC.wake_one ec);
-  Alcotest.(check bool) "live waiter not stranded" true
-    (Domain.join live = `Ok 1)
+  Alcotest.(check (option int)) "live waiter not stranded" (Some 1)
+    (Domain.join live)
 
 (* --- Parker --- *)
 
@@ -167,13 +168,14 @@ let test_await_cross_domain () =
   let slot = Atomic.make 0 in
   let cond () = let v = Atomic.get slot in if v > 0 then Some v else None in
   let waiter =
-    Domain.spawn (fun () -> EC.await ~deadline:(now () +. 5.0) ec cond)
+    Domain.spawn (fun () -> EC.await ec ~deadline:(now () +. 5.0) cond ())
   in
   (* Let the waiter reach the parked state (past its spin phase). *)
   Unix.sleepf 0.01;
   Atomic.set slot 9;
   ignore (EC.wake_one ec);
-  Alcotest.(check bool) "woken with the value" true (Domain.join waiter = `Ok 9)
+  Alcotest.(check (option int)) "woken with the value" (Some 9)
+    (Domain.join waiter)
 
 let test_max_park_backstop () =
   (* No producer ever wakes us, the condition comes true silently: the
@@ -183,14 +185,14 @@ let test_max_park_backstop () =
   let cond () = if Atomic.get slot = 1 then Some 1 else None in
   let waiter =
     Domain.spawn (fun () ->
-        EC.await ~deadline:(now () +. 10.0) ~max_park:3 ec cond)
+        EC.await ~max_park:3 ec ~deadline:(now () +. 10.0) cond ())
   in
   Unix.sleepf 0.02;
   (* Make the condition true WITHOUT any wake: a wake lost entirely
      outside the wait layer. *)
   Atomic.set slot 1;
-  Alcotest.(check bool) "backstop rescued the silent wake" true
-    (Domain.join waiter = `Ok 1)
+  Alcotest.(check (option int)) "backstop rescued the silent wake" (Some 1)
+    (Domain.join waiter)
 
 (* --- Spin phase ---
 
@@ -209,10 +211,10 @@ let spin_cost k =
   in
   let deadline = now () +. 5. in
   let w0 = Gc.minor_words () in
-  let r = EC.await ~deadline ec cond in
+  let r = EC.await ec ~deadline cond () in
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check int) (Printf.sprintf "%d polls never park" k) 0 !parks;
-  Alcotest.(check bool) "condition met on its k-th call" true (r = `Ok k);
+  Alcotest.(check (option int)) "condition met on its k-th call" (Some k) r;
   words
 
 let test_spin_allocates_nothing_per_poll () =
@@ -222,6 +224,31 @@ let test_spin_allocates_nothing_per_poll () =
     Alcotest.failf "1000 polls took %.0f minor words, 10 polls %.0f" w1000
       w10
 
+(* A condition that holds on its first call: [await] returns the
+   condition's own [Some] and allocates nothing itself, with a deadline or
+   without one ([infinity], which never reads the clock). *)
+let test_ready_await_allocates_nothing () =
+  let ec = EC.create () in
+  let ready = Some 1 in
+  let cond r = r in
+  let deadline = now () +. 60. in
+  let words deadline =
+    let n = 1_000 in
+    for _ = 1 to n do
+      ignore (EC.await ec ~deadline cond ready : int option)
+    done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (EC.await ec ~deadline cond ready : int option)
+    done;
+    (Gc.minor_words () -. w0) /. float n
+  in
+  Alcotest.(check bool) "the condition's own Some" true
+    (EC.await ec ~deadline cond ready == ready);
+  Alcotest.(check (float 0.01)) "words per await, deadline" 0. (words deadline);
+  Alcotest.(check (float 0.01)) "words per await, no deadline" 0.
+    (words infinity)
+
 (* A deadline well inside the spin budget ends the wait in the spin: a
    [`Timeout] no earlier than the deadline, and no park.  Should the
    domain be descheduled past the spin, [await] still checks the deadline
@@ -230,9 +257,9 @@ let test_spin_deadline_no_park () =
   let parks = ref 0 in
   let ec = EC.create ~hook:(on Wait_park (fun () -> incr parks)) () in
   let deadline = now () +. 0.0001 in
-  let r = EC.await ~deadline ec (fun () -> None) in
+  let r = EC.await ec ~deadline (fun () -> None) () in
   let ended = now () in
-  Alcotest.(check bool) "timed out" true (r = `Timeout);
+  Alcotest.(check bool) "timed out" true (Option.is_none r);
   Alcotest.(check bool) "not before the deadline" true (ended >= deadline);
   Alcotest.(check int) "never parked" 0 !parks
 
@@ -331,6 +358,8 @@ let () =
             test_spin_allocates_nothing_per_poll;
           Alcotest.test_case "deadline inside the spin never parks" `Quick
             test_spin_deadline_no_park;
+          Alcotest.test_case "ready await allocates nothing" `Quick
+            test_ready_await_allocates_nothing;
         ] );
       ( "unbounded-blocking",
         [
