@@ -96,30 +96,15 @@ module With_implicit_handles (Core : CORE) = struct
      mandates), so linearization and the registry space bound are exactly
      those of a loop of singles. *)
   let try_enqueue_batch t items =
-    let n = Array.length items in
-    if n = 0 then 0
-    else begin
-      let h = implicit_handle t in
-      let i = ref 0 in
-      while !i < n && enqueue_with t h (Array.unsafe_get items !i) do
-        incr i
-      done;
-      !i
-    end
+    if Array.length items = 0 then 0
+    else
+      Queue_intf.enqueue_batch_of_singles enqueue_with t (implicit_handle t)
+        items
 
   let try_dequeue_batch t k =
     if k <= 0 then []
-    else begin
-      let h = implicit_handle t in
-      let rec go acc left =
-        if left <= 0 then List.rev acc
-        else
-          match dequeue_with t h with
-          | Some x -> go (x :: acc) (left - 1)
-          | None -> List.rev acc
-      in
-      go [] k
-    end
+    else
+      Queue_intf.dequeue_batch_of_singles dequeue_with t (implicit_handle t) k
 
   (* The run-based batches (one ReRegister and one counter CAS per run,
      paper path on interference).  Kept off [try_enqueue_batch] /

@@ -32,7 +32,9 @@ end
 
 module Make (Cell : CELL) = Make_probed (Cell) (Nbq_primitives.Hook.Noop)
 
-include Make (Nbq_primitives.Llsc)
+(* The default cells store each value in place: the ring's [Item]s and
+   [Vacant]s are the per-store blocks, so no box is added. *)
+include Make (Nbq_primitives.Llsc.Fresh)
 
 module On_weak_cells = struct
   let failure_rate = Atomic.make 0.05

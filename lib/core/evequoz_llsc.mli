@@ -13,7 +13,8 @@
     depends only on the capacity.
 
     The implementation is a functor over the cell type so that the same code
-    runs on the ideal cells ({!module:Nbq_primitives.Llsc}) and on
+    runs on fresh-store ideal cells ({!Nbq_primitives.Llsc.Fresh}, the
+    default), on boxed ideal cells ({!module:Nbq_primitives.Llsc}) and on
     failure-injecting weak cells (ablation E8).  [Evequoz_llsc] itself — the
     default instantiation — satisfies {!Queue_intf.BOUNDED}. *)
 
@@ -41,13 +42,16 @@ end
     [Tail_help]/[Head_help] when the operation helps a lagging counter.
     The [Ll_reserve]/[Ll_reserved]/[Sc_attempt] points live in the cell
     and fire on slot accesses only (the counters are plain ints); hook
-    them via {!Nbq_primitives.Llsc.Make_probed}. *)
+    them via {!Nbq_primitives.Llsc.Make_fresh_probed}. *)
 module Make_probed (Cell : CELL) (H : Nbq_primitives.Hook.S) : QUEUE
 
 (** [Make_probed] with {!Nbq_primitives.Hook.Noop}: uninstrumented. *)
 module Make (Cell : CELL) : QUEUE
 
-include module type of Make (Nbq_primitives.Llsc)
+include module type of Make (Nbq_primitives.Llsc.Fresh)
+(** The default instantiation, on fresh-store cells
+    ({!Nbq_primitives.Llsc.Fresh}): a slot store is one compare-and-set
+    of the ring's own [Item] or [Vacant] block, with no box around it. *)
 
 (** The same algorithm running on spurious-failure-injecting cells; used by
     the E8 ablation to measure the §5 caveats.  Slots and counters are weak

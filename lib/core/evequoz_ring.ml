@@ -7,10 +7,26 @@
 module Hook = Nbq_primitives.Hook
 
 module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
-  (* [Consumed] only ever appears in single-lap (segment) mode, where a
-     dequeue retires its slot instead of emptying it; the classic ring
-     mode never produces it. *)
-  type 'a slot = Empty | Item of 'a | Consumed
+  (* A slot is vacant ([Empty] or [Vacant]), holds an [Item], or, in
+     single-lap (segment) mode only, is [Consumed]: there a dequeue
+     retires its slot instead of vacating it.
+
+     The invariant that makes the cells' CAS an exact LL/SC on every
+     backend: every value a CAS may expect is a block that was stored at
+     most once.  Boxing backends ([B.fresh_stores = false]) meet it by
+     boxing each store themselves, so they vacate with the immediate
+     [Empty].  On fresh-store backends the value is its own identity: an
+     enqueue stores the [Item] it built once (a failed sc leaves it
+     unstored, so the retry may reuse it), and every vacancy store
+     builds a fresh [Vacant] block at the store, so an empty dequeue
+     still allocates nothing.  The immediate [Empty] is then stored only
+     by [create], once per cell.  [Consumed] stays immediate: nothing
+     ever CASes against it, since an sc only follows an ll that found a
+     vacancy or an item. *)
+  type 'a slot = Empty | Vacant of int | Item of 'a | Consumed
+
+  (* The vacancy a store at counter index [i] installs. *)
+  let vacancy i = if B.fresh_stores then Vacant i else Empty
 
   type 'a handle = 'a slot B.handle
 
@@ -84,7 +100,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
             H.hit Hook.Tail_help;
             help t.tail tl;
             enqueue_loop t h item
-        | Empty ->
+        | Empty | Vacant _ ->
             if B.sc cell h res item then begin
               (* The item is in the slot; a thread frozen here leaves Tail
                  lagging and everyone else must help (paper E11-E13). *)
@@ -111,14 +127,14 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
       let res = B.ll cell h in
       if B.counter_get t.head = hd then
         match B.res_value res with
-        | Empty | Consumed ->
+        | Empty | Vacant _ | Consumed ->
             (* D11-D13: the item was removed but Head lags; help. *)
             B.release cell h res;
             H.hit Hook.Head_help;
             help t.head hd;
             dequeue_loop t h
         | Item x ->
-            if B.sc cell h res Empty then begin
+            if B.sc cell h res (vacancy hd) then begin
               help t.head hd;
               Some x
             end
@@ -143,7 +159,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
       if B.counter_get t.head = hd then
         match v with
         | Item x -> Some x
-        | Empty | Consumed ->
+        | Empty | Vacant _ | Consumed ->
             (* Removed but Head lagging: help and retry. *)
             H.hit Hook.Head_help;
             help t.head hd;
@@ -205,7 +221,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
             H.hit Hook.Tail_help;
             help t.tail tl;
             fill_loop t h item
-        | Empty ->
+        | Empty | Vacant _ ->
             if B.sc cell h res item then begin
               help t.tail tl;
               true
@@ -229,8 +245,8 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
       let res = B.ll cell h in
       if B.counter_get t.head = hd then
         match B.res_value res with
-        | Empty | Consumed ->
-            (* Consumed: taken but Head lags (D11-D13); help.  Empty is
+        | Empty | Vacant _ | Consumed ->
+            (* Consumed: taken but Head lags (D11-D13); help.  A vacancy is
                unreachable in a well-formed lap (Tail only passes filled
                slots), kept as the same helping arm defensively. *)
             B.release cell h res;
@@ -266,13 +282,16 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
      in its hazard slot, so no reservation can be outstanding either);
      Head = Tail = lap_base + capacity at this point, so bumping the base
      by one capacity re-opens all slots without touching the monotonic
-     counters.  Slots go back to [Empty] through the backend's
+     counters.  Slots go back to a vacancy through the backend's
      exclusive-owner [reset] — the full ll/sc walk this replaced cost one
      reservation round-trip per slot, which amortized to a constant (and
      dominant) per-operation tax on the segmented queue's steady state. *)
   let recycle t =
-    t.lap_base <- t.lap_base + t.mask + 1;
-    Array.iter (fun cell -> B.reset cell Empty) t.slots
+    let base = t.lap_base + t.mask + 1 in
+    t.lap_base <- base;
+    for i = 0 to t.mask do
+      B.reset (Array.unsafe_get t.slots i) (vacancy (base + i))
+    done
 
   (* --- Batch runs (extension, not in the paper) -------------------------
 
@@ -305,6 +324,16 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
 
   let imin (a : int) b = if a <= b then a else b
 
+  (* On a boxing backend a vacancy is the immediate [Empty], which
+     [observed_holds] tests without raising on a foreign reservation;
+     fresh-store cells ([Of_cell]) carry no reservations. *)
+  let observed_vacant obs =
+    if B.fresh_stores then
+      match B.observed_get obs with
+      | Empty | Vacant _ -> true
+      | Item _ | Consumed -> false
+    else B.observed_holds obs Empty
+
   (* Paper path for whatever the fast path could not place. *)
   let rec enq_slow t h items i =
     if i >= Array.length items then i
@@ -323,8 +352,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
       (* Foreign item, a competing reservation, or the counter already past
          this slot (a long preemption could hand us a freed next-lap
          cell): reconcile via the paper path. *)
-      if B.observed_holds obs Empty && B.counter_get t.tail - (tl + j) <= 0
-      then
+      if observed_vacant obs && B.counter_get t.tail - (tl + j) <= 0 then
         if B.commit cell h obs (Item (Array.unsafe_get items (accepted + j)))
         then enq_fill t h items ~tl ~accepted ~n (j + 1)
         else begin
@@ -372,12 +400,13 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
       let obs = B.observe cell h in
       match B.observed_get obs with
       | Item x when B.counter_get t.head - (hd + j) <= 0 ->
-          if B.commit cell h obs Empty then x :: deq_fill t h ~hd ~n (j + 1)
+          if B.commit cell h obs (vacancy (hd + j)) then
+            x :: deq_fill t h ~hd ~n (j + 1)
           else begin
             H.hit Hook.Sc_fail;
             []
           end
-      | Empty | Item _ | Consumed -> []
+      | Empty | Vacant _ | Item _ | Consumed -> []
       | exception Not_found -> [] (* a competing reservation in the run *)
     end
 

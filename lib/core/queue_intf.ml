@@ -121,24 +121,24 @@ module type CONC = sig
   val length : 'a t -> int
 end
 
-(* Batch fallbacks shared by the adapters below: a batch is exactly a loop
-   of single operations, so the default-batched implementations inherit
-   the singles' linearization points item by item. *)
-let enqueue_batch_of_singles try_enqueue t items =
+(* The one batch of singles, shared by every adapter that has no native
+   batch: a batch is exactly a loop of single operations [op t h], so it
+   inherits the singles' linearization points item by item.  Both are
+   top-level and take the queue and the handle as arguments, so a call
+   allocates nothing but the items' own blocks and the result's cons
+   cells; the list is built in queue order, with no final reverse. *)
+let enqueue_batch_of_singles try_enqueue t h items =
   let n = Array.length items in
   let i = ref 0 in
-  while !i < n && try_enqueue t (Array.unsafe_get items !i) do incr i done;
+  while !i < n && try_enqueue t h (Array.unsafe_get items !i) do incr i done;
   !i
 
-let dequeue_batch_of_singles try_dequeue t k =
-  let rec go acc left =
-    if left <= 0 then List.rev acc
-    else
-      match try_dequeue t with
-      | Some x -> go (x :: acc) (left - 1)
-      | None -> List.rev acc
-  in
-  go [] k
+let[@tail_mod_cons] rec dequeue_batch_of_singles try_dequeue t h k =
+  if k <= 0 then []
+  else
+    match try_dequeue t h with
+    | Some x -> x :: dequeue_batch_of_singles try_dequeue t h (k - 1)
+    | None -> []
 
 (** A bounded queue that additionally ships native batch operations —
     implementations where fetching per-operation state once per batch (a
@@ -264,18 +264,22 @@ module Make (S : SOURCE) : CONC with type 'a t = 'a S.t = struct
   let try_enqueue = S.try_enqueue
   let try_dequeue = S.try_dequeue
 
+  (* The singles with the unit handle the batch of singles passes. *)
+  let enqueue_single t () x = S.try_enqueue t x
+  let dequeue_single t () = S.try_dequeue t
+
   (* Eta-expanded so the [match] on the capability happens per call but the
      functions stay fully polymorphic (a module-level partial application
      would be weakly typed). *)
   let try_enqueue_batch t items =
     match S.try_enqueue_batch with
     | Some f -> f t items
-    | None -> enqueue_batch_of_singles S.try_enqueue t items
+    | None -> enqueue_batch_of_singles enqueue_single t () items
 
   let try_dequeue_batch t k =
     match S.try_dequeue_batch with
     | Some f -> f t k
-    | None -> dequeue_batch_of_singles S.try_dequeue t k
+    | None -> dequeue_batch_of_singles dequeue_single t () k
 
   let length = S.length
 end
@@ -415,40 +419,48 @@ end = struct
     | None -> assert false (* no deadline *)
 
   (* Budget variants stay spin-based (see the signature), but still issue
-     wakes on success so parked peers benefit. *)
+     wakes on success so parked peers benefit.  No backoff precedes the
+     first attempt, so the jittered one is built only when a retry
+     follows a failure: a zero budget is a single attempt that allocates
+     nothing of its own. *)
+
+  let enqueue_attempt t x =
+    if Q.try_enqueue t.q x then begin
+      ignore (EC.wake_one t.not_empty : bool);
+      `Ok
+    end
+    else `Timeout
+
+  let dequeue_attempt t =
+    match Q.try_dequeue t.q with
+    | Some x ->
+        ignore (EC.wake_one t.not_full : bool);
+        `Ok x
+    | None -> `Timeout
+
+  let rec enqueue_retry t b left x =
+    Nbq_primitives.Backoff.once b;
+    match enqueue_attempt t x with
+    | `Timeout when left > 1 -> enqueue_retry t b (left - 1) x
+    | r -> r
+
+  let rec dequeue_retry t b left =
+    Nbq_primitives.Backoff.once b;
+    match dequeue_attempt t with
+    | `Timeout when left > 1 -> dequeue_retry t b (left - 1)
+    | r -> r
 
   let jittered () = Nbq_primitives.Backoff.create ~jitter:true ()
 
   let enqueue_budget t ~retries x =
-    let b = jittered () in
-    let rec spin left =
-      if Q.try_enqueue t.q x then begin
-        ignore (EC.wake_one t.not_empty : bool);
-        `Ok
-      end
-      else if left <= 0 then `Timeout
-      else begin
-        Nbq_primitives.Backoff.once b;
-        spin (left - 1)
-      end
-    in
-    spin (max retries 0)
+    match enqueue_attempt t x with
+    | `Timeout when retries > 0 -> enqueue_retry t (jittered ()) retries x
+    | r -> r
 
   let dequeue_budget t ~retries =
-    let b = jittered () in
-    let rec spin left =
-      match Q.try_dequeue t.q with
-      | Some x ->
-          ignore (EC.wake_one t.not_full : bool);
-          `Ok x
-      | None ->
-          if left <= 0 then `Timeout
-          else begin
-            Nbq_primitives.Backoff.once b;
-            spin (left - 1)
-          end
-    in
-    spin (max retries 0)
+    match dequeue_attempt t with
+    | `Timeout when retries > 0 -> dequeue_retry t (jittered ()) retries
+    | r -> r
 end
 
 (** {!Blocking_ec} over the production wait layer. *)

@@ -85,7 +85,9 @@ let build_bw ?tracer inj ~capacity =
 let build_llsc ?tracer inj ~capacity =
   let module H = (val hook ?tracer inj) in
   let module Cell =
-    Nbq_primitives.Llsc.Make_probed (Nbq_primitives.Atomic_intf.Real) (H)
+    Nbq_primitives.Llsc.Make_fresh_probed
+      (Nbq_primitives.Atomic_intf.Real)
+      (H)
   in
   let module Q = Nbq_core.Evequoz_llsc.Make_probed (Cell) (H) in
   let q = Q.create ~capacity in

@@ -60,21 +60,12 @@ let until_ops ?hook ~enqueue ~dequeue () =
   in
   (enqueue_until, dequeue_until)
 
+(* Batches as loops of the instance's singles, which take no queue or
+   handle argument: both are unit. *)
 let singles_batches ~enqueue ~dequeue =
-  ( (fun items ->
-      let n = Array.length items in
-      let i = ref 0 in
-      while !i < n && enqueue items.(!i) do incr i done;
-      !i),
-    fun k ->
-      let rec go acc left =
-        if left <= 0 then List.rev acc
-        else
-          match dequeue () with
-          | Some x -> go (x :: acc) (left - 1)
-          | None -> List.rev acc
-      in
-      go [] k )
+  let enq () () p = enqueue p and deq () () = dequeue () in
+  ( (fun items -> Queue_intf.enqueue_batch_of_singles enq () () items),
+    fun k -> Queue_intf.dequeue_batch_of_singles deq () () k )
 
 let basic_instance ?probe ~enqueue ~dequeue ~length () =
   let enqueue_until, dequeue_until =
@@ -424,7 +415,7 @@ let unhooked (conc : (module Queue_intf.CONC)) : builder = fun _ -> conc
 let evequoz_llsc : builder =
  fun hook ->
   let module H = (val hook) in
-  let module Cell = Nbq_primitives.Llsc.Make_probed (Real) (H) in
+  let module Cell = Nbq_primitives.Llsc.Make_fresh_probed (Real) (H) in
   let module Q = Nbq_core.Evequoz_llsc.Make_probed (Cell) (H) in
   (module Queue_intf.Make (Cap.Bounded (Q)))
 

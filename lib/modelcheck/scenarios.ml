@@ -188,7 +188,10 @@ let simple ?(unbounded = false) make ~capacity ~prefill threads () =
     ~spec_capacity:(if unbounded then max_int else capacity)
     ~session:(plain enq deq) ~prefill threads
 
-module SimCell = Nbq_primitives.Llsc.Make_probed (Sim.Atomic) (Trace_hook)
+(* Algorithm 1 on the fresh-store cells it ships with. *)
+module SimCell =
+  Nbq_primitives.Llsc.Make_fresh_probed (Sim.Atomic) (Trace_hook)
+
 module SimQ1 = Nbq_core.Evequoz_llsc.Make_probed (SimCell) (Trace_hook)
 module SimQ2 = Nbq_core.Evequoz_cas.Make_probed (Sim.Atomic) (Trace_hook)
 module SimBW = Nbq_core.Evequoz_bw.Make_probed (Sim.Atomic) (Trace_hook)
@@ -245,24 +248,42 @@ module SimBWBug_backend =
 module SimBWBug =
   Nbq_core.Evequoz_ring.Make_probed (SimBWBug_backend) (Trace_hook)
 
+(* The seeded null-ABA bug: fresh-store cells that claim to box their
+   stores, so the ring vacates with the shared immediate [Empty].  An
+   enqueuer stalled between its ll of a vacant slot and its sc then
+   survives an enqueue and a dequeue of that slot: the sc finds [Empty]
+   again and lands the item behind Head, where no dequeue will find it. *)
+module SimQ1SharedEmpty =
+  Nbq_core.Evequoz_llsc.Make_probed
+    (struct
+      include SimCell
+
+      let fresh_stores = false
+    end)
+    (Trace_hook)
+
 (* --- per-algorithm instances --------------------------------------------- *)
 
 (* Algorithm 1 (LL/SC), with a per-step index invariant. *)
-let llsc_instance ~capacity ~prefill threads () =
-  let q = SimQ1.create ~capacity in
-  let cap = Nbq_core.Queue_intf.round_capacity capacity in
-  queue_instance ~spec_capacity:capacity ~prefill threads
-    ~session:
-      (plain
-         ~peek:(fun () -> SimQ1.try_peek q)
-         (SimQ1.try_enqueue q)
-         (fun () -> SimQ1.try_dequeue q))
-    ~invariant:(fun () ->
-      let l = SimQ1.tail_index q - SimQ1.head_index q in
-      if l < 0 || l > cap then
-        failwith
-          (Printf.sprintf "index invariant: tail-head = %d not in [0,%d]" l
-             cap))
+module Llsc_instance (Q : Nbq_core.Evequoz_llsc.QUEUE) = struct
+  let make ~capacity ~prefill threads () =
+    let q = Q.create ~capacity in
+    let cap = Nbq_core.Queue_intf.round_capacity capacity in
+    queue_instance ~spec_capacity:capacity ~prefill threads
+      ~session:
+        (plain
+           ~peek:(fun () -> Q.try_peek q)
+           (Q.try_enqueue q)
+           (fun () -> Q.try_dequeue q))
+      ~invariant:(fun () ->
+        let l = Q.tail_index q - Q.head_index q in
+        if l < 0 || l > cap then
+          failwith
+            (Printf.sprintf "index invariant: tail-head = %d not in [0,%d]" l
+               cap))
+end
+
+let llsc_instance = let module I = Llsc_instance (SimQ1) in I.make
 
 (* The paper's ring behind explicit handles (Algorithm 2's tag protocol,
    or Blelloch–Wei cells), with the batch-run paths.  Registration hygiene
@@ -771,9 +792,13 @@ let peek_rows =
 
 let three_threads = ("enq|enq|deq", 4, [], [ [ Enq 1 ]; [ Enq 2 ]; [ Deq ] ])
 
+(* An enqueuer races a full enqueue-dequeue lap of the slot it reserved;
+   the second dequeue must see its item. *)
+let null_aba = ("enq|enq-deq-deq", 2, [], [ [ Enq 1 ]; [ Enq 2; Deq; Deq ] ])
+
 let extra_specs =
   (* Peek raced against mutators, and a third thread. *)
-  List.map (row_spec llsc) (peek_rows @ [ three_threads ])
+  List.map (row_spec llsc) (peek_rows @ [ three_threads; null_aba ])
   @ List.map (row_spec cas) peek_rows
   @ [
       (* DPOR does not exhaust this tree within 2M schedules (the tag
@@ -812,6 +837,13 @@ let extra_specs =
          dequeuer observes the drained segment's recycled state"
         (seg_instance ~direct_free:true ~capacity:2 ~prefill:[ 1; 2; 3; 4 ]
            [ [ Deq ]; [ Deq; Deq; Deq ] ]);
+      (let name, capacity, prefill, threads = null_aba in
+       lock_free ~algorithm:"evequoz-llsc-shared-empty"
+         ~expect:(`Violation `Safety) (slug name)
+         "seeded bug: fresh-store cells vacated with the shared immediate \
+          Empty, so a stale sc on a vacant slot lands behind Head"
+         (let module I = Llsc_instance (SimQ1SharedEmpty) in
+          I.make ~capacity ~prefill threads));
       lock_free ~algorithm:"scq-nothreshold"
         ~expect:(`Violation (`Liveness `Livelock))
         "deq-chase-livelock"

@@ -9,6 +9,7 @@ module type S = sig
   val vl : 'a t -> 'a link -> bool
   val get : 'a t -> 'a
   val set : 'a t -> 'a -> unit
+  val fresh_stores : bool
 
   include Llsc_backend.COUNTER
 end
@@ -40,12 +41,47 @@ module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
 
   let set t v = A.set t { contents = v }
 
+  (* The box, not the value, is what a CAS expects: any value may be
+     stored, immediates and repeats included. *)
+  let fresh_stores = false
+
   (* Head/Tail only grow, so a CAS on the int is an ideal LL/SC on them:
      no box, and no allocation when a bump or a help fails. *)
   include Llsc_backend.Cas_counter (A)
 end
 
 module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Hook.Noop)
+
+(* The same cell without the box: [sc] CASes against the very value [ll]
+   returned, which is exact LL/SC only while every value stored is a
+   block allocated for that store (see the .mli). *)
+module Make_fresh_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
+  type 'a t = 'a A.t
+
+  type 'a link = 'a
+
+  let make = A.make
+
+  let ll t =
+    H.hit Hook.Ll_reserve;
+    H.hit Hook.Ll_reserved;
+    A.get t
+
+  let value (link : 'a link) = link
+
+  let sc t link v =
+    H.hit Hook.Sc_attempt;
+    A.compare_and_set t link v
+
+  let vl t link = A.get t == link
+  let get = A.get
+  let set = A.set
+  let fresh_stores = true
+
+  include Llsc_backend.Cas_counter (A)
+end
+
+module Fresh = Make_fresh_probed (Atomic_intf.Real) (Hook.Noop)
 
 include Make (Atomic_intf.Real)
 
@@ -73,6 +109,8 @@ module Weak = struct
   let get c = get c.inner
 
   let set c v = set c.inner v
+
+  let fresh_stores = false
 
   (* Retry until the counter is observed past [expected]: a spuriously
      failing sc (paper section 5) must not drop the bump and let a

@@ -15,7 +15,9 @@
     box I read is still installed" is exactly "no write happened since my
     read" — reservation semantics with no ABA, which is what hardware LL/SC
     provides.  This substitutes for [lwarx/stwcx]-style instructions that
-    OCaml cannot emit directly (DESIGN.md §2).
+    OCaml cannot emit directly (DESIGN.md §2).  {!Make_fresh_probed}
+    drops the box for callers that allocate every stored value
+    themselves.
 
     The implementation is a functor over {!Atomic_intf.ATOMIC} so the model
     checker can drive it on instrumented atomics; the toplevel interface is
@@ -55,6 +57,12 @@ module type S = sig
   val set : 'a t -> 'a -> unit
   (** Unconditional store.  Invalidates all outstanding reservations. *)
 
+  val fresh_stores : bool
+  (** [true] when [sc] and [set] install the value itself rather than a
+      box around it, so the LL/SC guarantee holds only if every value
+      stored is a block allocated for that store ({!Make_fresh_probed});
+      [false] when any value may be stored. *)
+
   include Llsc_backend.COUNTER
   (** Head/Tail counters for Algorithm 1.  They only grow, so a value
       never repeats and a compare-and-set on a plain atomic int is
@@ -72,6 +80,28 @@ module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) : S
 
 module Make (A : Atomic_intf.ATOMIC) : S
 (** [Make_probed] with {!Hook.Noop}: the uninstrumented default. *)
+
+(** {1 Fresh-store cells}
+
+    The same cell without the box: the atomic word holds the value itself
+    and [sc] is one compare-and-set against the value [ll] returned, as
+    the paper's Algorithm 1 writes in place.  Block identity then does
+    the box's job, under a precondition on the caller
+    ([fresh_stores = true]): {b every value passed to [sc] or [set] is a
+    block allocated for that store and never stored before} (the initial
+    value of [make] is exempt, being stored once).  A value a reservation
+    holds can then never come back, so a CAS that finds it proves the
+    cell unwritten since the [ll].  Storing an immediate, or a block
+    twice, re-opens the ABA window the box closes.  Algorithm 1's ring
+    meets the precondition by building one [Item] per enqueue and one
+    [Vacant] per vacancy store, so a store allocates the item's own
+    block and nothing else.  Hook points as in {!Make_probed}. *)
+
+module Make_fresh_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) : S
+
+module Fresh : S
+(** {!Make_fresh_probed} on real atomics with {!Hook.Noop}: the cells of
+    Algorithm 1's default instantiation ([Nbq_core.Evequoz_llsc]). *)
 
 include S
 
@@ -99,6 +129,7 @@ module Weak : sig
   val vl : 'a cell -> 'a link -> bool
   val get : 'a cell -> 'a
   val set : 'a cell -> 'a -> unit
+  val fresh_stores : bool
 
   val counter_advance : int cell -> int -> unit
   val counter_publish : int cell -> from:int -> target:int -> unit

@@ -22,6 +22,8 @@ module type CELL = sig
   val value : 'a link -> 'a
   val sc : 'a t -> 'a link -> 'a -> bool
   val get : 'a t -> 'a
+  val set : 'a t -> 'a -> unit
+  val fresh_stores : bool
 
   include COUNTER
 end
@@ -33,6 +35,7 @@ module type S = sig
   type 'a res
   type 'a observation
 
+  val fresh_stores : bool
   val create_registry : unit -> 'a registry
   val make : 'a -> 'a t
   val register : 'a registry -> 'a handle
@@ -103,15 +106,11 @@ module Of_cell (Cell : CELL) = struct
   let release _cell () _link = ()
   let read cell () = Cell.get cell
 
-  (* Exclusive-owner store: with no reservation outstanding the sc can
-     only fail spuriously (weak cells), so the loop is bounded in
-     practice and single-shot on ideal cells. *)
-  let reset cell v =
-    let rec go () =
-      let link = Cell.ll cell in
-      if not (Cell.sc cell link v) then go ()
-    in
-    go ()
+  let fresh_stores = Cell.fresh_stores
+
+  (* Exclusive-owner store: no reservation is outstanding, so a plain
+     store suffices, and it installs a fresh box on the boxed cells. *)
+  let reset = Cell.set
 
   (* Ideal LL always succeeds, so an observation is just a reservation the
      backend never has to publish; [commit] is the matching sc. *)

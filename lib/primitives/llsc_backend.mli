@@ -19,8 +19,8 @@
       per-operation registry traffic (ideal cells, Blelloch-Wei) make
       [reregister] a literal no-op.
 
-    Implementations: {!Of_cell} (ideal or weak {!CELL}s, trivial unit
-    handles), [Nbq_primitives.Llsc_cas.Backend] (the paper's
+    Implementations: {!Of_cell} (ideal, fresh-store or weak {!CELL}s,
+    trivial unit handles), [Nbq_primitives.Llsc_cas.Backend] (the paper's
     Fig. 5 tag-variable protocol), and
     [Nbq_primitives.Llsc_bw.Make_probed] (Blelloch-Wei constant-time
     LL/SC, arXiv:1911.09671). *)
@@ -48,8 +48,8 @@ module type COUNTER = sig
 end
 
 (** What Algorithm 1 requires of a handle-free LL/SC cell: the interface
-    of {!Nbq_primitives.Llsc} minus [vl] and [set] (unused), plus its
-    Head/Tail counters. *)
+    of {!Nbq_primitives.Llsc} minus [vl] (unused), plus its Head/Tail
+    counters.  [set] is the exclusive-owner store behind {!S.reset}. *)
 module type CELL = sig
   type 'a t
   type 'a link
@@ -59,6 +59,8 @@ module type CELL = sig
   val value : 'a link -> 'a
   val sc : 'a t -> 'a link -> 'a -> bool
   val get : 'a t -> 'a
+  val set : 'a t -> 'a -> unit
+  val fresh_stores : bool
 
   include COUNTER
 end
@@ -72,6 +74,16 @@ module type S = sig
 
   type 'a observation
   (** A reservation-free snapshot, from {!observe}; consumed by {!commit}. *)
+
+  val fresh_stores : bool
+  (** [true] when the backend stores the value itself and its CASes
+      expect the very values stored: every value a caller stores
+      ([sc], [commit], [reset]) must then be a block allocated for that
+      store and never stored before, so that no value a reservation or
+      observation holds can return to the cell
+      ({!Nbq_primitives.Llsc.Make_fresh_probed}).  [false] when the
+      backend boxes each store itself, so any value, immediates
+      included, may be stored. *)
 
   val create_registry : unit -> 'a registry
   val make : 'a -> 'a t
@@ -98,7 +110,9 @@ module type S = sig
       reclamation has proven the ring unreachable.  Implementations must
       keep the backend's identity discipline (a fresh block per mutation
       where observe/commit relies on it) so a stale [commit] from a
-      protocol violation still fails rather than corrupting the cell. *)
+      protocol violation still fails rather than corrupting the cell
+      (on a fresh-store backend the caller's fresh value is that
+      block). *)
 
   val observe : 'a t -> 'a handle -> 'a observation
   val observed_holds : 'a observation -> 'a -> bool

@@ -66,6 +66,9 @@ struct
   type 'a res = 'a buf
   type 'a observation = 'a buf
 
+  (* Every store draws a buffer: any value may be stored. *)
+  let fresh_stores = false
+
   let create_registry () = { first = A.make None }
 
   let make v : 'a t = A.make { v }

@@ -256,6 +256,9 @@ module Backend (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
   type 'a res = 'a
   type 'a observation = 'a L.observation
 
+  (* Every store installs a fresh [Value] block: any value may be stored. *)
+  let fresh_stores = false
+
   let create_registry = L.create_registry
   let make = L.make
   let register = L.register

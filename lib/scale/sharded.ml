@@ -27,26 +27,16 @@ let ops ~enq ~deq ~len ~enq_batch ~deq_batch =
   { enq; deq; len; enq_batch; deq_batch }
 
 let ops_of_singles ~enq ~deq ~len =
+  let enq1 () () x = enq x and deq1 () () = deq () in
   {
     enq;
     deq;
     len;
     enq_batch =
       (fun items ->
-        let n = Array.length items in
-        let i = ref 0 in
-        while !i < n && enq (Array.unsafe_get items !i) do incr i done;
-        !i);
+        Nbq_core.Queue_intf.enqueue_batch_of_singles enq1 () () items);
     deq_batch =
-      (fun k ->
-        let rec go acc left =
-          if left <= 0 then List.rev acc
-          else
-            match deq () with
-            | Some x -> go (x :: acc) (left - 1)
-            | None -> List.rev acc
-        in
-        go [] k);
+      (fun k -> Nbq_core.Queue_intf.dequeue_batch_of_singles deq1 () () k);
   }
 
 let create ?hook:((module H : Hook.S) = (module Hook.Noop)) ?home ~shards mk

@@ -412,32 +412,16 @@ struct
      full single-item protocol, so linearization is that of a loop of
      singles. *)
   let try_enqueue_batch t items =
-    let n = Array.length items in
-    if n = 0 then 0
-    else begin
-      let h = implicit_handle t in
-      let i = ref 0 in
-      while
-        !i < n && Core.enqueue_with t.core h (Array.unsafe_get items !i)
-      do
-        incr i
-      done;
-      !i
-    end
+    if Array.length items = 0 then 0
+    else
+      Queue_intf.enqueue_batch_of_singles Core.enqueue_with t.core
+        (implicit_handle t) items
 
   let try_dequeue_batch t k =
     if k <= 0 then []
-    else begin
-      let h = implicit_handle t in
-      let rec go acc left =
-        if left <= 0 then List.rev acc
-        else
-          match Core.dequeue_with t.core h with
-          | Some x -> go (x :: acc) (left - 1)
-          | None -> List.rev acc
-      in
-      go [] k
-    end
+    else
+      Queue_intf.dequeue_batch_of_singles Core.dequeue_with t.core
+        (implicit_handle t) k
 
   let length t = Core.length t.core
 end

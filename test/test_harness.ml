@@ -404,17 +404,24 @@ let words_per ?(n = 1_000) op =
   for _ = 1 to n do op () done;
   (Gc.minor_words () -. w0) /. float n
 
+let plain_pair_words inst p =
+  words_per (fun () ->
+      ignore (inst.Registry.enqueue p : bool);
+      ignore (inst.Registry.dequeue () : Registry.payload option))
+
 (* An [enqueue_until] + [dequeue_until] pair on a queue that is neither
    full nor empty allocates what a plain pair does: the item's own blocks.
-   The wait layer and the registry's until path add nothing. *)
+   The wait layer and the registry's until path add nothing, and neither
+   does a "-blocking" row's plain pair (a zero-retry budget builds no
+   backoff).  An empty plain [dequeue] allocates nothing. *)
 let until_pair_words name () =
   let inst = (Registry.find name).Registry.create ~capacity:64 in
   let p = { Registry.tag = 1 } and deadline = Unix.gettimeofday () +. 60. in
+  Alcotest.(check (float 0.01)) "words per empty dequeue" 0.
+    (words_per (fun () ->
+         ignore (inst.Registry.dequeue () : Registry.payload option)));
   ignore (inst.Registry.enqueue p : bool);
-  let plain =
-    words_per (fun () ->
-        ignore (inst.Registry.enqueue p : bool);
-        ignore (inst.Registry.dequeue () : Registry.payload option))
+  let plain = plain_pair_words inst p
   and until =
     words_per (fun () ->
         ignore (inst.Registry.enqueue_until ~deadline p : bool);
@@ -423,6 +430,34 @@ let until_pair_words name () =
   if Float.abs (until -. plain) > 0.5 then
     Alcotest.failf "%s: until pair %.2f words, plain pair %.2f" name until
       plain
+
+(* Algorithm 1's plain pair allocates the [Item] and the [Vacant] its two
+   slot stores install and the returned [Some]: no box, no closure. *)
+let llsc_plain_pair_words () =
+  let inst = (Registry.find "evequoz-llsc").Registry.create ~capacity:64 in
+  Alcotest.(check (float 0.)) "words per plain pair" 6.
+    (plain_pair_words inst { Registry.tag = 1 })
+
+(* A row without native batches runs its batches as loops of its singles:
+   an empty [dequeue_batch] allocates nothing, and a 5+5 round allocates
+   five plain pairs' blocks plus the result's five cons cells (3 words
+   each), nothing per call. *)
+let singles_batch_words name () =
+  let inst = (Registry.find name).Registry.create ~capacity:64 in
+  let p = { Registry.tag = 1 } in
+  let items = Array.make 5 p in
+  Alcotest.(check (float 0.01)) "words per empty dequeue_batch" 0.
+    (words_per (fun () ->
+         ignore (inst.Registry.dequeue_batch 5 : Registry.payload list)));
+  let round =
+    words_per (fun () ->
+        ignore (inst.Registry.enqueue_batch items : int);
+        ignore (inst.Registry.dequeue_batch 5 : Registry.payload list))
+  in
+  let pair = plain_pair_words inst p in
+  Alcotest.(check int) "queue drained" 0 (inst.Registry.length ());
+  if Float.abs (round -. ((5. *. pair) +. 15.)) > 0.5 then
+    Alcotest.failf "%s: 5+5 round %.2f words, plain pair %.2f" name round pair
 
 let () =
   Alcotest.run "harness"
@@ -442,7 +477,18 @@ let () =
           (fun name ->
             quick (name ^ " until pair allocates as a plain pair")
               (until_pair_words name))
-          [ "evequoz-seg"; "evequoz-llsc"; "evequoz-cas-shard4" ] );
+          [
+            "evequoz-seg"; "evequoz-llsc"; "evequoz-cas-shard4"; "scq-blocking";
+          ]
+        @ [
+            quick "evequoz-llsc plain pair allocates 6 words"
+              llsc_plain_pair_words;
+          ]
+        @ List.map
+            (fun name ->
+              quick (name ^ " batch of singles allocates its items only")
+                (singles_batch_words name))
+            [ "evequoz-llsc"; "evequoz-cas"; "evequoz-seg" ] );
       ( "stats",
         [
           quick "known values" stats_known_values;

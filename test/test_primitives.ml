@@ -218,6 +218,44 @@ let llsc_sc_only_once () =
   Alcotest.(check bool) "first" true (Llsc.sc c l 1);
   Alcotest.(check bool) "reservation consumed" false (Llsc.sc c l 2)
 
+(* Fresh-store cells: the stored value is its own reservation, so every
+   value stored must be a block allocated for that store ([ref] always
+   allocates).  A stale reservation fails once any other store happened,
+   even of an equal-looking block; storing an immediate twice is the ABA
+   the precondition excludes. *)
+let fresh_stale_sc_fails () =
+  let module F = Llsc.Fresh in
+  Alcotest.(check bool) "fresh stores" true F.fresh_stores;
+  let c = F.make (ref 100) in
+  let l1 = F.ll c in
+  let l2 = F.ll c in
+  Alcotest.(check bool) "first sc wins" true (F.sc c l2 (ref 200));
+  Alcotest.(check bool) "stale sc loses" false (F.sc c l1 (ref 300));
+  let l3 = F.ll c in
+  F.set c (ref 100);
+  (* equal contents, another block *)
+  Alcotest.(check bool) "stale after an equal store" false (F.sc c l3 (ref 1));
+  Alcotest.(check int) "value intact" 100 !(F.get c)
+
+let fresh_sc_consumes_reservation () =
+  let module F = Llsc.Fresh in
+  let c = F.make (ref 0) in
+  let l = F.ll c in
+  Alcotest.(check bool) "valid" true (F.vl c l);
+  Alcotest.(check bool) "first" true (F.sc c l (ref 1));
+  Alcotest.(check bool) "reservation consumed" false (F.vl c l);
+  Alcotest.(check bool) "second sc fails" false (F.sc c l (ref 2));
+  Alcotest.(check int) "first value kept" 1 !(F.get c)
+
+let fresh_repeated_immediate_is_aba () =
+  let module F = Llsc.Fresh in
+  let c = F.make 100 in
+  let l = F.ll c in
+  F.set c 200;
+  F.set c 100;
+  Alcotest.(check bool) "a repeated immediate passes a stale sc" true
+    (F.sc c l 300)
+
 let llsc_concurrent_counter () =
   (* LL/SC retry loop implements an exact concurrent counter. *)
   let c = Llsc.make 0 in
@@ -668,6 +706,12 @@ let () =
           quick "weak zero rate" llsc_weak_zero_rate_is_ideal;
           quick "weak rate clamped" llsc_weak_rate_clamped;
           quick "counters allocate nothing" llsc_counters_allocate_nothing;
+          quick "fresh: stale sc fails after another fresh store"
+            fresh_stale_sc_fails;
+          quick "fresh: sc consumes the reservation"
+            fresh_sc_consumes_reservation;
+          quick "fresh: a repeated immediate is the excluded ABA"
+            fresh_repeated_immediate_is_aba;
           QCheck_alcotest.to_alcotest qcheck_llsc_model;
         ] );
       ( "llsc-cas",

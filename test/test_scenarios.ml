@@ -224,6 +224,55 @@ let null_aba_evequoz_defeats () =
   Alcotest.(check (option int)) "item is dequeuable (not stranded)" (Some 7)
     (Q.try_dequeue q)
 
+(* The same timeline at the cell level, where the stall can be scripted:
+   Algorithm 1's ring over fresh-store cells, with a reservation taken on
+   a vacant slot exactly as E9 takes it and the stale E15 store attempted
+   after four laps of interference through the ring's own operations.  On
+   the real cells every vacancy is a fresh [Vacant] block, so the stale
+   sc fails; on the seeded mutant (the same cells, vacated with the shared
+   immediate [Empty]) the slot holds the value the reservation read, and
+   the stale sc lands. *)
+module Null_aba_replay
+    (B : Nbq_primitives.Llsc_backend.S with type 'a handle = unit) =
+struct
+  module R = Nbq_core.Evequoz_ring.Make (B)
+
+  let stale_sc_lands () =
+    let q = R.create ~capacity:4 in
+    (* One lap, so slot 0 holds a vacancy a dequeue stored. *)
+    for v = 1 to 4 do
+      ignore (R.enqueue_with q () v : bool);
+      ignore (R.dequeue_with q () : int option)
+    done;
+    let cell = q.R.slots.(R.tail_index q land q.R.mask) in
+    let res = B.ll cell () in
+    (match B.res_value res with
+    | R.Empty | R.Vacant _ -> ()
+    | R.Item _ | R.Consumed -> Alcotest.fail "reserved slot not vacant");
+    for v = 9 to 24 do
+      ignore (R.enqueue_with q () v : bool);
+      Alcotest.(check (option int)) "interference" (Some v)
+        (R.dequeue_with q ())
+    done;
+    B.sc cell () res (R.Item 7)
+end
+
+module Fresh_cells = Nbq_primitives.Llsc_backend.Of_cell (Llsc.Fresh)
+
+module Shared_empty_cells = Nbq_primitives.Llsc_backend.Of_cell (struct
+  include Llsc.Fresh
+
+  let fresh_stores = false
+end)
+
+let null_aba_cell_replay () =
+  let module Real = Null_aba_replay (Fresh_cells) in
+  let module Mutant = Null_aba_replay (Shared_empty_cells) in
+  Alcotest.(check bool) "fresh vacancies: stale sc fails" false
+    (Real.stale_sc_lands ());
+  Alcotest.(check bool) "shared Empty: stale sc lands" true
+    (Mutant.stale_sc_lands ())
+
 (* ---------------------------------------------------------------------- *)
 (* Figure 4: a dequeuer's Head observation goes stale while the ring
    wraps.  The repaired algorithm revalidates (line D10) and never removes
@@ -291,6 +340,8 @@ let () =
         [
           quick "naive insert strands the item" null_aba_naive_corrupts;
           quick "algorithm 1 keeps the item reachable" null_aba_evequoz_defeats;
+          quick "stale sc on a vacant slot: fresh cells vs shared Empty"
+            null_aba_cell_replay;
         ] );
       ( "fig4-stale-head",
         [
