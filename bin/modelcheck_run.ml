@@ -246,7 +246,7 @@ let algorithms_term =
   let doc =
     "Algorithm to check (repeatable; default: the whole catalog).  Besides \
      the queue algorithms this includes the catalog-only entries \
-     sharded-llsc, sim-wait and toy-blocking."
+     sharded-llsc, sim-wait, toy-blocking and toy-livelock."
   in
   Arg.(
     value

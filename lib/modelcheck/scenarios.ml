@@ -643,6 +643,19 @@ let toy_blocking_instance () =
   in
   { Dpor.tasks; check = (fun () -> ()); invariant = None }
 
+(* Two writers ping-ponging one cell forever, no operation ever completing:
+   the fair probe cannot resolve them, so the divergence is a livelock
+   witness, which convicts a lock-free claim (and is tolerated under an
+   obstruction-free one). *)
+let toy_livelock_instance () =
+  let c = Sim.Atomic.make 0 in
+  let spin i () =
+    while true do
+      Sim.Atomic.set c i
+    done
+  in
+  { Dpor.tasks = [| spin 1; spin 2 |]; check = ignore; invariant = None }
+
 (* --- wait-layer scenarios: the eventcount under simulation --------------- *)
 
 module SimConc1 =
@@ -870,6 +883,12 @@ let extra_specs =
         "spin-on-dead-flag"
         "seeded bug: spin on a flag nobody sets, claimed lock-free"
         toy_blocking_instance;
+      lock_free ~algorithm:"toy-livelock"
+        ~expect:(`Violation (`Liveness `Livelock))
+        "ping-pong"
+        "seeded bug: two writers overwrite one cell forever, claimed \
+         lock-free"
+        toy_livelock_instance;
     ]
 
 let specs () =

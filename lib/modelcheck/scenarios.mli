@@ -64,17 +64,18 @@ val specs : unit -> spec list
     the tag-protocol and Blelloch–Wei cells, the segmented queue's
     grow-during-drain race, the production eventcount under simulation
     (park/wake with no lost wakeup), and the seeded-bug scenarios
-    ([expect = `Violation _]): a deliberately blocking toy claimed
-    lock-free, the eventcount handshake with its Dekker re-check removed,
-    Blelloch–Wei reclamation with the announcement scan disabled, the
-    segmented queue's retire with the hazard hand-off skipped, and SCQ
-    without its threshold budget. *)
+    ([expect = `Violation _]): a deliberately blocking toy and a
+    two-writer livelock toy, both claimed lock-free, the eventcount
+    handshake with its Dekker re-check removed, Blelloch–Wei reclamation
+    with the announcement scan disabled, the segmented queue's retire
+    with the hazard hand-off skipped, and SCQ without its threshold
+    budget. *)
 
 val algorithms : string list
 (** Every [algorithm] in {!specs}, in catalog order — the queue
     algorithms plus the catalog-only pseudo-algorithms ([sharded-llsc],
     [evequoz-bw-noscan], [evequoz-seg-noretire], [scq-nothreshold],
-    [sim-wait], [toy-blocking]). *)
+    [sim-wait], [toy-blocking], [toy-livelock]). *)
 
 val find : algorithm:string -> scenario:string -> spec option
 (** Look a spec up by its NBQ-FAULT-REPRO key. *)
