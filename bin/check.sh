@@ -36,14 +36,15 @@ dune exec bin/torture.exe -- --wait > /dev/null
 dune exec bench/bench.exe -- gate-park > /dev/null
 # Model-checking gate: Algorithm 1 plus the simulated eventcount
 # (park/wake must have no lost wakeup; the seeded-bug entries -- the
-# null-ABA of fresh-store cells vacated with a shared Empty, the lost
-# wakeup, the dead-flag spin, the ping-pong livelock -- must still be
-# convicted) explored to exhaustion, proving >= 5x DPOR reduction vs
-# plain DFS.  Every other catalog spec -- exhaustion of each
-# pass-expected one, conviction of each seeded bug -- is a
-# test_modelcheck case in the runtest above.
+# null-ABA of fresh-store cells vacated with a shared Empty, on Algorithm
+# 1 and on Algorithm 2's batch path, the lost wakeup, the dead-flag spin,
+# the ping-pong livelock -- must still be convicted) explored to
+# exhaustion, proving >= 5x DPOR reduction vs plain DFS.  Every other
+# catalog spec -- exhaustion of each pass-expected one, conviction of
+# each seeded bug -- is a test_modelcheck case in the runtest above.
 dune exec bin/modelcheck_run.exe -- -a evequoz-llsc \
-  -a evequoz-llsc-shared-empty -a sim-wait -a toy-blocking -a toy-livelock \
+  -a evequoz-llsc-shared-empty -a evequoz-cas-shared-empty -a sim-wait \
+  -a toy-blocking -a toy-livelock \
   --min-reduction 5 --require-exhaustive > /dev/null
 # Burst-absorption gate: under a 10x offered-load burst the fixed ring
 # must shed via Timeout while the segmented queue absorbs everything,

@@ -9,7 +9,11 @@ module Hook = Nbq_primitives.Hook
 module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
   (* A slot is vacant ([Empty] or [Vacant]), holds an [Item], or, in
      single-lap (segment) mode only, is [Consumed]: there a dequeue
-     retires its slot instead of vacating it.
+     retires its slot instead of vacating it.  On a backend whose cells
+     hold reservation markers (the tag protocol) a cell may also hold
+     [Reserved], a thread's marker: the slot type is the paper's tagged
+     word, so no store boxes its value.  [ll] and [read] read through
+     markers, so only an observation ever shows one.
 
      The invariant that makes the cells' CAS an exact LL/SC on every
      backend: every value a CAS may expect is a block that was stored at
@@ -22,8 +26,26 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
      still allocates nothing.  The immediate [Empty] is then stored only
      by [create], once per cell.  [Consumed] stays immediate: nothing
      ever CASes against it, since an sc only follows an ll that found a
-     vacancy or an item. *)
-  type 'a slot = Empty | Vacant of int | Item of 'a | Consumed
+     vacancy or an item.  On the tag protocol a rollback ([release])
+     re-stores the block its reservation read; the backend keeps that
+     exact (Llsc_cas). *)
+  type 'a slot =
+    | Empty
+    | Vacant of int
+    | Item of 'a
+    | Consumed
+    | Reserved of 'a slot B.mark
+
+  let marking =
+    {
+      Nbq_primitives.Llsc_backend.mark = (fun m -> Reserved m);
+      mark_of =
+        (fun v none ->
+          match v with
+          | Reserved m -> m
+          | Empty | Vacant _ | Item _ | Consumed -> none);
+      blank = Empty;
+    }
 
   (* The vacancy a store at counter index [i] installs. *)
   let vacancy i = if B.fresh_stores then Vacant i else Empty
@@ -51,7 +73,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
       slots = Array.init capacity (fun _ -> B.make Empty);
       head = B.make_counter 0;
       tail = B.make_counter 0;
-      registry = B.create_registry ();
+      registry = B.create_registry marking;
       lap_base = 0;
     }
 
@@ -111,6 +133,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
               H.hit Hook.Sc_fail;
               enqueue_loop t h item
             end
+        | Reserved _ -> assert false (* [ll] reads through markers *)
       else begin
         (* Tail moved under us: release the reservation and retry. *)
         B.release cell h res;
@@ -142,6 +165,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
               H.hit Hook.Sc_fail;
               dequeue_loop t h
             end
+        | Reserved _ -> assert false (* [ll] reads through markers *)
       else begin
         B.release cell h res;
         dequeue_loop t h
@@ -164,6 +188,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
             H.hit Hook.Head_help;
             help t.head hd;
             peek_loop t h
+        | Reserved _ -> assert false (* so does [read] *)
       else peek_loop t h
     end
 
@@ -230,6 +255,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
               H.hit Hook.Sc_fail;
               fill_loop t h item
             end
+        | Reserved _ -> assert false (* [ll] reads through markers *)
       else begin
         B.release cell h res;
         fill_loop t h item
@@ -262,6 +288,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
               H.hit Hook.Sc_fail;
               take_loop t h
             end
+        | Reserved _ -> assert false (* [ll] reads through markers *)
       else begin
         B.release cell h res;
         take_loop t h
@@ -324,15 +351,12 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
 
   let imin (a : int) b = if a <= b then a else b
 
-  (* On a boxing backend a vacancy is the immediate [Empty], which
-     [observed_holds] tests without raising on a foreign reservation;
-     fresh-store cells ([Of_cell]) carry no reservations. *)
+  (* A competing reservation ([Reserved]) is interference, like a
+     foreign item. *)
   let observed_vacant obs =
-    if B.fresh_stores then
-      match B.observed_get obs with
-      | Empty | Vacant _ -> true
-      | Item _ | Consumed -> false
-    else B.observed_holds obs Empty
+    match B.observed_get obs with
+    | Empty | Vacant _ -> true
+    | Item _ | Consumed | Reserved _ -> false
 
   (* Paper path for whatever the fast path could not place. *)
   let rec enq_slow t h items i =
@@ -407,7 +431,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
             []
           end
       | Empty | Vacant _ | Item _ | Consumed -> []
-      | exception Not_found -> [] (* a competing reservation in the run *)
+      | Reserved _ -> [] (* a competing reservation in the run *)
     end
 
   (* Lists are built in queue order on the unwind (one cons per item, no

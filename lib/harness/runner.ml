@@ -49,6 +49,10 @@ let one_run ?metrics ?tracer ?(batched = false) (impl : Registry.impl) cfg =
 
 let measure ?metrics ?tracer ?batched impl cfg =
   if cfg.threads < 1 then invalid_arg "Runner.measure: threads < 1";
+  (* One discarded run on a plain instance first: at small scales a cell
+     lasts milliseconds, and the first timed run would otherwise absorb
+     the process's warm-up (first domain spawns, heap growth). *)
+  ignore (one_run ?batched impl cfg : Workload.thread_result list);
   let full = ref 0 and empty = ref 0 and items = ref 0 in
   let per_run =
     List.init cfg.runs (fun _ ->

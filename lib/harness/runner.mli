@@ -38,7 +38,9 @@ val measure :
 (** Runs [runs] independent rounds: each round creates a fresh queue,
     spawns [threads] domains, releases them together, and records every
     thread's completion time.  The round's score is the mean thread time
-    (the paper's metric).
+    (the paper's metric).  One more round runs first, on a plain
+    instance, and is discarded: it counts toward no time, item count,
+    metrics hub or trace.
 
     With [?metrics] the queue is built via [create_probed] so events and
     sampled latencies land in the hub; [full_retries]/[empty_retries] are

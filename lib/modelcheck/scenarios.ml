@@ -262,6 +262,22 @@ module SimQ1SharedEmpty =
     end)
     (Trace_hook)
 
+(* The same seeded bug on Algorithm 2: the tag protocol's cells store the
+   ring's own blocks but claim to box their stores, so the ring vacates
+   with the shared immediate [Empty].  A stale sc still fails (it expects
+   its thread's marker, which any later ll replaces), but the batch
+   path's commit expects the block it observed: an enqueuer stalled
+   between observing a vacant slot and committing survives an enqueue
+   and a dequeue of that slot and lands its item behind Head. *)
+module SimQ2SharedEmpty =
+  Nbq_core.Evequoz_ring.Make_probed
+    (struct
+      include Nbq_primitives.Llsc_cas.Backend (Sim.Atomic) (Trace_hook)
+
+      let fresh_stores = false
+    end)
+    (Trace_hook)
+
 (* --- per-algorithm instances --------------------------------------------- *)
 
 (* Algorithm 1 (LL/SC), with a per-step index invariant. *)
@@ -335,6 +351,7 @@ module Ring_instance (Q : Nbq_core.Evequoz_cas.CORE) = struct
 end
 
 module Cas_instance = Ring_instance (SimQ2)
+module Cas_shared_empty_instance = Ring_instance (SimQ2SharedEmpty)
 module Bw_instance = Ring_instance (SimBW)
 module Bw_noscan_instance = Ring_instance (SimBWBug)
 
@@ -809,6 +826,10 @@ let three_threads = ("enq|enq|deq", 4, [], [ [ Enq 1 ]; [ Enq 2 ]; [ Deq ] ])
    the second dequeue must see its item. *)
 let null_aba = ("enq|enq-deq-deq", 2, [], [ [ Enq 1 ]; [ Enq 2; Deq; Deq ] ])
 
+(* The same race with the stalled enqueue on the batch path. *)
+let null_aba_batch =
+  ("enq-batch|enq-deq-deq", 2, [], [ [ Enq_batch [ 1 ] ]; [ Enq 2; Deq; Deq ] ])
+
 let extra_specs =
   (* Peek raced against mutators, and a third thread. *)
   List.map (row_spec llsc) (peek_rows @ [ three_threads; null_aba ])
@@ -857,6 +878,14 @@ let extra_specs =
           Empty, so a stale sc on a vacant slot lands behind Head"
          (let module I = Llsc_instance (SimQ1SharedEmpty) in
           I.make ~capacity ~prefill threads));
+      (let name, capacity, prefill, threads = null_aba_batch in
+       lock_free ~algorithm:"evequoz-cas-shared-empty"
+         ~expect:(`Violation `Safety) (slug name)
+         "seeded bug: tag-protocol cells that store the ring's blocks, \
+          vacated with the shared immediate Empty, so a stale batch commit \
+          on a vacant slot lands behind Head"
+         (Cas_shared_empty_instance.make ~what:"tag vars" ~quiescent:ignore
+            ~capacity ~prefill threads));
       lock_free ~algorithm:"scq-nothreshold"
         ~expect:(`Violation (`Liveness `Livelock))
         "deq-chase-livelock"

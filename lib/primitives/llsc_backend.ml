@@ -4,6 +4,8 @@
 
 type audit = { registered : int; owned : int; free : int }
 
+type ('v, 'm) marking = { mark : 'm -> 'v; mark_of : 'v -> 'm -> 'm; blank : 'v }
+
 module type COUNTER = sig
   type counter
 
@@ -34,9 +36,10 @@ module type S = sig
   type 'a handle
   type 'a res
   type 'a observation
+  type 'a mark
 
   val fresh_stores : bool
-  val create_registry : unit -> 'a registry
+  val create_registry : ('a, 'a mark) marking -> 'a registry
   val make : 'a -> 'a t
   val register : 'a registry -> 'a handle
   val reregister : 'a handle -> unit
@@ -50,7 +53,6 @@ module type S = sig
   val reset : 'a t -> 'a -> unit
 
   val observe : 'a t -> 'a handle -> 'a observation
-  val observed_holds : 'a observation -> 'a -> bool
   val observed_get : 'a observation -> 'a
   val commit : 'a t -> 'a handle -> 'a observation -> 'a -> bool
 
@@ -93,8 +95,9 @@ module Of_cell (Cell : CELL) = struct
   type 'a handle = unit
   type 'a res = 'a Cell.link
   type 'a observation = 'a Cell.link
+  type 'a mark = |
 
-  let create_registry () = ()
+  let create_registry _ = ()
   let make = Cell.make
   let register () = ()
   let reregister () = ()
@@ -115,7 +118,6 @@ module Of_cell (Cell : CELL) = struct
   (* Ideal LL always succeeds, so an observation is just a reservation the
      backend never has to publish; [commit] is the matching sc. *)
   let observe cell () = Cell.ll cell
-  let observed_holds obs v = Cell.value obs == v
   let observed_get = Cell.value
   let commit cell () obs v = Cell.sc cell obs v
 

@@ -9,8 +9,12 @@
     - {b cells} — [ll] reserves and reads, [sc] conditionally stores,
       [release] rolls an unused reservation back, [read] is a linearizable
       unreserved read (the peek path);
-    - {b observe/commit} — the one-CAS batch-run extension (PR 3): a
+    - {b observe/commit} — the one-CAS batch-run extension: a
       reservation-free snapshot that [commit] validates by block identity;
+    - {b markers} — a backend whose cells hold reservation markers stores
+      them in the caller's own value type: the caller supplies the
+      constructor that wraps a marker and the test that finds one
+      ({!marking}), as the paper's [var ^ 1] tags a pointer's low bit;
     - {b counters} — monotonic Head/Tail ({!COUNTER}), plain CAS'd ints
       ({!Cas_counter}) on every backend except weak cells, which retry
       past spurious failures;
@@ -28,6 +32,15 @@
 type audit = { registered : int; owned : int; free : int }
 (** One racy registry snapshot: handles ever allocated, currently owned
     (including ones abandoned by crashed threads), and recyclable. *)
+
+(** How the values a cell stores carry a backend's reservation markers
+    ['m]: the caller's side of the paper's pointer tag.  [mark] wraps a
+    marker as a storable value (the paper's [var ^ 1]); [mark_of v none]
+    is the marker [v] carries, or [none] when [v] is a value (the low-bit
+    test), and must not allocate; [blank] is any value, used only to
+    initialise a fresh tag variable's placeholder, which nobody reads
+    before its owner's first [ll] writes it. *)
+type ('v, 'm) marking = { mark : 'm -> 'v; mark_of : 'v -> 'm -> 'm; blank : 'v }
 
 (** Monotonic Head/Tail counters: a helping [counter_advance] (paper
     E11-E13/D11-D13) and a batch [counter_publish]. *)
@@ -75,17 +88,26 @@ module type S = sig
   type 'a observation
   (** A reservation-free snapshot, from {!observe}; consumed by {!commit}. *)
 
+  type 'a mark
+  (** A reservation marker the backend stores in a cell, wrapped by the
+      caller's {!marking}.  Empty on backends whose cells never show a
+      reservation ({!Of_cell}, Blelloch-Wei). *)
+
   val fresh_stores : bool
   (** [true] when the backend stores the value itself and its CASes
       expect the very values stored: every value a caller stores
       ([sc], [commit], [reset]) must then be a block allocated for that
       store and never stored before, so that no value a reservation or
       observation holds can return to the cell
-      ({!Nbq_primitives.Llsc.Make_fresh_probed}).  [false] when the
-      backend boxes each store itself, so any value, immediates
-      included, may be stored. *)
+      ({!Nbq_primitives.Llsc.Make_fresh_probed}; on the tag protocol a
+      rollback re-stores the block its reservation read, see
+      [Nbq_primitives.Llsc_cas]).  [false] when the backend boxes each
+      store itself, so any value, immediates included, may be stored. *)
 
-  val create_registry : unit -> 'a registry
+  val create_registry : ('a, 'a mark) marking -> 'a registry
+  (** A registry whose cells wrap this backend's markers with the given
+      {!marking}; backends without markers ignore it. *)
+
   val make : 'a -> 'a t
   val register : 'a registry -> 'a handle
   val reregister : 'a handle -> unit
@@ -115,10 +137,9 @@ module type S = sig
       block). *)
 
   val observe : 'a t -> 'a handle -> 'a observation
-  val observed_holds : 'a observation -> 'a -> bool
   val observed_get : 'a observation -> 'a
-  (** @raise Not_found when the observation caught a competing
-      reservation rather than a value. *)
+  (** The value read, without allocating.  On a backend with markers
+      this may be a competing reservation, wrapped by the {!marking}. *)
 
   val commit : 'a t -> 'a handle -> 'a observation -> 'a -> bool
 

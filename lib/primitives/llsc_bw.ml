@@ -65,11 +65,13 @@ struct
   type 'a handle = 'a thread
   type 'a res = 'a buf
   type 'a observation = 'a buf
+  type 'a mark = |
 
   (* Every store draws a buffer: any value may be stored. *)
   let fresh_stores = false
 
-  let create_registry () = { first = A.make None }
+  (* Reservations live in announcements, never in a cell: no marker. *)
+  let create_registry _ = { first = A.make None }
 
   let make v : 'a t = A.make { v }
 
@@ -234,10 +236,6 @@ struct
     in
     go ()
 
-  let observed_holds (obs : 'a observation) v = obs.v == v
-
-  (* No foreign reservation is ever visible in a cell, so an observation
-     always carries a value (never raises, unlike the tag protocol's). *)
   let observed_get (obs : 'a observation) = obs.v
 
   let commit cell h (obs : 'a observation) v =

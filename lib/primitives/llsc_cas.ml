@@ -16,15 +16,6 @@ module type S = sig
   val ll : 'a t -> 'a handle -> 'a
   val sc : 'a t -> 'a handle -> 'a -> bool
   val vl : 'a t -> 'a handle -> bool
-
-  type 'a observation
-
-  val observe : 'a t -> 'a observation
-  val observed_value : 'a observation -> 'a option
-  val observed_holds : 'a observation -> 'a -> bool
-  val observed_get : 'a observation -> 'a
-  val commit : 'a t -> 'a observation -> 'a -> bool
-
   val peek : 'a t -> 'a
   val unsafe_set : 'a t -> 'a -> unit
   val registered_count : 'a registry -> int
@@ -32,40 +23,46 @@ module type S = sig
   val audit : 'a registry -> audit
 end
 
-module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
-  type 'a content =
-    | Unset  (* initial placeholder only; never stored in a cell *)
-    | Value of 'a
-    | Mark of 'a tagvar
-
-  and 'a tagvar = {
+(* The protocol once, over any stored type ['v] that can carry a marker:
+   the registry holds the caller's [marking], which wraps a tag variable
+   as a storable value and finds one in a value read. *)
+module Tagged (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
+  type 'v var = {
     (* The paper's LLSCvar.  [placeholder] is var->node: the logical value
        the owning thread observed when it reserved a cell.  Plain mutable
        field: the reference-count protocol below makes the cross-thread
        reads of it well-defined (the owner only rewrites it while no reader
        holds a count, and a reader only uses what it read once it has
        re-seen the marker with its count held; see [ll]). *)
-    mutable placeholder : 'a content;
+    mutable placeholder : 'v;
     refcount : int A.t;
     (* Registry chain link; written once before publication. *)
-    mutable next : 'a tagvar option;
+    mutable next : 'v var option;
   }
 
-  type 'a t = 'a content A.t
+  type 'v t = 'v A.t
 
-  type 'a registry = { first : 'a tagvar option A.t }
-
-  type 'a handle = {
-    registry : 'a registry;
-    mutable var : 'a tagvar;
-    (* The marker block [Mark var], allocated once per (re)registration and
-       reused across operations — the analogue of the paper's [var ^ 1]. *)
-    mutable mark : 'a content;
+  type 'v registry = {
+    first : 'v var option A.t;
+    marking : ('v, 'v var) Llsc_backend.marking;
+    (* What [marking.mark_of] answers for a value: never in the chain,
+       never pinned. *)
+    none : 'v var;
   }
 
-  let create_registry () = { first = A.make None }
+  type 'v handle = {
+    registry : 'v registry;
+    mutable var : 'v var;
+    (* The marker [marking.mark var], allocated once per (re)registration
+       and reused across operations — the analogue of the paper's
+       [var ^ 1]. *)
+    mutable mark : 'v;
+  }
 
-  let make v : 'a t = A.make (Value v)
+  let fresh_var placeholder = { placeholder; refcount = A.make 1; next = None }
+
+  let create_registry (marking : ('v, 'v var) Llsc_backend.marking) =
+    { first = A.make None; marking; none = fresh_var marking.blank }
 
   (* --- Registration protocol (paper R1-R16, RR1-RR5, DR1-DR3) --- *)
 
@@ -81,7 +78,7 @@ module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
         H.hit Hook.Tag_recycle;
         v
     | None ->
-        let v = { placeholder = Unset; refcount = A.make 1; next = None } in
+        let v = fresh_var reg.marking.blank in
         let rec push () =
           let cur = A.get reg.first in
           v.next <- cur;
@@ -95,7 +92,7 @@ module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
     (* Past this point the variable is owned; a crash here abandons it — the
        bounded leak the paper accepts for a thread dying mid-[Register]. *)
     H.hit Hook.Tag_register;
-    { registry = reg; var; mark = Mark var }
+    { registry = reg; var; mark = reg.marking.mark var }
 
   (* Drop the variable and take a free (or fresh) one with a fresh marker
      block.  Readers still pinning the old variable keep it out of
@@ -104,7 +101,7 @@ module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
     ignore (A.fetch_and_add h.var.refcount (-1));
     let var = register_var h.registry in
     h.var <- var;
-    h.mark <- Mark var
+    h.mark <- h.registry.marking.mark var
 
   let reregister h =
     H.hit Hook.Tag_reregister;
@@ -134,28 +131,27 @@ module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
      - After pinning, the reader re-reads the cell: if it still holds the
        marker, the owner's last [placeholder] write happened before that
        install, and no later write can happen while the pin is held. *)
-  let rec ll (cell : 'a t) (h : 'a handle) =
+  let rec ll (cell : 'v t) (h : 'v handle) =
     H.hit Hook.Ll_reserve;
     if A.get h.var.refcount <> 1 then renew h;
     let cur = A.get cell in
-    match cur with
-    | Value _ ->
-        (* Reuse the block we read: no allocation on the uncontended path. *)
-        h.var.placeholder <- cur;
-        install cell h cur
-    | Mark other ->
-        (* Paper L7-L8: pin the foreign tag variable with a reference count,
-           then read the logical value through it. *)
-        ignore (A.fetch_and_add other.refcount 1);
-        let pinned = A.get cell == cur in
-        if pinned then h.var.placeholder <- other.placeholder;
-        let installed = pinned && A.compare_and_set cell cur h.mark in
-        ignore (A.fetch_and_add other.refcount (-1));
-        if installed then reserved h else ll cell h
-    | Unset -> assert false
-
-  and install cell h cur =
-    if A.compare_and_set cell cur h.mark then reserved h else ll cell h
+    let reg = h.registry in
+    let other = reg.marking.mark_of cur reg.none in
+    if other == reg.none then begin
+      (* A value is its own placeholder: no allocation. *)
+      h.var.placeholder <- cur;
+      if A.compare_and_set cell cur h.mark then reserved h else ll cell h
+    end
+    else begin
+      (* Paper L7-L8: pin the foreign tag variable with a reference count,
+         then read the logical value through it. *)
+      ignore (A.fetch_and_add other.refcount 1);
+      let pinned = A.get cell == cur in
+      if pinned then h.var.placeholder <- other.placeholder;
+      let installed = pinned && A.compare_and_set cell cur h.mark in
+      ignore (A.fetch_and_add other.refcount (-1));
+      if installed then reserved h else ll cell h
+    end
 
   and reserved h =
     (* Our tag is now published in the cell.  A victim frozen (or killed)
@@ -163,60 +159,13 @@ module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
        and steal through the abandoned marker. *)
     H.hit Hook.Slot_swap;
     H.hit Hook.Ll_reserved;
-    match h.var.placeholder with Value v -> v | Mark _ | Unset -> assert false
+    h.var.placeholder
 
-  let sc (cell : 'a t) (h : 'a handle) v =
+  let sc (cell : 'v t) (h : 'v handle) v =
     H.hit Hook.Sc_attempt;
-    A.compare_and_set cell h.mark (Value v)
+    A.compare_and_set cell h.mark v
 
-  let vl (cell : 'a t) (h : 'a handle) = A.get cell == h.mark
-
-  (* --- One-shot observe / commit (extension, not in the paper) ---------
-
-     A physical-equality CAS against the exact block read earlier.  Sound
-     without tags because every mutation of a cell installs a {e freshly
-     allocated} [Value] block ([sc], [commit], [unsafe_set] all allocate;
-     marker blocks are never re-installed as values), so observing the same
-     block at commit time proves the cell was never touched in between —
-     the allocation itself plays the role of the paper's tag.  Only valid
-     for this boxed representation; the batch-run extension uses it to
-     spend one CAS per slot instead of the ll/sc pair's two. *)
-
-  type 'a observation = 'a content
-
-  let observe (cell : 'a t) : 'a observation = A.get cell
-
-  let observed_value (obs : 'a observation) =
-    match obs with Value v -> Some v | Mark _ -> None | Unset -> assert false
-
-  (* Allocation-free variant of [observed_value] for hot loops that only
-     test against a known (immediate or interned) value. *)
-  let observed_holds (obs : 'a observation) v =
-    match obs with Value w -> w == v | Mark _ | Unset -> false
-
-  (* Allocation-free extraction: the [Not_found] raise only happens on the
-     rare marker observation, the value path returns the block already in
-     hand. *)
-  let observed_get (obs : 'a observation) =
-    match obs with Value v -> v | Mark _ | Unset -> raise Not_found
-
-  let commit (cell : 'a t) (obs : 'a observation) v =
-    H.hit Hook.Sc_attempt;
-    A.compare_and_set cell obs (Value v)
-
-  let rec peek (cell : 'a t) =
-    match A.get cell with
-    | Value v -> v
-    | Mark other -> (
-        match other.placeholder with
-        | Value v -> v
-        | Mark _ | Unset ->
-            (* The owner is between registration and its first ll; or we
-               lost a race with a recycling.  Heuristic read: retry. *)
-            peek cell)
-    | Unset -> assert false
-
-  let unsafe_set (cell : 'a t) v = A.set cell (Value v)
+  let vl (cell : 'v t) (h : 'v handle) = A.get cell == h.mark
 
   (* --- Introspection --- *)
 
@@ -241,54 +190,113 @@ module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
     { registered; owned; free = registered - owned }
 end
 
+(* The boxed cells: every store wraps its value in a fresh [Value] block,
+   so any value, immediates and repeats included, may be stored. *)
+module Make_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
+  module T = Tagged (A) (H)
+
+  type 'a content =
+    | Unset  (* a fresh variable's placeholder only; never in a cell *)
+    | Value of 'a
+    | Mark of 'a content T.var
+
+  type 'a t = 'a content T.t
+  type 'a registry = 'a content T.registry
+  type 'a handle = 'a content T.handle
+
+  let marking =
+    {
+      Llsc_backend.mark = (fun var -> Mark var);
+      mark_of =
+        (fun v none -> match v with Mark var -> var | Value _ | Unset -> none);
+      blank = Unset;
+    }
+
+  let create_registry () = T.create_registry marking
+  let make v : 'a t = A.make (Value v)
+  let register = T.register
+  let reregister = T.reregister
+  let deregister = T.deregister
+
+  let ll cell h =
+    match T.ll cell h with Value v -> v | Mark _ | Unset -> assert false
+
+  let sc cell h v = T.sc cell h (Value v)
+  let vl = T.vl
+
+  let rec peek (cell : 'a t) =
+    match A.get cell with
+    | Value v -> v
+    | Mark other -> (
+        match other.T.placeholder with
+        | Value v -> v
+        | Mark _ | Unset ->
+            (* The owner is between registration and its first ll; or we
+               lost a race with a recycling.  Heuristic read: retry. *)
+            peek cell)
+    | Unset -> assert false
+
+  let unsafe_set (cell : 'a t) v = A.set cell (Value v)
+  let registered_count = T.registered_count
+  let owned_count = T.owned_count
+  let audit = T.audit
+end
+
 module Make (A : Atomic_intf.ATOMIC) = Make_probed (A) (Hook.Noop)
 
-(* The same protocol behind the unified backend seam (Llsc_backend.S).  A
-   reservation token is just the value read — rolling back is an sc that
-   restores it; counters are plain atomics with single-CAS helping, exactly
-   what the queue's Fig. 5 column does. *)
+(* The same protocol behind the unified backend seam (Llsc_backend.S),
+   storing the caller's values themselves: the caller's slot type wraps
+   the marker, so a store allocates only what the caller built for it.
+   A reservation token is the value read — rolling back is an sc that
+   re-stores that very block; counters are plain atomics with single-CAS
+   helping, exactly what the queue's Fig. 5 column does. *)
 module Backend (A : Atomic_intf.ATOMIC) (H : Hook.S) = struct
-  module L = Make_probed (A) (H)
+  module T = Tagged (A) (H)
 
-  type 'a t = 'a L.t
-  type 'a registry = 'a L.registry
-  type 'a handle = 'a L.handle
-  type 'a res = 'a
-  type 'a observation = 'a L.observation
+  type 'v t = 'v T.t
+  type 'v registry = 'v T.registry
+  type 'v handle = 'v T.handle
+  type 'v res = 'v
+  type 'v observation = 'v
+  type 'v mark = 'v T.var
 
-  (* Every store installs a fresh [Value] block: any value may be stored. *)
-  let fresh_stores = false
+  (* Every value stored must be fresh; a rollback's re-store is the one
+     exception, sound because the block can come back only while the
+     marker installed over it still holds the cell (see the .mli). *)
+  let fresh_stores = true
 
-  let create_registry = L.create_registry
-  let make = L.make
-  let register = L.register
-  let reregister = L.reregister
-  let deregister = L.deregister
+  let create_registry = T.create_registry
+  let make = A.make
+  let register = T.register
+  let reregister = T.reregister
+  let deregister = T.deregister
 
-  let ll = L.ll
-  let res_value (v : 'a res) = v
-  let sc cell h (_res : 'a res) v = L.sc cell h v
-  let release cell h (res : 'a res) = ignore (L.sc cell h res)
+  let ll = T.ll
+  let res_value (v : 'v res) = v
+  let sc cell h (_res : 'v res) v = T.sc cell h v
+  let release cell h (res : 'v res) = ignore (T.sc cell h res)
 
   let read cell h =
-    let v = L.ll cell h in
-    ignore (L.sc cell h v);
+    let v = T.ll cell h in
+    ignore (T.sc cell h v);
     v
 
-  (* [unsafe_set] installs a fresh [Value] block, so a stale observe/commit
-     pair racing a misused reset still fails on block identity. *)
-  let reset cell v = L.unsafe_set cell v
+  let reset = A.set
 
-  let observe cell _h = L.observe cell
-  let observed_holds = L.observed_holds
-  let observed_get = L.observed_get
-  let commit cell _h obs v = L.commit cell obs v
+  (* One plain read; [commit] CASes against the very block read, which
+     the fresh-store discipline makes exact. *)
+  let observe cell _h = A.get cell
+  let observed_get (obs : 'v observation) = obs
+
+  let commit cell _h (obs : 'v observation) v =
+    H.hit Hook.Sc_attempt;
+    A.compare_and_set cell obs v
 
   include Llsc_backend.Cas_counter (A)
 
-  let registered_count = L.registered_count
-  let owned_count = L.owned_count
-  let audit = L.audit
+  let registered_count = T.registered_count
+  let owned_count = T.owned_count
+  let audit = T.audit
 end
 
 include Make (Atomic_intf.Real)

@@ -26,13 +26,30 @@
     only when no other thread is reading through it.
 
     {b Pointer-tagging substitution.}  The paper distinguishes data from
-    markers by the low bit of an aligned pointer ([var^1]).  OCaml cannot tag
-    native pointers, so the word holds a one-constructor-deep variant
-    ([Value v] / a marker block) and CAS compares the identity of the block
-    read.  A handle's marker block is allocated {e once per registration} and
-    reused across operations — exactly like the paper's tagged address — so
-    the ABA hazard the reference counts guard against is preserved, not
-    defined away.
+    markers by the low bit of an aligned pointer ([var^1]), so a store
+    allocates nothing.  OCaml cannot tag native pointers; instead the
+    marker is one constructor of the type the cell stores, and CAS
+    compares the identity of the block read.  The protocol body is
+    written once over any such type, given the constructor that wraps a
+    tag variable and the allocation-free test that finds one
+    ({!Llsc_backend.marking}).  It has two instances:
+    - {!Backend}, the queue's cells: the ring's own slot type carries the
+      marker ([Reserved]), so an enqueue stores the [Item] it built and a
+      dequeue a fresh [Vacant] block, with no box around either.  A
+      rollback re-stores the very block its reservation read; that block
+      can come back only while its own marker still holds the cell (the
+      rollback CAS expects it), and the marker cannot be reinstalled in
+      between: only its owner installs it, the owner is between that
+      [ll] and the rollback, and a pinned variable's owner takes a fresh
+      marker instead of reusing it.  So a CAS expecting a block still
+      succeeds only if no store happened since it was read.
+    - {!Make}, the boxed cells behind {!S} (MS-Doherty, the cell-level
+      tests): the word holds [Value v] or a marker, and every store
+      allocates a fresh [Value] block, so any value may be stored.
+    A handle's marker block is allocated {e once per registration} and
+    reused across operations — exactly like the paper's tagged address —
+    so the ABA hazard the reference counts guard against is preserved,
+    not defined away.
 
     Functorized over {!Atomic_intf.ATOMIC} for the model checker; the
     toplevel interface is the real-atomics instantiation. *)
@@ -91,42 +108,6 @@ module type S = sig
       still in the cell, i.e. the cell is unchanged since our [ll].  Only
       meaningful while the handle holds a reservation on this cell. *)
 
-  type 'a observation
-  (** The exact block read from a cell by {!observe}: the capability to
-      {!commit} against it once. *)
-
-  val observe : 'a t -> 'a observation
-  (** One plain atomic read of the cell, remembering the physical block. *)
-
-  val observed_value : 'a observation -> 'a option
-  (** The logical value behind an observation, or [None] when the cell held
-      a thread's reservation marker at read time (callers should fall back
-      to the ll/sc protocol). *)
-
-  val observed_holds : 'a observation -> 'a -> bool
-  (** [observed_holds obs v] is true iff the observation saw exactly the
-      logical value [v] (physical equality).  Allocation-free counterpart
-      of {!observed_value} for hot loops testing against an immediate
-      sentinel such as a queue's [Empty]. *)
-
-  val observed_get : 'a observation -> 'a
-  (** The logical value behind an observation; raises [Not_found] when the
-      cell held a reservation marker at read time.  Allocation-free
-      counterpart of {!observed_value} for hot loops (the raise only fires
-      on the rare marker observation). *)
-
-  val commit : 'a t -> 'a observation -> 'a -> bool
-  (** [commit cell obs v] installs [v] iff the cell still holds the exact
-      block {!observe} returned — a single physical-equality CAS playing
-      the role of an ll/sc pair (extension, not in the paper).  Sound
-      without tags because every cell mutation ([sc], [commit],
-      [unsafe_set]) installs a freshly allocated block and no old value
-      block is ever re-installed, so physical equality proves the cell was
-      untouched since the observation; the allocation itself is the tag.
-      This is a property of this boxed OCaml representation, not of the
-      paper's raw-word cells.  Used by the batch-run extension to spend one
-      CAS per slot instead of two. *)
-
   val peek : 'a t -> 'a
   (** Read the logical value without reserving: reads through a foreign
       marker via its tag variable's placeholder.  Safe for heuristic checks
@@ -166,11 +147,14 @@ module Make (A : Atomic_intf.ATOMIC) : S
 (** [Make_probed] with {!Hook.Noop}: the uninstrumented default. *)
 
 module Backend (A : Atomic_intf.ATOMIC) (H : Hook.S) : Llsc_backend.S
-(** The protocol behind the unified {!Llsc_backend.S} seam: reservation
-    tokens are the values read (rollback = [sc] restoring the old value),
-    Head/Tail counters are plain atomics with a single helping CAS
-    (paper Fig. 5, right column), observe/commit as in {!S.commit}.
-    [reregister] stays the paper-mandated per-operation protocol — this is
-    the backend the Blelloch-Wei port is ablated against. *)
+(** The protocol behind the unified {!Llsc_backend.S} seam, storing the
+    caller's values themselves ([fresh_stores = true]): the caller's
+    {!Llsc_backend.marking} wraps the markers, reservation tokens are the
+    values read (rollback = [sc] re-storing the block read), and
+    observe/commit is one plain read and a CAS against the block read.
+    Head/Tail counters are plain atomics with a single helping CAS (paper
+    Fig. 5, right column).  [reregister] stays the paper-mandated
+    per-operation protocol — this is the backend the Blelloch-Wei port is
+    ablated against. *)
 
 include S

@@ -20,4 +20,4 @@ dune exec bin/torture.exe -- --wait --wait-iters 2000 > results/wait_torture.txt
 bench shard-sweep --csv > results/shard_sweep.csv
 bench park-sweep --csv > results/park_sweep.csv
 bench burst-sweep --csv > results/burst_sweep.csv
-echo DONE > results/STATUS
+echo DONE

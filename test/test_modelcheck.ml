@@ -335,6 +335,8 @@ let dpor_walks =
     walk `Quick "algorithm-1 matrix exhaustive" (alg [ "evequoz-llsc" ]);
     walk `Quick "convicts algorithm-1 shared-Empty null-ABA"
       (alg [ "evequoz-llsc-shared-empty" ]);
+    walk `Quick "convicts algorithm-2 shared-Empty null-ABA"
+      (alg [ "evequoz-cas-shared-empty" ]);
     walk `Quick "blelloch-wei matrix exhaustive" (alg [ "evequoz-bw" ]);
     walk `Quick "convicts BW no-scan recycling" (alg [ "evequoz-bw-noscan" ]);
     (* The segmented queue's trees are explored 150 steps deep before the

@@ -356,8 +356,8 @@ let wrapped_suites =
 
    Measured after warm-up with preallocated payloads, on the home shard.
    A 5+5 batch round allocates only its items' own blocks: per item the
-   [Item], the two boxes the slot CASes install and the result's cons
-   cell, 9 words, so 45 a round.  An empty facade operation (home probe
+   [Item] the enqueue stores (2 words), the fresh [Vacant] the dequeue
+   stores (2) and the result's cons cell (3), 7 words, so 35 a round.  An empty facade operation (home probe
    plus a steal sweep over every shard) allocates nothing. *)
 let words_per ?(n = 1_000) op =
   for _ = 1 to n do op () done;
@@ -376,7 +376,7 @@ let shard4_batch_round_words () =
         ignore (inst.Registry.dequeue_batch 5 : Registry.payload list))
   in
   Alcotest.(check int) "queue drained" 0 (inst.Registry.length ());
-  Alcotest.(check (float 0.01)) "words per 5+5 round" 45. words
+  Alcotest.(check (float 0.01)) "words per 5+5 round" 35. words
 
 let shard4_empty_ops_allocate_nothing () =
   let inst = shard4 () in

@@ -225,36 +225,39 @@ let null_aba_evequoz_defeats () =
     (Q.try_dequeue q)
 
 (* The same timeline at the cell level, where the stall can be scripted:
-   Algorithm 1's ring over fresh-store cells, with a reservation taken on
-   a vacant slot exactly as E9 takes it and the stale E15 store attempted
-   after four laps of interference through the ring's own operations.  On
-   the real cells every vacancy is a fresh [Vacant] block, so the stale
-   sc fails; on the seeded mutant (the same cells, vacated with the shared
-   immediate [Empty]) the slot holds the value the reservation read, and
-   the stale sc lands. *)
-module Null_aba_replay
-    (B : Nbq_primitives.Llsc_backend.S with type 'a handle = unit) =
-struct
+   the ring over fresh-store cells, with a stale observation taken on a
+   vacant slot, and the stale E15 store attempted through it after four
+   laps of interference by another handle through the ring's own
+   operations.  On Algorithm 1's cells the observation is exactly the
+   reservation E9 takes; on the tag protocol's it is the batch path's
+   observe, since a stale [sc] there expects its own marker, which the
+   interference stole.  On the real cells every vacancy is a fresh
+   [Vacant] block, so the stale store fails; on each seeded mutant (the
+   same cells, vacated with the shared immediate [Empty]) the slot holds
+   the value the observation read, and the stale store lands. *)
+module Null_aba_replay (B : Nbq_primitives.Llsc_backend.S) = struct
   module R = Nbq_core.Evequoz_ring.Make (B)
 
   let stale_sc_lands () =
     let q = R.create ~capacity:4 in
+    let stale = R.register q and h = R.register q in
     (* One lap, so slot 0 holds a vacancy a dequeue stored. *)
     for v = 1 to 4 do
-      ignore (R.enqueue_with q () v : bool);
-      ignore (R.dequeue_with q () : int option)
+      ignore (R.enqueue_with q h v : bool);
+      ignore (R.dequeue_with q h : int option)
     done;
     let cell = q.R.slots.(R.tail_index q land q.R.mask) in
-    let res = B.ll cell () in
-    (match B.res_value res with
+    let obs = B.observe cell stale in
+    (match B.observed_get obs with
     | R.Empty | R.Vacant _ -> ()
-    | R.Item _ | R.Consumed -> Alcotest.fail "reserved slot not vacant");
+    | R.Item _ | R.Consumed | R.Reserved _ ->
+        Alcotest.fail "observed slot not vacant");
     for v = 9 to 24 do
-      ignore (R.enqueue_with q () v : bool);
+      ignore (R.enqueue_with q h v : bool);
       Alcotest.(check (option int)) "interference" (Some v)
-        (R.dequeue_with q ())
+        (R.dequeue_with q h)
     done;
-    B.sc cell () res (R.Item 7)
+    B.commit cell stale obs (R.Item 7)
 end
 
 module Fresh_cells = Nbq_primitives.Llsc_backend.Of_cell (Llsc.Fresh)
@@ -265,13 +268,30 @@ module Shared_empty_cells = Nbq_primitives.Llsc_backend.Of_cell (struct
   let fresh_stores = false
 end)
 
+module Tag_cells =
+  Nbq_primitives.Llsc_cas.Backend
+    (Nbq_primitives.Atomic_intf.Real)
+    (Nbq_primitives.Hook.Noop)
+
+module Tag_shared_empty_cells = struct
+  include Tag_cells
+
+  let fresh_stores = false
+end
+
 let null_aba_cell_replay () =
   let module Real = Null_aba_replay (Fresh_cells) in
   let module Mutant = Null_aba_replay (Shared_empty_cells) in
+  let module Tag = Null_aba_replay (Tag_cells) in
+  let module Tag_mutant = Null_aba_replay (Tag_shared_empty_cells) in
   Alcotest.(check bool) "fresh vacancies: stale sc fails" false
     (Real.stale_sc_lands ());
   Alcotest.(check bool) "shared Empty: stale sc lands" true
-    (Mutant.stale_sc_lands ())
+    (Mutant.stale_sc_lands ());
+  Alcotest.(check bool) "tag cells, fresh vacancies: stale commit fails"
+    false (Tag.stale_sc_lands ());
+  Alcotest.(check bool) "tag cells, shared Empty: stale commit lands" true
+    (Tag_mutant.stale_sc_lands ())
 
 (* ---------------------------------------------------------------------- *)
 (* Figure 4: a dequeuer's Head observation goes stale while the ring
