@@ -110,7 +110,7 @@ let ablation ?(domains = [ 8 ]) ?base knob title cells =
     ~variant:knob ~domains ?base cells
 
 let cores = Domain.recommended_domain_count ()
-let ring_vs_scq = names [ "evequoz-cas"; "scq"; "scq-d"; "scq-wcq" ]
+let ring_vs_scq = names [ "evequoz-cas"; "scq" ]
 let fixed_vs_segmented = names [ "evequoz-cas"; "evequoz-seg" ]
 
 let all =
@@ -121,9 +121,9 @@ let all =
       ~base:"evequoz-cas";
     fig6 "d" "cas-suite" "normalized time, CAS suite" threads_b suite_b
       ~base:"evequoz-cas";
-    (* Beyond the paper: the 2008 ring against Nikolaev's SCQ family
+    (* Beyond the paper: the 2008 ring against Nikolaev's SCQ
        (arXiv:1908.04511) on the same workload. *)
-    fig6 "s" "scq-suite" "2008 ring vs the SCQ family" [ 1; 2; 4; 8 ]
+    fig6 "s" "scq-suite" "2008 ring vs SCQ" [ 1; 2; 4; 8 ] ~base:"evequoz-cas"
       ring_vs_scq;
     (* E5: one thread against the unsynchronized ring (paper: LL/SC
        +12 %, CAS +50 % / +90 %). *)
@@ -157,8 +157,6 @@ let all =
     ablation "backends" "LL/SC backend under the ring functor"
       ~domains:[ 1; 2; 4; 8 ] ~base:"evequoz-cas"
       [ named "evequoz-cas"; cas_batched; named "evequoz-bw" ];
-    ablation "scq" "2008 tag-protocol ring vs the SCQ family"
-      ~domains:[ 1; 2; 4; 8 ] ~base:"evequoz-cas" ring_vs_scq;
     (* SC failures, helping, re-registrations and steals per thousand
        items as the domain count grows: the mechanism behind the Figure 6
        slowdowns. *)
@@ -198,9 +196,11 @@ let all =
     preset "gate-obs" "obs overhead" ~loop:(Closed (Some Probes))
       ~domains:[ 4 ] ~runs:3 ~scale:0.5 (names [ "evequoz-cas" ]);
     (* Single domain: on a core-starved box a multi-domain run measures
-       the scheduler, not the recorder. *)
+       the scheduler, not the recorder.  One run per side and block, so
+       30 blocks: block ratios on 2 cores spread over tens of percent,
+       and only a median over many blocks resolves a 10 % bound. *)
     preset "gate-trace" "trace overhead" ~loop:(Closed (Some Recorder))
-      ~domains:[ 1 ] ~runs:6 ~scale:1.0 (names [ "evequoz-cas" ]);
+      ~domains:[ 1 ] ~runs:1 ~scale:1.0 (names [ "evequoz-cas" ]);
   ]
 
 let find name = List.find_opt (fun p -> p.name = name) all

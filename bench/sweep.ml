@@ -325,9 +325,13 @@ let closed o p =
 
 (* Plain vs armed (metrics hub, or flight recorder sampling 1/64 spans)
    on one queue at one domain count.  Each side's cost is its best run:
-   scheduler noise only ever slows a run down. *)
+   scheduler noise only ever slows a run down.  Each side gets 30 timed
+   runs, split into [30 / runs] interleaved blocks: fewer runs per block
+   give more blocks in the same time, and a median of more blocks
+   resolves a smaller overhead. *)
 let overhead_gate p arm =
   let c = List.hd p.cells and d = List.hd p.domains in
+  let blocks = max 1 (30 / p.runs) in
   let cost armed =
     let metrics =
       if armed && arm = Probes then Some (Metrics.create ()) else None
@@ -341,11 +345,11 @@ let overhead_gate p arm =
     m.Runner.summary.Stats.min
   in
   let label =
-    Printf.sprintf "%s: %s @ %d domains, %d runs x 10 blocks, %d \
+    Printf.sprintf "%s: %s @ %d domains, %d runs x %d blocks, %d \
                     iterations/thread"
-      p.title c.label d p.runs (iterations p)
+      p.title c.label d p.runs blocks (iterations p)
   in
-  ([], ratio_gate ~label ~bound:1.10 ~blocks:10 cost)
+  ([], ratio_gate ~label ~bound:1.10 ~blocks cost)
 
 (* Re-run each cell at the largest domain count with the flight recorder
    armed and write results/trace-<bench>-<queue>.json (Chrome trace-event

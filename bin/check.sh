@@ -22,11 +22,10 @@ dune exec bin/torture.exe -- --queue evequoz-cas-shard4 --seed 42 --ops 2000 > /
 # mid-retire (seg-retire) must leave the queue conserving and live.
 dune exec bin/torture.exe -- --queue evequoz-seg --seed 42 --ops 2000 > /dev/null
 # SCQ gate: the FAA-cycle matrix (faa-cycle / threshold-reset / catchup
-# windows) under stalls and crashes for the base row, stalls for the
-# wCQ-helping variant.  The harness clamps scq capacity to 2 so the
-# catchup and threshold windows actually open (see lib/fault/torture.ml).
+# windows) under stalls and crashes.  The harness clamps scq capacity to
+# 2 so the catchup and threshold windows actually open (see
+# lib/fault/torture.ml).
 dune exec bin/torture.exe -- --queue scq --seed 42 --ops 2000 --crash > /dev/null
-dune exec bin/torture.exe -- --queue scq-wcq --seed 42 --ops 2000 > /dev/null
 # Wait-layer torture: stall/crash a waker inside the wake-lost window and
 # a waiter inside the park window; every live parked domain must still
 # complete (no lost-wakeup strand).
@@ -52,8 +51,8 @@ dune exec bin/modelcheck_run.exe -- -a evequoz-llsc \
 # per-item cost (median of 10 interleaved 0.2 s blocks).
 dune exec bench/bench.exe -- gate-burst > /dev/null
 # Flight-recorder overhead gate: an armed recorder (1/64 span sampling)
-# must cost <= 10% vs the plain path (median of 10 interleaved blocks,
-# best-of-6-runs per block).  Single-threaded on purpose: on a
+# must cost <= 10% vs the plain path (median of 30 interleaved blocks,
+# one run per side and block).  Single-threaded on purpose: on a
 # core-starved box multi-domain runs measure the scheduler, not the
 # recorder.
 dune exec bench/bench.exe -- gate-trace > /dev/null
@@ -77,7 +76,7 @@ test -s results/bench_summary.json
 dune exec bin/bench_compare.exe -- results/bench_summary.json results/bench_summary.json > /dev/null
 bench fig6-b fig6-c fig6-d fig6-s overhead shann-vs-cas latency \
   ablation-weak-llsc ablation-hp-threshold ablation-ebr-batch \
-  ablation-capacity ablation-reclamation ablation-backends ablation-scq
+  ablation-capacity ablation-reclamation ablation-backends
 bench contend -q evequoz-cas,evequoz-seg,scq -d 1,2,4
 bench contend -q evequoz-bw -d 1,2
 bench shard-sweep

@@ -270,8 +270,8 @@ let evequoz_seg =
    machinery, at worst costing one credit), [Threshold_reset] between a
    successful install and the threshold restore (other installs must keep
    re-arming the dequeuers' retry budget), and [Catchup] inside the tail-
-   repair loop.  No registry: the ring is index-based, so [audit] is
-   [None]; a crashed enqueuer can strand one credit, which the ±1 crash
+   repair loop.  No registry: the ring has no tag variables, so [audit]
+   is [None]; a crashed enqueuer can strand one credit, which the ±1 crash
    tolerance and the recovery roundtrip both absorb.  A crashed or frozen
    operation also stays counted in flight at the admission gate, so the
    survivors' "full" verdicts spin out the gate's bound before conceding.
@@ -286,33 +286,19 @@ let build_scq ?tracer inj ~capacity =
   let module S =
     Nbq_scq.Scq.Make_probed (Nbq_primitives.Atomic_intf.Real) (H)
   in
-  let q = S.Scq.create ~capacity:(min capacity 2) in
+  let q = S.create ~capacity:(min capacity 2) in
   {
-    enqueue = (fun v -> S.Scq.try_enqueue q v);
-    dequeue = (fun () -> S.Scq.try_dequeue q);
+    enqueue = (fun v -> S.try_enqueue q v);
+    dequeue = (fun () -> S.try_dequeue q);
     audit = (fun () -> None);
   }
 
-(* Same windows with the wCQ-style helping enqueue armed: a victim frozen
-   inside its slow-path announcement must not block helpers, and a helper
-   frozen mid-help must not block the announcer. *)
-let build_scq_wcq ?tracer inj ~capacity =
-  let module H = (val hook ?tracer inj) in
-  let module S =
-    Nbq_scq.Scq.Make_wcq_probed (Nbq_primitives.Atomic_intf.Real) (H)
-  in
-  let q = S.Scq.create ~capacity:(min capacity 2) in
+let scq =
   {
-    enqueue = (fun v -> S.Scq.try_enqueue q v);
-    dequeue = (fun () -> S.Scq.try_dequeue q);
-    audit = (fun () -> None);
+    name = "scq";
+    deep_points = [ Hook.Faa_cycle; Hook.Threshold_reset; Hook.Catchup ];
+    build = build_scq;
   }
-
-let scq_points = [ Hook.Faa_cycle; Hook.Threshold_reset; Hook.Catchup ]
-let scq = { name = "scq"; deep_points = scq_points; build = build_scq }
-
-let scq_wcq =
-  { name = "scq-wcq"; deep_points = scq_points; build = build_scq_wcq }
 
 let deep_targets =
   [
@@ -322,7 +308,6 @@ let deep_targets =
     evequoz_cas_sharded;
     evequoz_seg;
     scq;
-    scq_wcq;
   ]
 
 let generic_of_impl (impl : Registry.impl) =

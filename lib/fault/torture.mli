@@ -79,18 +79,15 @@ val evequoz_seg : target
     published hazard. *)
 
 val scq : target
-(** ["scq"]: the SCQ value/credit pairing over fault-injected rings.
-    [Faa_cycle] (a ticket taken by FAA, slot untouched — the abandoned
-    ticket must be recovered by the unsafe-bit/bump machinery, at worst
-    stranding one credit), [Threshold_reset] (item installed, threshold
-    not restored — other installs must keep re-arming dequeuers), and
-    [Catchup] (inside the tail-repair loop).  No registry, so no
-    [audit]. *)
-
-val scq_wcq : target
-(** ["scq-wcq"]: {!scq} with the helping (announcement-driven) enqueue
-    slow path armed, so a victim can die or stall while announced or
-    while helping. *)
+(** ["scq"]: the SCQ ring behind its admission gate, over fault-injected
+    atomics, capacity clamped to 2.  [Faa_cycle] (a ticket taken by FAA,
+    slot untouched — the abandoned ticket must be recovered by the
+    unsafe-bit/bump machinery, at worst stranding one credit),
+    [Threshold_reset] (item installed, threshold not restored — other
+    installs must keep re-arming dequeuers), and [Catchup] (inside the
+    tail-repair loop).  A victim frozen anywhere stays in flight at the
+    gate, so survivors' "full" verdicts spin out its bound.  No tag
+    registry, so no [audit]. *)
 
 val targets : unit -> target list
 (** The deep targets plus a generic (Op_gap-only) target for every other

@@ -477,20 +477,7 @@ let evequoz_seg_bw : builder =
 let scq : builder =
  fun hook ->
   let module H = (val hook) in
-  let module S = Nbq_scq.Scq.Make_probed (Real) (H) in
-  (module Queue_intf.Make (Cap.Bounded (S.Scq)))
-
-let scqd : builder =
- fun hook ->
-  let module H = (val hook) in
-  let module S = Nbq_scq.Scq.Make_probed (Real) (H) in
-  (module Queue_intf.Make (Cap.Bounded (S.Scqd)))
-
-let scq_wcq : builder =
- fun hook ->
-  let module H = (val hook) in
-  let module S = Nbq_scq.Scq.Make_wcq_probed (Real) (H) in
-  (module Queue_intf.Make (Cap.Bounded (S.Scq)))
+  (module Queue_intf.Make (Cap.Bounded (Nbq_scq.Scq.Make_probed (Real) (H))))
 
 (* --- The registered families -------------------------------------------- *)
 
@@ -534,12 +521,8 @@ let families : Family.t list =
     Family.v "evequoz-seg" ~classification:Link_based ~shards:[ 1; 4 ]
       evequoz_seg;
     Family.v "evequoz-seg-bw" ~classification:Link_based evequoz_seg_bw;
-    (* SCQ: plain, SCQD index-queue pairing, and the wCQ-style helping
-       variant; the base row also derives a shard facade and a blocking
-       row. *)
+    (* SCQ, with a derived shard facade and blocking row. *)
     Family.v "scq" ~shards:[ 4 ] ~blocking:true scq;
-    Family.v "scq-d" scqd;
-    Family.v "scq-wcq" scq_wcq;
     Family.v "seq-ring" ~classification:Sequential (unhooked (module Seq_conc));
   ]
 

@@ -212,19 +212,16 @@ module SimSeg =
   Nbq_segmented.Segmented.Make_backend (Sim.Atomic) (SimSegBackend)
     (Trace_hook)
 
-(* Nikolaev's SCQ: the FAA-ticketed ring, with and without the
-   wCQ-style helping enqueue.  The no-threshold variant disables the
-   retry-budget counter — the seeded livelock the checker must convict:
-   without it an empty-side dequeuer's slot bumps and the enqueuer's
-   fresh tickets can chase each other forever. *)
+(* Nikolaev's SCQ: the FAA-ticketed ring behind its admission gate.  The
+   no-threshold variant disables the retry-budget counter — the seeded
+   livelock the checker must convict: without it an empty-side
+   dequeuer's slot bumps and the enqueuer's fresh tickets can chase each
+   other forever. *)
 module SimScq = Nbq_scq.Scq.Make_probed (Sim.Atomic) (Trace_hook)
-module SimScqW = Nbq_scq.Scq.Make_wcq_probed (Sim.Atomic) (Trace_hook)
 
 module SimScqNothresh =
   Nbq_scq.Scq.Make_full
     (struct
-      include Nbq_scq.Scq.Default_config
-
       let threshold = false
     end)
     (Sim.Atomic)
@@ -503,8 +500,15 @@ let shann =
    isolation; the exhaustive pass must come back clean under the step
    budget regardless (the conviction belongs to scq-nothreshold, which
    waives the counter and claims lock freedom). *)
-let scq name make =
-  { name; progress = Props.Obstruction_free; instance = simple make }
+let scq =
+  {
+    name = "scq";
+    progress = Props.Obstruction_free;
+    instance =
+      simple (fun capacity ->
+          let q = SimScq.create ~capacity in
+          (SimScq.try_enqueue q, fun () -> SimScq.try_dequeue q));
+  }
 
 let entries =
   [
@@ -563,15 +567,7 @@ let entries =
             let q = SimValois.create ~capacity in
             (SimValois.try_enqueue q, fun () -> SimValois.try_dequeue q));
     };
-    scq "scq" (fun capacity ->
-        let q = SimScq.Scq.create ~capacity in
-        (SimScq.Scq.try_enqueue q, fun () -> SimScq.Scq.try_dequeue q));
-    scq "scq-d" (fun capacity ->
-        let q = SimScq.Scqd.create ~capacity in
-        (SimScq.Scqd.try_enqueue q, fun () -> SimScq.Scqd.try_dequeue q));
-    scq "scq-wcq" (fun capacity ->
-        let q = SimScqW.Scq.create ~capacity in
-        (SimScqW.Scq.try_enqueue q, fun () -> SimScqW.Scq.try_dequeue q));
+    scq;
   ]
 
 let standard_matrix =
@@ -763,11 +759,11 @@ let lost_wakeup_instance () =
    above runs to exhaustion.  No conservation drain here: draining the
    seeded variant would itself never return on the emptied queue. *)
 let scq_nothreshold_instance () =
-  let q = SimScqNothresh.Scq.create ~capacity:1 in
+  let q = SimScqNothresh.create ~capacity:1 in
   let recorder = H.recorder ~threads:2 in
   let s =
-    plain (SimScqNothresh.Scq.try_enqueue q)
-      (fun () -> SimScqNothresh.Scq.try_dequeue q)
+    plain (SimScqNothresh.try_enqueue q)
+      (fun () -> SimScqNothresh.try_dequeue q)
       ()
   in
   let task i ops () = List.iter (record recorder ~thread:i s) ops in

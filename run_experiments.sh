@@ -12,7 +12,7 @@ bench fig6-c --scale 0.1 > results/fig6c.txt 2>&1
 bench fig6-d --scale 0.1 > results/fig6d.txt 2>&1
 bench latency > results/latency.txt 2>&1
 bench ablation-weak-llsc ablation-hp-threshold ablation-ebr-batch ablation-capacity \
-  ablation-reclamation ablation-backends ablation-scq --runs 2 > results/ablation.txt 2>&1
+  ablation-reclamation ablation-backends --runs 2 > results/ablation.txt 2>&1
 bench contend --runs 2 --scale 0.1 --plot > results/contend.txt 2>&1
 bench gate-obs > results/obs_overhead.txt 2>&1
 dune exec bin/torture.exe -- --seed 42 --ops 10000 --crash > results/torture.txt 2>&1

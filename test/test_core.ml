@@ -619,93 +619,58 @@ let bw_batch_roundtrip () =
     (QB3.try_dequeue_batch q 99);
   Alcotest.(check (list int)) "empty run" [] (QB3.try_dequeue_batch q 4)
 
-(* --- SCQ (PR 10): the FAA-ticketed ring family --- *)
+(* --- SCQ: the FAA-ticketed ring behind its admission gate --- *)
 
 module Scq = Nbq_scq.Scq.Make (Nbq_primitives.Atomic_intf.Real)
-module Scq_wcq = Nbq_scq.Scq.Make_wcq (Nbq_primitives.Atomic_intf.Real)
 
 let scq_fifo_and_capacity () =
-  let q = Scq.Scq.create ~capacity:3 in
-  Alcotest.(check int) "capacity rounded" 4 (Scq.Scq.capacity q);
+  let q = Scq.create ~capacity:3 in
+  Alcotest.(check int) "capacity rounded" 4 (Scq.capacity q);
   for i = 1 to 4 do
     Alcotest.(check bool)
       (Printf.sprintf "enqueue %d accepted" i)
       true
-      (Scq.Scq.try_enqueue q i)
+      (Scq.try_enqueue q i)
   done;
   (* The admission gate linearizes "full": with nothing in flight the 5th
      item must bounce at once even though the backing ring has 2n = 8
      slots. *)
-  Alcotest.(check bool) "5th rejected" false (Scq.Scq.try_enqueue q 5);
-  Alcotest.(check int) "length at cap" 4 (Scq.Scq.length q);
+  Alcotest.(check bool) "5th rejected" false (Scq.try_enqueue q 5);
+  Alcotest.(check int) "length at cap" 4 (Scq.length q);
   for i = 1 to 4 do
     Alcotest.(check (option int))
       (Printf.sprintf "dequeue %d in order" i)
-      (Some i) (Scq.Scq.try_dequeue q)
+      (Some i) (Scq.try_dequeue q)
   done;
-  Alcotest.(check (option int)) "then empty" None (Scq.Scq.try_dequeue q);
-  Alcotest.(check int) "length drained" 0 (Scq.Scq.length q)
+  Alcotest.(check (option int)) "then empty" None (Scq.try_dequeue q);
+  Alcotest.(check int) "length drained" 0 (Scq.length q)
 
 let scq_empty_fast_path_rearms () =
   (* Failed dequeues burn the threshold down to its negative fast path;
      any later enqueue must re-arm it (reset_threshold) so the queue
      never reports a false empty afterwards. *)
-  let q = Scq.Scq.create ~capacity:2 in
+  let q = Scq.create ~capacity:2 in
   for _ = 1 to 50 do
-    Alcotest.(check (option int)) "empty" None (Scq.Scq.try_dequeue q)
+    Alcotest.(check (option int)) "empty" None (Scq.try_dequeue q)
   done;
-  Alcotest.(check bool) "enqueue after the burn" true (Scq.Scq.try_enqueue q 7);
-  Alcotest.(check (option int)) "comes back" (Some 7) (Scq.Scq.try_dequeue q);
-  Alcotest.(check (option int)) "empty again" None (Scq.Scq.try_dequeue q)
+  Alcotest.(check bool) "enqueue after the burn" true (Scq.try_enqueue q 7);
+  Alcotest.(check (option int)) "comes back" (Some 7) (Scq.try_dequeue q);
+  Alcotest.(check (option int)) "empty again" None (Scq.try_dequeue q)
 
 let scq_wraparound () =
   (* 100 laps of a 2-slot ring: cycle indices must keep slots unambiguous
      far past the first revolution. *)
-  let q = Scq.Scq.create ~capacity:2 in
+  let q = Scq.create ~capacity:2 in
   for i = 1 to 200 do
-    Alcotest.(check bool) "accepted" true (Scq.Scq.try_enqueue q i);
-    Alcotest.(check (option int)) "round-trips" (Some i) (Scq.Scq.try_dequeue q)
+    Alcotest.(check bool) "accepted" true (Scq.try_enqueue q i);
+    Alcotest.(check (option int)) "round-trips" (Some i) (Scq.try_dequeue q)
   done;
-  Alcotest.(check int) "length settled" 0 (Scq.Scq.length q)
-
-let scqd_pairing () =
-  (* SCQD: index rings around a plain data array.  Same observable
-     contract — FIFO, capacity bound, emptiness — via the fq/aq pair. *)
-  let q = Scq.Scqd.create ~capacity:2 in
-  Alcotest.(check bool) "enq 1" true (Scq.Scqd.try_enqueue q 10);
-  Alcotest.(check bool) "enq 2" true (Scq.Scqd.try_enqueue q 20);
-  Alcotest.(check bool) "full" false (Scq.Scqd.try_enqueue q 30);
-  Alcotest.(check (option int)) "fifo 1" (Some 10) (Scq.Scqd.try_dequeue q);
-  Alcotest.(check (option int)) "fifo 2" (Some 20) (Scq.Scqd.try_dequeue q);
-  Alcotest.(check (option int)) "empty" None (Scq.Scqd.try_dequeue q);
-  for i = 1 to 100 do
-    Alcotest.(check bool) "lap enq" true (Scq.Scqd.try_enqueue q i);
-    Alcotest.(check (option int)) "lap deq" (Some i) (Scq.Scqd.try_dequeue q)
-  done
-
-let scq_wcq_helping_roundtrip () =
-  (* The helping variant changes the enqueue slow path, not the
-     contract: same FIFO and capacity behaviour, including far past
-     [slow_after] tickets' worth of traffic. *)
-  let q = Scq_wcq.Scq.create ~capacity:4 in
-  for lap = 0 to 49 do
-    for i = 1 to 4 do
-      Alcotest.(check bool) "accepted" true
-        (Scq_wcq.Scq.try_enqueue q ((lap * 4) + i))
-    done;
-    Alcotest.(check bool) "full" false (Scq_wcq.Scq.try_enqueue q 0);
-    for i = 1 to 4 do
-      Alcotest.(check (option int)) "in order"
-        (Some ((lap * 4) + i))
-        (Scq_wcq.Scq.try_dequeue q)
-    done;
-    Alcotest.(check (option int)) "empty" None (Scq_wcq.Scq.try_dequeue q)
-  done
+  Alcotest.(check int) "length settled" 0 (Scq.length q)
 
 let scq_concurrent_conservation () =
   (* 2 producers + 2 consumers over a 4-slot scq: every accepted item
      comes out exactly once, per-producer order preserved. *)
-  let q = Scq.Scq.create ~capacity:4 in
+  let q = Scq.create ~capacity:4 in
   let per = 3_000 in
   let accepted = Array.make 2 [] and got = Array.make 2 [] in
   let producers =
@@ -714,7 +679,7 @@ let scq_concurrent_conservation () =
             for i = 1 to per do
               let v = (p * per) + i in
               let rec go n =
-                if n > 0 && not (Scq.Scq.try_enqueue q v) then begin
+                if n > 0 && not (Scq.try_enqueue q v) then begin
                   Unix.sleepf 1e-4;
                   go (n - 1)
                 end
@@ -728,7 +693,7 @@ let scq_concurrent_conservation () =
     Array.init 2 (fun c ->
         Domain.spawn (fun () ->
             let rec drain idle =
-              match Scq.Scq.try_dequeue q with
+              match Scq.try_dequeue q with
               | Some v ->
                   got.(c) <- v :: got.(c);
                   drain 0
@@ -750,7 +715,7 @@ let scq_concurrent_conservation () =
   let all_in = List.sort compare (accepted.(0) @ accepted.(1)) in
   let all_out = List.sort compare (got.(0) @ got.(1)) in
   let rec leftover () =
-    match Scq.Scq.try_dequeue q with
+    match Scq.try_dequeue q with
     | Some v -> v :: leftover ()
     | None -> []
   in
@@ -821,8 +786,6 @@ let () =
           quick "fifo + credit-bounded capacity" scq_fifo_and_capacity;
           quick "empty fast path re-arms" scq_empty_fast_path_rearms;
           quick "wraparound x100 laps" scq_wraparound;
-          quick "scqd index/data pairing" scqd_pairing;
-          quick "wcq helping contract parity" scq_wcq_helping_roundtrip;
           slow "concurrent conservation" scq_concurrent_conservation;
         ] );
       ( "blocking",

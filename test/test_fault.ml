@@ -270,7 +270,6 @@ let () =
       ("stall-matrix evequoz-bw", stall_matrix Torture.evequoz_bw);
       ("stall-matrix evequoz-seg", stall_matrix Torture.evequoz_seg);
       ("stall-matrix scq", stall_matrix Torture.scq);
-      ("stall-matrix scq-wcq", stall_matrix Torture.scq_wcq);
       ( "stall-op-gap generic",
         [
           slow "two-lock" (opgap_generic "two-lock");
@@ -303,8 +302,6 @@ let () =
             (crash_point Torture.scq Hook.Threshold_reset);
           slow "scq / catchup dies mid tail-repair"
             (crash_point Torture.scq Hook.Catchup);
-          slow "scq-wcq / faa-cycle abandons ticket"
-            (crash_point Torture.scq_wcq Hook.Faa_cycle);
         ] );
       ( "hook",
         [ quick "metrics, recorder and injector composed" composed_hook ] );

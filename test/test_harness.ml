@@ -37,7 +37,7 @@ let registry_concurrent_excludes_sequential () =
   Alcotest.(check int) "all = concurrent + seq"
     (List.length Registry.all)
     (List.length Registry.concurrent + 1);
-  Alcotest.(check int) "twenty-nine implementations" 29
+  Alcotest.(check int) "twenty-seven implementations" 27
     (List.length Registry.all)
 
 let registry_instances_independent () =
@@ -57,8 +57,8 @@ let registry_expected_members () =
       "ms-doherty"; "herlihy-wing"; "lms-optimistic"; "two-lock";
       "lock-ring"; "seq-ring"; "evequoz-cas-shard4"; "evequoz-cas-shard8";
       "evequoz-bw-shard4"; "evequoz-seg"; "evequoz-seg-bw";
-      "evequoz-seg-shard1"; "evequoz-seg-shard4"; "scq"; "scq-d"; "scq-wcq";
-      "scq-shard4"; "scq-blocking";
+      "evequoz-seg-shard1"; "evequoz-seg-shard4"; "scq"; "scq-shard4";
+      "scq-blocking";
     ]
 
 (* --- Stats --- *)

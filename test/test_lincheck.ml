@@ -485,10 +485,9 @@ let seg_bw_small_rounds () =
              ~enqueue:(fun v -> Seg.Bw.try_enqueue q v)
              ~dequeue:(fun () -> Seg.Bw.try_dequeue q)))
 
-(* --- the SCQ family under concurrent stress --- *)
+(* --- SCQ under concurrent stress --- *)
 
 module Scq = Nbq_scq.Scq.Make (Nbq_primitives.Atomic_intf.Real)
-module Scq_wcq = Nbq_scq.Scq.Make_wcq (Nbq_primitives.Atomic_intf.Real)
 
 (* Capacity 2 keeps every episode at the full/empty boundaries, where the
    FAA-ticket protocol earns its keep: slot bumps, unsafe marks, catchup
@@ -499,31 +498,11 @@ let scq_small_rounds () =
   seg_verdict "scq small rounds"
     (Nbq_lincheck.Stress.check_small_rounds ~rounds:60 ~threads:3
        ~ops_per_thread:4 ~capacity:2 ~seed:19 (fun () ->
-         let q = Scq.Scq.create ~capacity:2 in
+         let q = Scq.create ~capacity:2 in
          fun _ ->
            Nbq_lincheck.Stress.ops_of_singles
-             ~enqueue:(fun v -> Scq.Scq.try_enqueue q v)
-             ~dequeue:(fun () -> Scq.Scq.try_dequeue q)))
-
-let scqd_small_rounds () =
-  seg_verdict "scq-d small rounds"
-    (Nbq_lincheck.Stress.check_small_rounds ~rounds:60 ~threads:3
-       ~ops_per_thread:4 ~capacity:2 ~seed:23 (fun () ->
-         let q = Scq.Scqd.create ~capacity:2 in
-         fun _ ->
-           Nbq_lincheck.Stress.ops_of_singles
-             ~enqueue:(fun v -> Scq.Scqd.try_enqueue q v)
-             ~dequeue:(fun () -> Scq.Scqd.try_dequeue q)))
-
-let scq_wcq_small_rounds () =
-  seg_verdict "scq-wcq small rounds"
-    (Nbq_lincheck.Stress.check_small_rounds ~rounds:40 ~threads:4
-       ~ops_per_thread:6 ~capacity:2 ~seed:29 (fun () ->
-         let q = Scq_wcq.Scq.create ~capacity:2 in
-         fun _ ->
-           Nbq_lincheck.Stress.ops_of_singles
-             ~enqueue:(fun v -> Scq_wcq.Scq.try_enqueue q v)
-             ~dequeue:(fun () -> Scq_wcq.Scq.try_dequeue q)))
+             ~enqueue:(fun v -> Scq.try_enqueue q v)
+             ~dequeue:(fun () -> Scq.try_dequeue q)))
 
 (* --- recorder --- *)
 
@@ -628,8 +607,6 @@ let () =
       ( "scq-stress",
         [
           quick "scq small rounds" scq_small_rounds;
-          quick "scq-d small rounds" scqd_small_rounds;
-          slow "scq-wcq small rounds" scq_wcq_small_rounds;
         ] );
       ( "recorder",
         [

@@ -345,9 +345,9 @@ let dpor_walks =
       ~max_steps:150;
     walk `Quick "convicts segmented no-retire"
       (alg [ "evequoz-seg-noretire" ]) ~max_steps:150;
-    (* The SCQ rings claim obstruction freedom: every tree must still
-       complete under the step budget. *)
-    walk `Slow "scq matrix exhaustive" (alg [ "scq"; "scq-d"; "scq-wcq" ])
+    (* SCQ claims obstruction freedom: every tree must still complete
+       under the step budget. *)
+    walk `Slow "scq matrix exhaustive" (alg [ "scq" ])
       ~extra:(fun stats ->
         Alcotest.(check int) "no stuck branch" 0 stats.Dpor.stuck);
     walk `Quick "convicts scq no-threshold livelock" (alg [ "scq-nothreshold" ]);
