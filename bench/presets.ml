@@ -151,12 +151,11 @@ let all =
     ablation "reclamation" "reclamation schemes on the same MS queue"
       ~domains:[ 1; 2; 4; 8; 16 ]
       (names [ "ms-gc"; "ms-hp-sorted"; "ms-ebr"; "ms-doherty" ]);
-    (* One ring functor, three cell contracts: the tag protocol's singles
-       and amortized batch runs, and Blelloch-Wei (arXiv:1911.09671),
-       whose ReRegister is a no-op. *)
+    (* The tag protocol's singles against its amortized batch runs (one
+       ReRegister and one counter CAS per run). *)
     ablation "backends" "LL/SC backend under the ring functor"
       ~domains:[ 1; 2; 4; 8 ] ~base:"evequoz-cas"
-      [ named "evequoz-cas"; cas_batched; named "evequoz-bw" ];
+      [ named "evequoz-cas"; cas_batched ];
     (* SC failures, helping, re-registrations and steals per thousand
        items as the domain count grows: the mechanism behind the Figure 6
        slowdowns. *)

@@ -9,9 +9,6 @@ dune runtest
 # point of both Evequoz queues; fixed seed, reduced op target (<30s).
 dune exec bin/torture.exe -- --queue evequoz-cas --seed 42 --ops 2000 > /dev/null
 dune exec bin/torture.exe -- --queue evequoz-llsc --seed 42 --ops 2000 > /dev/null
-# Blelloch-Wei backend: same stall matrix over its LL/announce/SC windows
-# (Tag_reregister deliberately absent -- its ReRegister is a no-op).
-dune exec bin/torture.exe -- --queue evequoz-bw --seed 42 --ops 2000 > /dev/null
 # Sharded front-end gate: the same matrix over the 4-shard composition
 # additionally stalls victims inside the shard-steal sweep and the
 # between-operations gap (shard-steal / op-gap points), the windows the
@@ -78,7 +75,6 @@ bench fig6-b fig6-c fig6-d fig6-s overhead shann-vs-cas latency \
   ablation-weak-llsc ablation-hp-threshold ablation-ebr-batch \
   ablation-capacity ablation-reclamation ablation-backends
 bench contend -q evequoz-cas,evequoz-seg,scq -d 1,2,4
-bench contend -q evequoz-bw -d 1,2
 bench shard-sweep
 bench park-sweep
 bench burst-sweep

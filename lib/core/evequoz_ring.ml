@@ -1,8 +1,7 @@
 (* The one ring algorithm (paper Fig. 3 = Fig. 5 modulo the cell
    primitive), over any Llsc_backend.  Historically Evequoz_llsc and
    Evequoz_cas were two near-copies specialized per cell contract; both
-   are now thin instantiations of this functor, as is the Blelloch-Wei
-   row. *)
+   are now thin instantiations of this functor. *)
 
 module Hook = Nbq_primitives.Hook
 

@@ -52,54 +52,14 @@ module type UNBOUNDED = sig
   val length : 'a t -> int
 end
 
-(** The capability record: one coherent description of what a queue
-    implementation can do, replacing the post-PR-9 sprawl of
-    per-capability booleans and module-type variants ([BOUNDED_BATCH]
-    plus the cell seam's single-lap and reset extensions).  {!Make}
-    consumes it and derives whatever is absent; the registry's family
-    descriptors read it to decide which derived rows make sense. *)
-module Caps = struct
-  type t = {
-    bounded : bool;
-        (** [try_enqueue] can return [false] (a linearizable "full") *)
-    native_batch : bool;
-        (** ships at least one native batch path worth dispatching to
-            (amortized per-operation state), rather than deriving batches
-            from the singles *)
-    single_lap : bool;
-        (** the underlying ring supports single-lap (fill-once/take-once)
-            operation — the mode the segmented queue runs its segments in
-            (PR 9) *)
-    resettable : bool;
-        (** an exclusive owner may recycle the structure in O(capacity)
-            plain stores (the cell seam's [reset]), enabling cheap segment
-            reuse *)
-  }
-
-  let bounded =
-    { bounded = true; native_batch = false; single_lap = false;
-      resettable = false }
-
-  let unbounded = { bounded with bounded = false }
-  let with_batch c = { c with native_batch = true }
-
-  (** The Evequoz-ring rows: bounded, and their cell seam carries the PR-9
-      single-lap + exclusive-reset extensions. *)
-  let ring = { bounded with single_lap = true; resettable = true }
-end
-
 (** The unified view used by the harness and the conformance battery. *)
 module type CONC = sig
   type 'a t
 
   val name : string
 
-  val caps : Caps.t
-  (** What this implementation can do (see {!Caps}). *)
-
   val bounded : bool
-  (** [caps.bounded], kept as a field because nearly every consumer reads
-      only this bit. *)
+  (** [try_enqueue] can return [false] (a linearizable "full"). *)
 
   val create : capacity:int -> 'a t
   (** [capacity] is ignored by unbounded implementations. *)
@@ -160,7 +120,7 @@ module type SOURCE = sig
   type 'a t
 
   val name : string
-  val caps : Caps.t
+  val bounded : bool
   val create : capacity:int -> 'a t
   val try_enqueue : 'a t -> 'a -> bool
   val try_dequeue : 'a t -> 'a option
@@ -177,7 +137,7 @@ module Capability = struct
     type 'a t = 'a Q.t
 
     let name = Q.name
-    let caps = Caps.bounded
+    let bounded = true
     let create = Q.create
     let try_enqueue = Q.try_enqueue
     let try_dequeue = Q.try_dequeue
@@ -191,7 +151,7 @@ module Capability = struct
     type 'a t = 'a Q.t
 
     let name = Q.name
-    let caps = Caps.(with_batch bounded)
+    let bounded = true
     let create = Q.create
     let try_enqueue = Q.try_enqueue
     let try_dequeue = Q.try_dequeue
@@ -200,28 +160,11 @@ module Capability = struct
     let try_dequeue_batch = Some Q.try_dequeue_batch
   end
 
-  (** The Evequoz cell-seam rings: like {!Bounded}/{!Bounded_batch} but the
-      capability record additionally advertises the PR-9 single-lap and
-      exclusive-reset extensions of the seam ([Llsc_backend.S]), which the
-      segmented queue builds on. *)
-  module Ring (Q : BOUNDED) : SOURCE with type 'a t = 'a Q.t = struct
-    include Bounded (Q)
-
-    let caps = Caps.ring
-  end
-
-  module Ring_batch (Q : BOUNDED_BATCH) : SOURCE with type 'a t = 'a Q.t =
-  struct
-    include Bounded_batch (Q)
-
-    let caps = Caps.(with_batch ring)
-  end
-
   module Unbounded (Q : UNBOUNDED) : SOURCE with type 'a t = 'a Q.t = struct
     type 'a t = 'a Q.t
 
     let name = Q.name
-    let caps = Caps.(with_batch unbounded)
+    let bounded = false
     let create ~capacity:_ = Q.create ()
 
     let try_enqueue t x =
@@ -249,17 +192,7 @@ module Make (S : SOURCE) : CONC with type 'a t = 'a S.t = struct
   type 'a t = 'a S.t
 
   let name = S.name
-
-  let caps =
-    (* Coherence: the capability record must agree with what the source
-       actually ships — [native_batch] iff some native batch path exists. *)
-    let native =
-      S.try_enqueue_batch <> None || S.try_dequeue_batch <> None
-    in
-    assert (S.caps.Caps.native_batch = native);
-    S.caps
-
-  let bounded = caps.Caps.bounded
+  let bounded = S.bounded
   let create = S.create
   let try_enqueue = S.try_enqueue
   let try_dequeue = S.try_dequeue

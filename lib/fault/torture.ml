@@ -56,32 +56,6 @@ let build_cas ?tracer inj ~capacity =
     audit = (fun () -> Some (Q.audit q));
   }
 
-(* The Blelloch–Wei backend under the same per-op register/deregister
-   adversary as [build_cas].  [Tag_reregister] is deliberately absent from
-   its point list: the constant-time protocol has no revalidation step, so
-   there is no window to arm — that absence IS the claim under test. *)
-let build_bw ?tracer inj ~capacity =
-  let module H = (val hook ?tracer inj) in
-  let module Q =
-    Nbq_core.Evequoz_bw.Make_probed (Nbq_primitives.Atomic_intf.Real) (H)
-  in
-  let q = Q.create ~capacity in
-  {
-    enqueue =
-      (fun v ->
-        let h = Q.register q in
-        let r = Q.enqueue_with q h v in
-        Q.deregister h;
-        r);
-    dequeue =
-      (fun () ->
-        let h = Q.register q in
-        let r = Q.dequeue_with q h in
-        Q.deregister h;
-        r);
-    audit = (fun () -> Some (Q.audit q));
-  }
-
 let build_llsc ?tracer inj ~capacity =
   let module H = (val hook ?tracer inj) in
   let module Cell =
@@ -111,21 +85,6 @@ let evequoz_cas =
         Hook.Counter_bump;
       ];
     build = build_cas;
-  }
-
-let evequoz_bw =
-  {
-    name = "evequoz-bw";
-    deep_points =
-      [
-        Hook.Ll_reserve;
-        Hook.Slot_swap;
-        Hook.Sc_attempt;
-        Hook.Tag_register;
-        Hook.Tag_deregister;
-        Hook.Counter_bump;
-      ];
-    build = build_bw;
   }
 
 let evequoz_llsc =
@@ -304,7 +263,6 @@ let deep_targets =
   [
     evequoz_llsc;
     evequoz_cas;
-    evequoz_bw;
     evequoz_cas_sharded;
     evequoz_seg;
     scq;

@@ -48,13 +48,6 @@ val evequoz_cas : target
 (** All seven deep points: the LL/SC-simulation windows, the tag-registry
     protocol and the counter-bump helping window. *)
 
-val evequoz_bw : target
-(** ["evequoz-bw"]: the Blelloch–Wei constant-time backend under the same
-    per-op register/deregister adversary as {!evequoz_cas}.  Six deep
-    points — [Tag_reregister] is deliberately absent because the protocol
-    has no revalidation step to arm.  [audit] reports the announcement
-    registry (bounded even when a crash abandons a registered slot). *)
-
 val evequoz_llsc : target
 (** [Ll_reserve], [Sc_attempt] (fired by the injected ideal cells) and
     [Counter_bump]. *)

@@ -442,16 +442,6 @@ let evequoz_cas_runs : builder =
     let try_dequeue_batch = R.try_dequeue_batch_runs
   end)))
 
-let evequoz_bw : builder =
- fun hook ->
-  let module H = (val hook) in
-  let module Core = Nbq_core.Evequoz_bw.Make_probed (Real) (H) in
-  (module Queue_intf.Make (Cap.Bounded_batch (struct
-    include Nbq_core.Evequoz_cas.With_implicit_handles (Core)
-
-    let name = "evequoz-bw"
-  end)))
-
 (* Segmented rows: [capacity] becomes the *segment* capacity; the queue
    itself never rejects (Link_based, unbounded). *)
 let evequoz_seg : builder =
@@ -462,15 +452,6 @@ let evequoz_seg : builder =
               let name = "evequoz-seg"
             end)
             (Nbq_segmented.Segmented.Make_probed_cas (Real) (H)))
-
-let evequoz_seg_bw : builder =
- fun hook ->
-  let module H = (val hook) in
-  (module Nbq_segmented.Segmented.Conc
-            (struct
-              let name = "evequoz-seg-bw"
-            end)
-            (Nbq_segmented.Segmented.Make_probed_bw (Real) (H)))
 
 (* --- SCQ (Nikolaev, arXiv:1908.04511) ----------------------------------- *)
 
@@ -492,7 +473,6 @@ let families : Family.t list =
   [
     Family.v "evequoz-llsc" evequoz_llsc;
     evequoz_cas_family;
-    Family.v "evequoz-bw" ~shards:[ 4 ] evequoz_bw;
     Family.v "evequoz-llsc-weak" (unhooked (module Evequoz_llsc_weak_conc));
     Family.v "shann" (unhooked (module Shann_conc));
     Family.v "tsigas-zhang" (unhooked (module Tz_conc));
@@ -520,7 +500,6 @@ let families : Family.t list =
        benefit. *)
     Family.v "evequoz-seg" ~classification:Link_based ~shards:[ 1; 4 ]
       evequoz_seg;
-    Family.v "evequoz-seg-bw" ~classification:Link_based evequoz_seg_bw;
     (* SCQ, with a derived shard facade and blocking row. *)
     Family.v "scq" ~shards:[ 4 ] ~blocking:true scq;
     Family.v "seq-ring" ~classification:Sequential (unhooked (module Seq_conc));

@@ -194,7 +194,6 @@ module SimCell =
 
 module SimQ1 = Nbq_core.Evequoz_llsc.Make_probed (SimCell) (Trace_hook)
 module SimQ2 = Nbq_core.Evequoz_cas.Make_probed (Sim.Atomic) (Trace_hook)
-module SimBW = Nbq_core.Evequoz_bw.Make_probed (Sim.Atomic) (Trace_hook)
 module SimShann = Nbq_baselines.Shann.Make (Sim.Atomic)
 module SimTz = Nbq_baselines.Tsigas_zhang.Make (Sim.Atomic)
 module SimMs = Nbq_baselines.Michael_scott.Make (Sim.Atomic)
@@ -226,24 +225,6 @@ module SimScqNothresh =
     end)
     (Sim.Atomic)
     (Trace_hook)
-
-(* The seeded Blelloch–Wei bug: reclamation that ignores the announcement
-   scan (threshold 1, so every SC recycles immediately) hands a delayed
-   enqueuer's reserved buffer back into the cell it came from.  Its SC
-   then succeeds against the recycled pointer — the exact ABA the
-   announcement exists to close — and an accepted item vanishes, which
-   conservation-by-drain convicts. *)
-module SimBWBug_backend =
-  Nbq_primitives.Llsc_bw.Make_config
-    (struct
-      let scan_announcements = false
-      let retire_threshold = 1
-    end)
-    (Sim.Atomic)
-    (Trace_hook)
-
-module SimBWBug =
-  Nbq_core.Evequoz_ring.Make_probed (SimBWBug_backend) (Trace_hook)
 
 (* The seeded null-ABA bug: fresh-store cells that claim to box their
    stores, so the ring vacates with the shared immediate [Empty].  An
@@ -298,23 +279,22 @@ end
 
 let llsc_instance = let module I = Llsc_instance (SimQ1) in I.make
 
-(* The paper's ring behind explicit handles (Algorithm 2's tag protocol,
-   or Blelloch–Wei cells), with the batch-run paths.  Registration hygiene
-   at quiescence: owned [what] return to the post-prologue baseline, and
-   the registry never outgrows the thread high-water mark (every simulated
-   thread plus the prologue/drain handle — paper §5's space adaptivity),
-   which is also a per-step invariant.  [quiescent] adds the backend's own
-   checks. *)
+(* The paper's ring behind explicit handles (Algorithm 2's tag protocol),
+   with the batch-run paths.  Registration hygiene at quiescence: owned
+   tag variables return to the post-prologue baseline, and the registry
+   never outgrows the thread high-water mark (every simulated thread plus
+   the prologue/drain handle — paper §5's space adaptivity), which is also
+   a per-step invariant. *)
 module Ring_instance (Q : Nbq_core.Evequoz_cas.CORE) = struct
-  let make ~what ~quiescent ~capacity ~prefill threads () =
+  let make ~capacity ~prefill threads () =
     let q = Q.create ~capacity in
     let registry_cap = List.length threads + 1 in
     let registry_bound check =
       let size = Q.registry_size q in
       if size > registry_cap then
         failwith
-          (Printf.sprintf "registry %s: %d %s allocated for %d threads" check
-             size what registry_cap)
+          (Printf.sprintf "registry %s: %d tag vars allocated for %d threads"
+             check size registry_cap)
     in
     let baseline_owned = ref 0 in
     let session () =
@@ -335,11 +315,10 @@ module Ring_instance (Q : Nbq_core.Evequoz_cas.CORE) = struct
           if owned > !baseline_owned then
             failwith
               (Printf.sprintf
-                 "registry hygiene: %d %s still owned at quiescence \
+                 "registry hygiene: %d tag vars still owned at quiescence \
                   (baseline %d)"
-                 owned what !baseline_owned);
-          registry_bound "hygiene";
-          quiescent q)
+                 owned !baseline_owned);
+          registry_bound "hygiene")
         ~invariant:(fun () -> registry_bound "invariant")
     in
     (* The prologue has run: what it left owned is the baseline. *)
@@ -349,21 +328,8 @@ end
 
 module Cas_instance = Ring_instance (SimQ2)
 module Cas_shared_empty_instance = Ring_instance (SimQ2SharedEmpty)
-module Bw_instance = Ring_instance (SimBW)
-module Bw_noscan_instance = Ring_instance (SimBWBug)
 
-let cas_instance = Cas_instance.make ~what:"tag vars" ~quiescent:ignore
-
-(* Blelloch–Wei: additionally no deregistered handle may leave a published
-   announcement behind. *)
-let bw_instance =
-  Bw_instance.make ~what:"handle records" ~quiescent:(fun q ->
-      let announced = (SimBW.space q).Nbq_primitives.Llsc_bw.announced in
-      if announced <> 0 then
-        failwith
-          (Printf.sprintf
-             "announcement hygiene: %d slots still announced at quiescence"
-             announced))
+let cas_instance = Cas_instance.make
 
 (* The segmented unbounded queue: [capacity] is the segment capacity, the
    linearizability spec is unbounded, and [retire_threshold 1] makes every
@@ -457,9 +423,7 @@ type entry = {
    tags: a reservation can be stolen and retaken forever under mutual
    interference, so its guarantee is obstruction freedom, not lock
    freedom (DESIGN.md §12 — the exhaustive pass finds no livelock under
-   the *fair* continuation, but the adversarial one is real).  The
-   Blelloch–Wei backend restores lock freedom from plain CAS: its SC fails
-   only when a competing SC succeeded. *)
+   the *fair* continuation, but the adversarial one is real). *)
 let llsc =
   {
     name = "evequoz-llsc";
@@ -473,9 +437,6 @@ let cas =
     progress = Props.Obstruction_free;
     instance = cas_instance;
   }
-
-let bw =
-  { name = "evequoz-bw"; progress = Props.Lock_free; instance = bw_instance }
 
 let seg =
   {
@@ -514,7 +475,6 @@ let entries =
   [
     llsc;
     cas;
-    bw;
     seg;
     shann;
     {
@@ -847,15 +807,6 @@ let extra_specs =
         "batch-run dequeue vs concurrent enqueue at the full boundary"
         (cas.instance ~capacity:2 ~prefill:[ 7; 8 ]
            [ [ Deq_batch 2 ]; [ Enq 1 ] ]);
-      entry_spec bw "batch-commit"
-        "batch-run enqueue commit vs concurrent dequeue (BW cells)"
-        (bw.instance ~capacity:2 ~prefill:[]
-           [ [ Enq_batch [ 1; 2 ] ]; [ Deq ] ]);
-      entry_spec bw "batch-drain"
-        "batch-run dequeue vs concurrent enqueue at the full boundary (BW \
-         cells)"
-        (bw.instance ~capacity:2 ~prefill:[ 7; 8 ]
-           [ [ Deq_batch 2 ]; [ Enq 1 ] ]);
       entry_spec seg "grow-during-drain"
         "segmented: appends (pool reuse included) raced against the \
          drain-retire hand-off on capacity-2 segments"
@@ -880,21 +831,13 @@ let extra_specs =
          "seeded bug: tag-protocol cells that store the ring's blocks, \
           vacated with the shared immediate Empty, so a stale batch commit \
           on a vacant slot lands behind Head"
-         (Cas_shared_empty_instance.make ~what:"tag vars" ~quiescent:ignore
-            ~capacity ~prefill threads));
+         (Cas_shared_empty_instance.make ~capacity ~prefill threads));
       lock_free ~algorithm:"scq-nothreshold"
         ~expect:(`Violation (`Liveness `Livelock))
         "deq-chase-livelock"
         "seeded bug: no threshold budget, so a missed dequeue retries \
          unconditionally — slot bumps chase fresh tickets forever"
         scq_nothreshold_instance;
-      lock_free ~algorithm:"evequoz-bw-noscan" ~expect:(`Violation `Safety)
-        "recycled-buffer-aba"
-        "seeded bug: reclamation without the announcement scan recycles a \
-         reserved buffer (pointer ABA loses an item)"
-        (Bw_noscan_instance.make ~what:"handle records" ~quiescent:ignore
-           ~capacity:2
-           ~prefill:[] [ [ Enq 1 ]; [ Enq 2; Deq ] ]);
       lock_free ~algorithm:"sim-wait" "park-wake"
         "Blocking_ec dequeue parks; enqueue wakes (no lost wakeup)"
         sim_wait_instance;

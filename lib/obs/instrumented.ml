@@ -15,7 +15,6 @@ module Make (M : METRICS) (Q : Queue_intf.CONC) :
   type 'a t = 'a Q.t
 
   let name = Q.name
-  let caps = Q.caps
   let bounded = Q.bounded
   let create = Q.create
   let m = M.metrics

@@ -22,8 +22,7 @@
     - [Ll_reserve] — on entry to a load-linked, before the cell is read.
       The victim holds nothing yet.
     - [Slot_swap] — in the CAS-simulated LL/SC, {e just after} the handle's
-      tag marker was swapped into the cell (in Blelloch–Wei, after the
-      announcement was published).  A victim frozen here has published its
+      tag marker was swapped into the cell.  A victim frozen here has published its
       tag and never returns: the paper's §5 window, which other threads
       must resolve by reading through the tag variable.
     - [Sc_attempt] — before the store-conditional's CAS.  In the simulated
@@ -67,9 +66,8 @@
     {b Counted events} mark something that happened, at a program point
     apart from any window:
     - [Ll_reserved] — a load-linked reservation was taken (after the
-      marker swap in the tag protocol, after revalidation in
-      Blelloch–Wei; it sits apart from [Ll_reserve], which also fires on
-      every retry);
+      marker swap in the tag protocol; it sits apart from [Ll_reserve],
+      which also fires on every retry);
     - [Sc_fail] — a store-conditional on the {e update} path failed;
     - [Tail_help] / [Head_help] — the operation helped advance a lagging
       [Tail]/[Head] on behalf of a delayed thread;

@@ -1,6 +1,6 @@
 (* The one cell contract every ring-queue backend satisfies.  See the .mli
-   for how the three implementations (ideal cells, the paper's tag-variable
-   CAS simulation, Blelloch-Wei announcements) map onto it. *)
+   for how the two implementations (ideal cells, the paper's tag-variable
+   CAS simulation) map onto it. *)
 
 type audit = { registered : int; owned : int; free : int }
 

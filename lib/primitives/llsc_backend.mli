@@ -19,15 +19,13 @@
       ({!Cas_counter}) on every backend except weak cells, which retry
       past spurious failures;
     - {b handles} — per-thread state with the paper's
-      register/reregister/deregister lifecycle.  Backends without
-      per-operation registry traffic (ideal cells, Blelloch-Wei) make
-      [reregister] a literal no-op.
+      register/reregister/deregister lifecycle.  A backend without
+      per-operation registry traffic (ideal cells) makes [reregister] a
+      literal no-op.
 
     Implementations: {!Of_cell} (ideal, fresh-store or weak {!CELL}s,
-    trivial unit handles), [Nbq_primitives.Llsc_cas.Backend] (the paper's
-    Fig. 5 tag-variable protocol), and
-    [Nbq_primitives.Llsc_bw.Make_probed] (Blelloch-Wei constant-time
-    LL/SC, arXiv:1911.09671). *)
+    trivial unit handles) and [Nbq_primitives.Llsc_cas.Backend] (the
+    paper's Fig. 5 tag-variable protocol). *)
 
 type audit = { registered : int; owned : int; free : int }
 (** One racy registry snapshot: handles ever allocated, currently owned
@@ -90,8 +88,8 @@ module type S = sig
 
   type 'a mark
   (** A reservation marker the backend stores in a cell, wrapped by the
-      caller's {!marking}.  Empty on backends whose cells never show a
-      reservation ({!Of_cell}, Blelloch-Wei). *)
+      caller's {!marking}.  Empty on a backend whose cells never show a
+      reservation ({!Of_cell}). *)
 
   val fresh_stores : bool
   (** [true] when the backend stores the value itself and its CASes

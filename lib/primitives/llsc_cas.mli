@@ -154,7 +154,6 @@ module Backend (A : Atomic_intf.ATOMIC) (H : Hook.S) : Llsc_backend.S
     observe/commit is one plain read and a CAS against the block read.
     Head/Tail counters are plain atomics with a single helping CAS (paper
     Fig. 5, right column).  [reregister] stays the paper-mandated
-    per-operation protocol — this is the backend the Blelloch-Wei port is
-    ablated against. *)
+    per-operation protocol. *)
 
 include S

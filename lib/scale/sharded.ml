@@ -207,12 +207,6 @@ module Make_probed (N : SHARDS) (H : Hook.S) (Q : Queue_intf.CONC) = struct
 
   let name = Q.name ^ "-shard" ^ string_of_int N.shards
 
-  (* The facade keeps the shards' boundedness but loses single-lap /
-     resettable guarantees (shards fill unevenly, steals reorder), and
-     its batch sweep is native. *)
-  let caps =
-    Queue_intf.Caps.(with_batch (if Q.caps.bounded then bounded else unbounded))
-
   let bounded = Q.bounded
 
   (* Capacity splits evenly across shards (rounded up, then up again to

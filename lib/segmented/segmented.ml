@@ -28,8 +28,8 @@
 
    The whole structure is a functor over the atomic seam and the PR-8
    [Llsc_backend.S] cell seam, so it instantiates against the
-   tag-protocol CAS backend, the Blelloch-Wei backend, and the model
-   checker's [Sim.Atomic] with ideal cells. *)
+   tag-protocol CAS backend and the model checker's [Sim.Atomic] with
+   ideal cells. *)
 
 module Atomic_intf = Nbq_primitives.Atomic_intf
 module Hook = Nbq_primitives.Hook
@@ -339,10 +339,6 @@ end
 module Make_probed_cas (A : Atomic_intf.ATOMIC) (H : Hook.S) =
   Make_backend (A) (Nbq_primitives.Llsc_cas.Backend (A) (H)) (H)
 
-(* Blelloch-Wei constant-time LL/SC as the cell seam. *)
-module Make_probed_bw (A : Atomic_intf.ATOMIC) (H : Hook.S) =
-  Make_backend (A) (Nbq_primitives.Llsc_bw.Make_probed (A) (H)) (H)
-
 (* --- The domain-local implicit-handle layer, over any core --------------- *)
 
 module type CORE = sig
@@ -370,8 +366,6 @@ end)
 (Core : CORE) =
 struct
   let name = N.name
-  (* Native batches: they amortize the DLS handle lookup over the run. *)
-  let caps = Queue_intf.Caps.(with_batch unbounded)
   let bounded = false
 
   type 'a t = {
@@ -436,12 +430,3 @@ module Cas =
       let name = "evequoz-seg"
     end)
     (Cas_core)
-
-module Bw_core = Make_probed_bw (Atomic_intf.Real) (Hook.Noop)
-
-module Bw =
-  Conc
-    (struct
-      let name = "evequoz-seg-bw"
-    end)
-    (Bw_core)

@@ -19,7 +19,6 @@ module Wrap (T : TRACER) (Q : Queue_intf.CONC) :
   type 'a t = 'a Q.t
 
   let name = Q.name
-  let caps = Q.caps
   let bounded = Q.bounded
   let create = Q.create
   let tr = T.tracer

@@ -61,10 +61,12 @@ let gate variant_costs =
       else 1.0)
 
 let test_ratio_gate_median () =
+  let ok, median = gate [ 1.0; 1.0; 1.5; 1.5; 1.5 ] in
   Alcotest.(check bool) "median over the bound fails, 2 blocks passing" false
-    (gate [ 1.0; 1.0; 1.5; 1.5; 1.5 ]);
+    ok;
+  Alcotest.(check (float 1e-9)) "the median it returns" 1.5 median;
   Alcotest.(check bool) "median under the bound passes, 2 blocks failing" true
-    (gate [ 1.5; 1.5; 1.0; 1.0; 1.0 ])
+    (fst (gate [ 1.5; 1.5; 1.0; 1.0; 1.0 ]))
 
 let () =
   Alcotest.run "bench"

@@ -4,7 +4,6 @@
 
 module Q1 = Nbq_core.Evequoz_llsc
 module Q2 = Nbq_core.Evequoz_cas
-module Q3 = Nbq_core.Evequoz_bw
 module Intf = Nbq_core.Queue_intf
 
 let quick name f = Alcotest.test_case name `Quick f
@@ -496,129 +495,6 @@ let batch_concurrent_conservation () =
         stream)
     consumed
 
-(* --- Blelloch–Wei backend (constant-time LL/SC over the same ring) ----
-   The behavioural surface mirrors Evequoz_cas; what is new and pinned
-   here is the hot-path contract: zero per-operation registry traffic
-   (the tag_reregister probe NEVER fires), handle records recycling
-   through the amortized-only registration, and the bounded buffer
-   pools. *)
-
-let bw_indices_monotonic () =
-  let q = Q3.create ~capacity:4 in
-  for i = 1 to 12 do
-    ignore (Q3.try_enqueue q i);
-    ignore (Q3.try_dequeue q)
-  done;
-  Alcotest.(check int) "tail" 12 (Q3.tail_index q);
-  Alcotest.(check int) "head" 12 (Q3.head_index q)
-
-let bw_peek_sequential () =
-  let q = Q3.create ~capacity:4 in
-  Alcotest.(check (option int)) "empty peek" None (Q3.try_peek q);
-  ignore (Q3.try_enqueue q 1);
-  ignore (Q3.try_enqueue q 2);
-  Alcotest.(check (option int)) "front" (Some 1) (Q3.try_peek q);
-  Alcotest.(check (option int)) "peek does not remove" (Some 1) (Q3.try_peek q);
-  Alcotest.(check (option int)) "dequeue still 1" (Some 1) (Q3.try_dequeue q);
-  let h = Q3.register q in
-  Alcotest.(check (option int)) "peek via handle" (Some 2) (Q3.peek_with q h);
-  Q3.deregister h;
-  Alcotest.(check (option int)) "peek left the item" (Some 2) (Q3.try_dequeue q)
-
-let bw_handle_recycling () =
-  let q = Q3.create ~capacity:8 in
-  let h1 = Q3.register q in
-  ignore (Q3.enqueue_with q h1 1);
-  Q3.deregister h1;
-  let before = Q3.registry_size q in
-  for _ = 1 to 50 do
-    let h = Q3.register q in
-    ignore (Q3.enqueue_with q h 2);
-    ignore (Q3.dequeue_with q h);
-    Q3.deregister h
-  done;
-  Alcotest.(check int) "registry did not grow" before (Q3.registry_size q)
-
-(* The tentpole acceptance criterion, pinned by a counting probe: across
-   thousands of operations on one registered handle, the LL path is hot
-   (ll_reserve fires per operation) while the registry stays silent —
-   tag_register fires once, tag_reregister exactly zero times. *)
-let bw_reregisters = ref 0
-let bw_registers = ref 0
-let bw_ll_reserves = ref 0
-
-module BwCountHook = struct
-  let hit : Nbq_primitives.Hook.point -> unit = function
-    | Ll_reserved -> incr bw_ll_reserves
-    | Tag_register -> incr bw_registers
-    | Tag_reregister -> incr bw_reregisters
-    | _ -> ()
-end
-
-module Q3P =
-  Nbq_core.Evequoz_bw.Make_probed (Nbq_primitives.Atomic_intf.Real)
-    (BwCountHook)
-
-let bw_zero_hot_path_registry_traffic () =
-  bw_reregisters := 0;
-  bw_registers := 0;
-  bw_ll_reserves := 0;
-  let q = Q3P.create ~capacity:8 in
-  let h = Q3P.register q in
-  let ops = 5_000 in
-  for i = 1 to ops do
-    ignore (Q3P.enqueue_with q h i);
-    ignore (Q3P.dequeue_with q h);
-    ignore (Q3P.peek_with q h)
-  done;
-  Q3P.deregister h;
-  Alcotest.(check int) "one registration" 1 !bw_registers;
-  Alcotest.(check bool)
-    (Printf.sprintf "LL path hot (%d reservations)" !bw_ll_reserves)
-    true
-    (!bw_ll_reserves >= 2 * ops);
-  Alcotest.(check int) "zero reregister traffic" 0 !bw_reregisters
-
-let bw_space_bounded () =
-  (* One thread hammering the ring: the buffer pools must stay at the
-     amortization bound (retired < threshold after a scan, free at most
-     what one scan recycles), not grow with the operation count. *)
-  let module C = Q3.Core in
-  let q = C.create ~capacity:8 in
-  let h = C.register q in
-  for i = 1 to 10_000 do
-    ignore (C.enqueue_with q h i);
-    ignore (C.dequeue_with q h)
-  done;
-  let sp = C.space q in
-  Alcotest.(check int) "one handle record" 1
-    sp.Nbq_primitives.Llsc_bw.handles;
-  Alcotest.(check bool)
-    (Printf.sprintf "pools bounded (%d free + %d retired)"
-       sp.Nbq_primitives.Llsc_bw.free_bufs
-       sp.Nbq_primitives.Llsc_bw.retired_bufs)
-    true
-    (sp.Nbq_primitives.Llsc_bw.free_bufs
-     + sp.Nbq_primitives.Llsc_bw.retired_bufs
-    <= 16);
-  C.deregister h;
-  let sp = C.space q in
-  Alcotest.(check int) "no dangling announcement" 0
-    sp.Nbq_primitives.Llsc_bw.announced;
-  Alcotest.(check int) "record released" 0
-    sp.Nbq_primitives.Llsc_bw.owned_handles
-
-let bw_batch_roundtrip () =
-  let module QB3 = Q3.Batched in
-  let q : int QB3.t = Q3.create ~capacity:16 in
-  let n = QB3.try_enqueue_batch q (Array.init 10 (fun i -> i)) in
-  Alcotest.(check int) "all accepted" 10 n;
-  Alcotest.(check (list int)) "run in order" [ 0; 1; 2; 3; 4 ]
-    (QB3.try_dequeue_batch q 5);
-  Alcotest.(check (list int)) "remainder in order" [ 5; 6; 7; 8; 9 ]
-    (QB3.try_dequeue_batch q 99);
-  Alcotest.(check (list int)) "empty run" [] (QB3.try_dequeue_batch q 4)
-
 (* --- SCQ: the FAA-ticketed ring behind its admission gate --- *)
 
 module Scq = Nbq_scq.Scq.Make (Nbq_primitives.Atomic_intf.Real)
@@ -770,16 +646,6 @@ let () =
           quick "partial accept at capacity" batch_partial_accept;
           quick "mixed with single ops" batch_mixed_with_singles;
           slow "concurrent conservation + order" batch_concurrent_conservation;
-        ] );
-      ( "blelloch-wei",
-        [
-          quick "indices monotonic across wraps" bw_indices_monotonic;
-          quick "peek parity" bw_peek_sequential;
-          quick "handle recycling" bw_handle_recycling;
-          quick "zero hot-path registry traffic"
-            bw_zero_hot_path_registry_traffic;
-          quick "buffer pools bounded" bw_space_bounded;
-          quick "batch runs roundtrip" bw_batch_roundtrip;
         ] );
       ( "scq",
         [

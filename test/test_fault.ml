@@ -1,5 +1,5 @@
 (* Fault layer tests: injector semantics, the stall/crash torture matrix
-   over the Evequoz queues and the Blelloch-Wei backend (the lock-freedom
+   over the Evequoz, segmented and SCQ queues (the lock-freedom
    acceptance criterion: every survivor completes >= 10k ops while one
    domain is frozen inside each fault window), registry abandonment, the
    composed metrics/recorder/injector hook, and fault windows as model
@@ -267,7 +267,6 @@ let () =
         ] );
       ("stall-matrix evequoz-llsc", stall_matrix Torture.evequoz_llsc);
       ("stall-matrix evequoz-cas", stall_matrix Torture.evequoz_cas);
-      ("stall-matrix evequoz-bw", stall_matrix Torture.evequoz_bw);
       ("stall-matrix evequoz-seg", stall_matrix Torture.evequoz_seg);
       ("stall-matrix scq", stall_matrix Torture.scq);
       ( "stall-op-gap generic",
@@ -287,11 +286,6 @@ let () =
           slow "cas / tag-deregister abandons variable"
             (crash_point ~check_audit:true Torture.evequoz_cas
                Hook.Tag_deregister);
-          slow "bw / slot-swap abandons announcement"
-            (crash_point ~check_audit:true Torture.evequoz_bw Hook.Slot_swap);
-          slow "bw / tag-register abandons record"
-            (crash_point ~check_audit:true Torture.evequoz_bw
-               Hook.Tag_register);
           slow "seg / seg-append abandons fresh segment"
             (crash_point Torture.evequoz_seg Hook.Seg_append);
           slow "seg / seg-retire abandons hazard record"

@@ -474,17 +474,6 @@ let seg_small_rounds_batched () =
              dequeue_batch = (fun k -> Seg.Cas.try_dequeue_batch q k);
            }))
 
-let seg_bw_small_rounds () =
-  (* The same chain protocol over the Blelloch–Wei cell backend. *)
-  seg_verdict "segmented-bw small rounds"
-    (Nbq_lincheck.Stress.check_small_rounds ~rounds:40 ~threads:3
-       ~ops_per_thread:4 ~seed:17 (fun () ->
-         let q = Seg.Bw.create ~capacity:2 in
-         fun _ ->
-           Nbq_lincheck.Stress.ops_of_singles
-             ~enqueue:(fun v -> Seg.Bw.try_enqueue q v)
-             ~dequeue:(fun () -> Seg.Bw.try_dequeue q)))
-
 (* --- SCQ under concurrent stress --- *)
 
 module Scq = Nbq_scq.Scq.Make (Nbq_primitives.Atomic_intf.Real)
@@ -602,7 +591,6 @@ let () =
           quick "small rounds" seg_small_rounds;
           quick "drain-heavy rounds" seg_small_rounds_deq_heavy;
           quick "mixed batched producers" seg_small_rounds_batched;
-          quick "bw backend small rounds" seg_bw_small_rounds;
         ] );
       ( "scq-stress",
         [

@@ -337,8 +337,6 @@ let dpor_walks =
       (alg [ "evequoz-llsc-shared-empty" ]);
     walk `Quick "convicts algorithm-2 shared-Empty null-ABA"
       (alg [ "evequoz-cas-shared-empty" ]);
-    walk `Quick "blelloch-wei matrix exhaustive" (alg [ "evequoz-bw" ]);
-    walk `Quick "convicts BW no-scan recycling" (alg [ "evequoz-bw-noscan" ]);
     (* The segmented queue's trees are explored 150 steps deep before the
        fair continuation takes over. *)
     walk `Quick "segmented matrix exhaustive" (alg [ "evequoz-seg" ])
@@ -410,8 +408,6 @@ let exempt =
     ("ms-doherty", "its cells are not functorized over ATOMIC yet");
     ("two-lock", "lock-based: blocking by construction");
     ("lock-ring", "lock-based: blocking by construction");
-    ( "evequoz-seg-bw",
-      "its chain is checked as evequoz-seg and its cells as evequoz-bw" );
     ("seq-ring", "sequential: no synchronization to check");
   ]
 
