@@ -67,7 +67,9 @@ let rec try_dequeue t =
   end
 
 let length t =
-  let n = A.get t.tail - A.get t.head in
+  (* Tail first: a single subtraction would read Head first. *)
+  let tl = A.get t.tail in
+  let n = tl - A.get t.head in
   if n < 0 then 0 else if n > t.mask + 1 then t.mask + 1 else n
 end
 

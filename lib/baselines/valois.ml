@@ -76,7 +76,9 @@ module Make (A : Nbq_primitives.Atomic_intf.ATOMIC) = struct
     end
 
   let length t =
-    let n = tail_index t - head_index t in
+    (* Tail first: a single subtraction would read Head first. *)
+    let tl = tail_index t in
+    let n = tl - head_index t in
     if n < 0 then 0 else if n > t.mask + 1 then t.mask + 1 else n
 end
 

@@ -50,6 +50,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
   let vacancy i = if B.fresh_stores then Vacant i else Empty
 
   type 'a handle = 'a slot B.handle
+  type 'a registry = 'a slot B.registry
 
   type 'a t = {
     mask : int;
@@ -65,16 +66,23 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
     mutable lap_base : int;
   }
 
-  let create ~capacity =
+  let create_registry () : 'a registry = B.create_registry marking
+
+  (* A ring whose handles come from [registry].  Rings may share one: a
+     handle is a thread's tag variable, valid on every ring of its
+     registry (the segmented queue's segments). *)
+  let create_over registry ~capacity =
     let capacity = Queue_intf.round_capacity capacity in
     {
       mask = capacity - 1;
       slots = Array.init capacity (fun _ -> B.make Empty);
       head = B.make_counter 0;
       tail = B.make_counter 0;
-      registry = B.create_registry marking;
+      registry;
       lap_base = 0;
     }
+
+  let create ~capacity = create_over (create_registry ()) ~capacity
 
   let capacity t = t.mask + 1
 
@@ -294,9 +302,12 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
       end
     end
 
-  let fill_with t h x =
+  (* [item] is the caller's [Item x], built once per enqueue: a fill that
+     finds the lap full leaves it unstored, so the caller may offer it to
+     the next segment. *)
+  let fill_with t h item =
     B.reregister h;
-    fill_loop t h (Item x)
+    fill_loop t h item
 
   let take_with t h =
     B.reregister h;
@@ -460,8 +471,13 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
     B.reregister h;
     deq_fast t h k 0
 
+  (* Tail is read first, so [n] never exceeds the counters' distance at
+     that instant (Head only grows).  Written as one subtraction, OCaml
+     would evaluate the Head read first, and every Tail bump between the
+     two reads would be counted. *)
   let length t =
-    let n = B.counter_get t.tail - B.counter_get t.head in
+    let tl = B.counter_get t.tail in
+    let n = tl - B.counter_get t.head in
     if n < 0 then 0 else if n > t.mask + 1 then t.mask + 1 else n
 end
 

@@ -12,16 +12,19 @@
    in production and with [Sim.Atomic] under the model checker, where
    every protect/validate/scan step becomes a scheduling point.
 
-   Membership is physical ([memq]): the protected values are mutable
+   Membership is physical ([==]): the protected values are mutable
    structures (ring segments) for which structural comparison is both
-   meaningless and unsafe. *)
+   meaningless and unsafe.  An empty slot holds the caller's [none], a
+   value never protected or retired, so publishing, clearing and
+   scanning allocate nothing. *)
 
 module Make (A : Nbq_primitives.Atomic_intf.ATOMIC) = struct
   type 'a record = {
-    hazard : 'a option A.t;
+    hazard : 'a A.t;
     active : bool A.t;
-    (* Private to the owning thread: *)
-    mutable retired : 'a list;
+    (* Private to the owning thread: the retired values are
+       [retired.(0 .. retired_len - 1)]; the other cells hold [none]. *)
+    mutable retired : 'a array;
     mutable retired_len : int;
     (* Registry chain; write-once before publication. *)
     mutable next : 'a record option;
@@ -29,6 +32,7 @@ module Make (A : Nbq_primitives.Atomic_intf.ATOMIC) = struct
 
   type 'a t = {
     head : 'a record option A.t;
+    none : 'a;
     threshold : int;
     free : 'a -> unit;
     scans : int A.t;
@@ -36,9 +40,10 @@ module Make (A : Nbq_primitives.Atomic_intf.ATOMIC) = struct
     retired_total : int A.t;
   }
 
-  let create ?(threshold = 2) ~free () =
+  let create ?(threshold = 2) ~none ~free () =
     {
       head = A.make None;
+      none;
       threshold = max 1 threshold;
       free;
       scans = A.make 0;
@@ -59,9 +64,9 @@ module Make (A : Nbq_primitives.Atomic_intf.ATOMIC) = struct
     | None ->
         let r =
           {
-            hazard = A.make None;
+            hazard = A.make t.none;
             active = A.make true;
-            retired = [];
+            retired = Array.make t.threshold t.none;
             retired_len = 0;
             next = None;
           }
@@ -74,51 +79,58 @@ module Make (A : Nbq_primitives.Atomic_intf.ATOMIC) = struct
         push ();
         r
 
-  let protect r x = A.set r.hazard (Some x)
-  let clear r = A.set r.hazard None
+  let protect r x = A.set r.hazard x
+  let clear t r = A.set r.hazard t.none
 
-  (* Only the owning thread writes [r.hazard], so a positive answer means
-     the slot has held [x] continuously since the owner last published
-     it — the caller's continuous-protection fast path. *)
-  let holds r x = match A.get r.hazard with Some y -> y == x | None -> false
+  let rec mem x = function
+    | None -> false
+    | Some r -> A.get r.hazard == x || mem x r.next
 
-  let collect_hazards t =
-    let acc = ref [] in
-    let rec go = function
-      | None -> ()
-      | Some r ->
-          (match A.get r.hazard with
-          | Some x -> acc := x :: !acc
-          | None -> ());
-          go r.next
-    in
-    go (A.get t.head);
-    !acc
+  let protected t x = x != t.none && mem x (A.get t.head)
 
-  let protected t x = List.memq x (collect_hazards t)
+  (* Move [x] to [r.retired.(kept)] if it is among the entries not yet
+     kept, [kept ..]; answers the new number of kept entries.  Retired
+     values are distinct, so a value two records protect is kept once. *)
+  let rec keep r x kept i =
+    if i >= r.retired_len then kept
+    else if r.retired.(i) == x then begin
+      r.retired.(i) <- r.retired.(kept);
+      r.retired.(kept) <- x;
+      kept + 1
+    end
+    else keep r x kept (i + 1)
+
+  (* One pass over the records, reading each hazard slot once. *)
+  let rec keep_protected t r kept = function
+    | None -> kept
+    | Some o ->
+        let x = A.get o.hazard in
+        let kept = if x == t.none then kept else keep r x kept kept in
+        keep_protected t r kept o.next
+
+  (* Free [r.retired.(kept .. i)], newest first. *)
+  let rec free_down t r kept i =
+    if i >= kept then begin
+      let x = r.retired.(i) in
+      r.retired.(i) <- t.none;
+      t.free x;
+      free_down t r kept (i - 1)
+    end
 
   let scan t r =
     ignore (A.fetch_and_add t.scans 1);
-    let hazards = collect_hazards t in
-    let kept = ref [] and kept_len = ref 0 and freed = ref 0 in
-    List.iter
-      (fun x ->
-        if List.memq x hazards then begin
-          kept := x :: !kept;
-          incr kept_len
-        end
-        else begin
-          t.free x;
-          incr freed
-        end)
-      r.retired;
-    r.retired <- !kept;
-    r.retired_len <- !kept_len;
-    ignore (A.fetch_and_add t.freed !freed)
+    let kept = keep_protected t r 0 (A.get t.head) in
+    let freed = r.retired_len - kept in
+    free_down t r kept (r.retired_len - 1);
+    r.retired_len <- kept;
+    ignore (A.fetch_and_add t.freed freed)
 
   let retire t r x =
-    r.retired <- x :: r.retired;
-    r.retired_len <- r.retired_len + 1;
+    let n = r.retired_len in
+    if n = Array.length r.retired then
+      r.retired <- Array.append r.retired (Array.make n t.none);
+    r.retired.(n) <- x;
+    r.retired_len <- n + 1;
     ignore (A.fetch_and_add t.retired_total 1);
     if r.retired_len >= t.threshold then scan t r
 
@@ -127,7 +139,7 @@ module Make (A : Nbq_primitives.Atomic_intf.ATOMIC) = struct
      record for the next owner to inherit — nothing is leaked, nothing
      pinned is freed. *)
   let release t r =
-    clear r;
+    clear t r;
     if r.retired_len > 0 then scan t r;
     A.set r.active false
 

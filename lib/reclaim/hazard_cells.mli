@@ -20,10 +20,11 @@ module Make (A : Nbq_primitives.Atomic_intf.ATOMIC) : sig
 
   type 'a t
 
-  val create : ?threshold:int -> free:('a -> unit) -> unit -> 'a t
+  val create : ?threshold:int -> none:'a -> free:('a -> unit) -> unit -> 'a t
   (** [threshold] (default 2, clamped to >= 1) is the retired-list length
       that triggers a scan; [free] receives each value proven
-      unprotected. *)
+      unprotected.  [none] marks an empty hazard slot: the caller never
+      protects or retires it, so no operation boxes a value. *)
 
   val acquire : 'a t -> 'a record
   (** Claim an inactive record or link a fresh one. *)
@@ -34,25 +35,22 @@ module Make (A : Nbq_primitives.Atomic_intf.ATOMIC) : sig
       reusable. *)
 
   val protect : 'a record -> 'a -> unit
-  (** Publish [x] in the record's hazard slot.  The caller must re-read
-      the source pointer afterwards and retry if it moved (the standard
-      protect/validate handshake). *)
+  (** Publish [x] in the record's hazard slot: one store, no allocation.
+      The caller must re-read the source pointer afterwards and retry if
+      it moved (the standard protect/validate handshake). *)
 
-  val clear : 'a record -> unit
-
-  val holds : 'a record -> 'a -> bool
-  (** Does the record's hazard slot currently hold [x] (physically)?
-      Only the owning thread writes the slot, so a positive answer means
-      protection has been continuous since the owner last published [x]
-      — letting the owner skip the publish-and-revalidate handshake when
-      it re-reads a source pointer that still equals [x]. *)
+  val clear : 'a t -> 'a record -> unit
+  (** Store [none] in the record's hazard slot. *)
 
   val retire : 'a t -> 'a record -> 'a -> unit
   (** Hand [x] to reclamation: freed by a later scan once no record's
-      hazard slot holds it. *)
+      hazard slot holds it.  Allocates only when the record's retired
+      array has to grow. *)
 
   val scan : 'a t -> 'a record -> unit
-  (** Force a scan of [record]'s retired list. *)
+  (** Force a scan of [record]'s retired list: one pass over the
+      records, reading each hazard slot once, then free what no slot
+      held.  Allocates nothing. *)
 
   val protected : 'a t -> 'a -> bool
   (** One racy snapshot: is [x] currently published in any hazard slot? *)

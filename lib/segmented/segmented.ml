@@ -18,6 +18,13 @@
    <= ceil(items / capacity) + 1 plus what stalled readers pin plus the
    bounded pool.
 
+   Every segment's ring is built over the queue's one tag registry, so
+   a thread's handle (its tag variable and marker) serves every segment
+   and the registry tracks threads, not threads x live segments.  A
+   segment switch allocates nothing but the chain's own links: the
+   hazard slot, the owner's shadow of it and an empty pool's answer are
+   all a sentinel segment built once per queue (DESIGN §14).
+
    FIFO across segments: an item enters segment j only after segment j-1
    took its full complement (append happens only after the sticky-full
    observation), so every enqueue into j-1 precedes every enqueue into j;
@@ -68,8 +75,12 @@ struct
 
   type 'a t = {
     seg_capacity : int;
+    registry : 'a Ring.registry;
     head_seg : 'a seg A.t;
     tail_seg : 'a seg A.t;
+    (* Never in the chain: an empty hazard slot and its shadow, and an
+       empty pool's answer. *)
+    none : 'a seg;
     hz : 'a seg Hz.t;
     pool : 'a pstack A.t;
     free_seg : 'a seg -> unit;
@@ -87,11 +98,11 @@ struct
     if not (A.compare_and_set pool cur (Pcons (seg, cur))) then
       pool_put pool seg
 
-  let rec pool_take pool =
+  let rec pool_take pool none =
     match A.get pool with
-    | Pnil -> None
+    | Pnil -> none
     | Pcons (seg, rest) as cur ->
-        if A.compare_and_set pool cur rest then Some seg else pool_take pool
+        if A.compare_and_set pool cur rest then seg else pool_take pool none
 
   let pool_size pool =
     let rec go n = function Pnil -> n | Pcons (_, rest) -> go (n + 1) rest in
@@ -113,19 +124,24 @@ struct
       pool_put pool seg;
       ignore (A.fetch_and_add segs_recycled 1)
     in
-    let hz = Hz.create ~threshold:retire_threshold ~free:free_seg () in
+    let registry = Ring.create_registry () in
     let seg0 =
       {
-        ring = Ring.create ~capacity:seg_capacity;
+        ring = Ring.create_over registry ~capacity:seg_capacity;
         id = 0;
         incarnation = 0;
         next = A.make Nil;
       }
     in
+    (* A fresh block, so physically unequal to every segment; never read. *)
+    let none = { seg0 with id = -1 } in
+    let hz = Hz.create ~threshold:retire_threshold ~none ~free:free_seg () in
     {
       seg_capacity;
+      registry;
       head_seg = A.make seg0;
       tail_seg = A.make seg0;
+      none;
       hz;
       pool;
       free_seg;
@@ -138,70 +154,46 @@ struct
   let capacity t = t.seg_capacity
 
   let alloc_seg t =
-    match pool_take t.pool with
-    | Some seg -> seg
-    | None ->
-        ignore (A.fetch_and_add t.segs_allocated 1);
-        {
-          ring = Ring.create ~capacity:t.seg_capacity;
-          id = A.fetch_and_add t.next_id 1;
-          incarnation = 0;
-          next = A.make Nil;
-        }
+    let seg = pool_take t.pool t.none in
+    if seg != t.none then seg
+    else begin
+      ignore (A.fetch_and_add t.segs_allocated 1);
+      {
+        ring = Ring.create_over t.registry ~capacity:t.seg_capacity;
+        id = A.fetch_and_add t.next_id 1;
+        incarnation = 0;
+        next = A.make Nil;
+      }
+    end
 
   (* --- Handles ----------------------------------------------------------
 
-     A handle is one hazard record plus a cached per-segment ring handle
-     per side.  The ring registries are per-segment, so without the cache
-     every operation would pay a full Register/Deregister on the tag
-     backend; with it the steady state inside one segment is exactly the
-     single ring's cost (one ReRegister per op).  A cached handle to a
-     recycled ring stays valid — recycling never touches the registry —
-     so the cache is keyed on segment identity alone. *)
-
-  type 'a cached = {
-    mutable cseg : 'a seg option;
-    mutable ch : 'a Ring.handle option;
-  }
+     A handle is one hazard record plus one ring handle from the queue's
+     registry, registered once and valid on every segment, recycled ones
+     included: recycling never touches the registry.  The steady state is
+     the single ring's cost (one ReRegister per op), across segment
+     switches too. *)
 
   type 'a handle = {
     hrec : 'a seg Hz.record;
-    (* Owner-local shadow of what [hrec]'s slot holds.  Only the owning
-       thread writes the slot, so this plain field is always exact and
-       the continuous-protection fast path needs no atomic read. *)
-    mutable hseg : 'a seg option;
-    enq : 'a cached;
-    deq : 'a cached;
+    (* Owner-local shadow of what [hrec]'s slot holds ([t.none] when
+       clear).  Only the owning thread writes the slot, so this plain
+       field is always exact and the continuous-protection fast path
+       needs no atomic read. *)
+    mutable hseg : 'a seg;
+    rh : 'a Ring.handle;
   }
 
   let register t =
-    {
-      hrec = Hz.acquire t.hz;
-      hseg = None;
-      enq = { cseg = None; ch = None };
-      deq = { cseg = None; ch = None };
-    }
-
-  let drop_cache c =
-    (match c.ch with Some rh -> Ring.deregister rh | None -> ());
-    c.cseg <- None;
-    c.ch <- None
+    let hrec = Hz.acquire t.hz in
+    { hrec; hseg = t.none; rh = B.register t.registry }
 
   let deregister t h =
-    drop_cache h.enq;
-    drop_cache h.deq;
-    h.hseg <- None;
+    Ring.deregister h.rh;
+    h.hseg <- t.none;
     Hz.release t.hz h.hrec
 
-  let ring_handle c seg =
-    match (c.cseg, c.ch) with
-    | Some s, Some rh when s == seg -> rh
-    | _ ->
-        (match c.ch with Some rh -> Ring.deregister rh | None -> ());
-        let rh = Ring.register seg.ring in
-        c.cseg <- Some seg;
-        c.ch <- Some rh;
-        rh
+  let registry_size t = B.registered_count t.registry
 
   (* --- Operations -------------------------------------------------------
 
@@ -225,16 +217,16 @@ struct
      it. *)
 
   let covered h ptr seg =
-    (match h.hseg with Some s -> s == seg | None -> false)
+    h.hseg == seg
     ||
     (Hz.protect h.hrec seg;
-     h.hseg <- Some seg;
+     h.hseg <- seg;
      A.get ptr == seg)
 
-  let rec enqueue_with t h x =
+  let rec enqueue_item t h item =
     let seg = A.get t.tail_seg in
-    if not (covered h t.tail_seg seg) then enqueue_with t h x
-    else if Ring.fill_with seg.ring (ring_handle h.enq seg) x then true
+    if not (covered h t.tail_seg seg) then enqueue_item t h item
+    else if Ring.fill_with seg.ring h.rh item then true
     else begin
       (* Sticky full: this segment will never take another item.  Link a
          successor if none exists, swing the tail, retry there.  The
@@ -253,14 +245,18 @@ struct
       (match A.get seg.next with
       | Next ns -> ignore (A.compare_and_set t.tail_seg seg ns)
       | Nil -> ());
-      enqueue_with t h x
+      enqueue_item t h item
     end
+
+  (* The [Item] is built once per enqueue: a fill that finds its segment
+     full leaves the block unstored, so the next segment takes it. *)
+  let enqueue_with t h x = enqueue_item t h (Ring.Item x)
 
   let rec dequeue_with t h =
     let seg = A.get t.head_seg in
     if not (covered h t.head_seg seg) then dequeue_with t h
     else
-      match Ring.take_with seg.ring (ring_handle h.deq seg) with
+      match Ring.take_with seg.ring h.rh with
       | Some _ as r -> r
       | None ->
           if Ring.lap_exhausted seg.ring then (
@@ -277,8 +273,8 @@ struct
                 if A.compare_and_set t.head_seg seg ns then begin
                   (* We unlinked [seg]; hand it to reclamation.  Our own
                      hazard is cleared first so it cannot pin it. *)
-                  Hz.clear h.hrec;
-                  h.hseg <- None;
+                  Hz.clear t.hz h.hrec;
+                  h.hseg <- t.none;
                   if t.direct_free then t.free_seg seg
                   else Hz.retire t.hz h.hrec seg
                 end;
@@ -322,12 +318,13 @@ struct
   let rec pin_head t h =
     let seg = A.get t.head_seg in
     Hz.protect h.hrec seg;
-    h.hseg <- Some seg;
+    h.hseg <- seg;
     if A.get t.head_seg != seg then pin_head t h else seg
 
-  let unpin h =
-    Hz.clear h.hrec;
-    h.hseg <- None
+  let unpin t h =
+    Hz.clear t.hz h.hrec;
+    h.hseg <- t.none
+
   let seg_incarnation seg = seg.incarnation
   let seg_id seg = seg.id
   let seg_protected t seg = Hz.protected t.hz seg

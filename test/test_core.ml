@@ -95,9 +95,15 @@ let cas_handle_recycling () =
 
 let cas_registry_space_adaptive () =
   (* The registry grows to the high-water mark of simultaneous threads,
-     not with the number of operations (paper's space-adaptivity claim). *)
+     not with the number of operations (paper's space-adaptivity claim).
+     The bound is DESIGN §13's: each of the [domains] handles owns one
+     tag variable, and a variable whose owner renewed away from it stays
+     busy while a reader pins it mid-[ll].  A thread that appends owns
+     and pins nothing, so it finds at most 2 * (domains - 1) busy
+     variables: the registry holds at most 2 * domains - 1. *)
   let q = Q2.create ~capacity:64 in
   let domains = 4 and per_domain = 2_000 in
+  let bound = (2 * domains) - 1 in
   let workers =
     List.init domains (fun d ->
         Domain.spawn (fun () ->
@@ -110,9 +116,9 @@ let cas_registry_space_adaptive () =
   List.iter Domain.join workers;
   let size = Q2.registry_size q in
   Alcotest.(check bool)
-    (Printf.sprintf "registry size %d bounded by concurrency" size)
+    (Printf.sprintf "registry size %d bounded by concurrency (%d)" size bound)
     true
-    (size >= 1 && size <= domains);
+    (size >= 1 && size <= bound);
   (* A second wave of domains must reuse the released variables. *)
   let wave2 =
     List.init domains (fun _ ->
@@ -122,8 +128,8 @@ let cas_registry_space_adaptive () =
             Q2.deregister_domain q))
   in
   List.iter Domain.join wave2;
-  Alcotest.(check bool) "no growth on second wave" true
-    (Q2.registry_size q <= size + domains)
+  Alcotest.(check bool) "second wave stays within the bound" true
+    (Q2.registry_size q <= bound)
 
 let cas_deregister_domain_idempotent () =
   let q = Q2.create ~capacity:8 in

@@ -407,7 +407,7 @@ let seg_pinned_head_survives_drain () =
   Alcotest.(check int) "only the pinned segment pending" 1
     s.Seg.retired_pending;
   Alcotest.(check int) "unpinned predecessors recycled" 3 s.Seg.segs_recycled;
-  Sq.unpin pinner;
+  Sq.unpin q pinner;
   Alcotest.(check bool) "unprotected after unpin" false
     (Sq.seg_protected q seg);
   (* Releasing the retirer's record flushes its parked list; with the pin
@@ -450,6 +450,37 @@ let seg_pool_reuse_no_alloc () =
     s.Seg.segs_allocated;
   Alcotest.(check int) "both retirements recycled" 2 s.Seg.segs_recycled
 
+(* Every segment's ring is built over the queue's one tag registry, so
+   the registry tracks the threads, not the segments they pass through.
+   Two domains lap 2-slot segments thousands of times; the registry stays
+   within the bound of DESIGN §13 for two handles (each owns one tag
+   variable, and a reader pins at most one more: 2 * 2 - 1). *)
+let seg_registry_follows_threads () =
+  let q = Sq.create ~capacity:2 () in
+  let domains = 2 and per_domain = 20_000 in
+  let workers =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            let h = Sq.register q in
+            for i = 1 to per_domain do
+              ignore (Sq.enqueue_with q h ((d * per_domain) + i));
+              ignore (Sq.dequeue_with q h)
+            done;
+            Sq.deregister q h))
+  in
+  List.iter Domain.join workers;
+  let s = Sq.stats q in
+  let laps = s.Seg.segs_allocated + s.Seg.segs_recycled in
+  let size = Sq.registry_size q in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d segment laps" laps)
+    true (laps >= 1_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "registry %d <= 2 * %d - 1 after %d segments allocated"
+       size domains s.Seg.segs_allocated)
+    true
+    (size >= 1 && size <= (2 * domains) - 1)
+
 let seg_concurrent_churn_hazards () =
   (* Four domains hammer a small-segment queue (>= 100k operations total)
      so the chain churns through retire/recycle constantly; every ~100th
@@ -475,7 +506,7 @@ let seg_concurrent_churn_hazards () =
                  done;
                  if Sq.seg_incarnation seg <> inc then
                    Atomic.set pin_violation true;
-                 Sq.unpin h
+                 Sq.unpin q h
                end);
               match Sq.dequeue_with q h with
               | Some _ -> Atomic.incr deqs
@@ -548,6 +579,8 @@ let () =
         [
           quick "pinned head survives drain" seg_pinned_head_survives_drain;
           quick "pool reuse avoids allocation" seg_pool_reuse_no_alloc;
+          slow "registry follows threads, not segments"
+            seg_registry_follows_threads;
           slow "4-domain churn respects hazards" seg_concurrent_churn_hazards;
         ] );
     ]
