@@ -164,7 +164,7 @@ let all =
     (* The sharded front-end over shards x domains, single and batched:
        with shards >= domains each domain owns a ring. *)
     preset "shard-sweep" "Sharded evequoz-cas" ~bench:"shard_sweep"
-      ~scale:0.01 ~big_heap:true
+      ~scale:0.4 ~big_heap:true
       (List.concat_map
          (fun shards ->
            List.concat_map

@@ -17,7 +17,10 @@ dune exec bin/torture.exe -- --queue evequoz-cas-shard4 --seed 42 --ops 2000 > /
 # Segmented-queue gate: the same stall matrix plus the two windows only
 # the segment chain has -- a victim frozen mid-append (seg-append) and
 # mid-retire (seg-retire) must leave the queue conserving and live.
+# With --crash a victim dies there instead: its hazard must pin its
+# segment forever, which the recycle's plain Empty reset relies on.
 dune exec bin/torture.exe -- --queue evequoz-seg --seed 42 --ops 2000 > /dev/null
+dune exec bin/torture.exe -- --queue evequoz-seg --seed 42 --ops 2000 --crash > /dev/null
 # SCQ gate: the FAA-cycle matrix (faa-cycle / threshold-reset / catchup
 # windows) under stalls and crashes.  The harness clamps scq capacity to
 # 2 so the catchup and threshold windows actually open (see
@@ -30,15 +33,19 @@ dune exec bin/torture.exe -- --wait > /dev/null
 # Oversubscription gate: 16 parked domains on one core-starved queue
 # for 2 s, requiring item conservation and per-domain progress.
 dune exec bench/bench.exe -- gate-park > /dev/null
-# Model-checking gate: Algorithm 1 plus the simulated eventcount
-# (park/wake must have no lost wakeup; the seeded-bug entries -- the
-# null-ABA of fresh-store cells vacated with a shared Empty, on Algorithm
-# 1 and on Algorithm 2's batch path, the lost wakeup, the dead-flag spin,
-# the ping-pong livelock -- must still be convicted) explored to
-# exhaustion, proving >= 5x DPOR reduction vs plain DFS.  Every other
-# catalog spec -- exhaustion of each pass-expected one, conviction of
-# each seeded bug -- is a test_modelcheck case in the runtest above.
+# Model-checking gate: Algorithm 1, the segmented queue and the
+# simulated eventcount (park/wake must have no lost wakeup; the
+# seeded-bug entries -- the null-ABA of fresh-store cells vacated with a
+# shared Empty, on Algorithm 1 and on Algorithm 2's batch path, the
+# segment recycled under a reader when retire skips the hazard scan, the
+# lost wakeup, the dead-flag spin, the ping-pong livelock -- must still
+# be convicted) explored to exhaustion, proving >= 5x DPOR reduction vs
+# plain DFS.  The segmented rows gate what a recycle's plain Empty reset
+# relies on: no reader reaches a recycled segment.  Every other catalog
+# spec -- exhaustion of each pass-expected one, conviction of each
+# seeded bug -- is a test_modelcheck case in the runtest above.
 dune exec bin/modelcheck_run.exe -- -a evequoz-llsc \
+  -a evequoz-seg -a evequoz-seg-noretire \
   -a evequoz-llsc-shared-empty -a evequoz-cas-shared-empty -a sim-wait \
   -a toy-blocking -a toy-livelock \
   --min-reduction 5 --require-exhaustive > /dev/null

@@ -19,15 +19,17 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
      most once.  Boxing backends ([B.fresh_stores = false]) meet it by
      boxing each store themselves, so they vacate with the immediate
      [Empty].  On fresh-store backends the value is its own identity: an
-     enqueue stores the [Item] it built once (a failed sc leaves it
-     unstored, so the retry may reuse it), and every vacancy store
-     builds a fresh [Vacant] block at the store, so an empty dequeue
-     still allocates nothing.  The immediate [Empty] is then stored only
-     by [create], once per cell.  [Consumed] stays immediate: nothing
-     ever CASes against it, since an sc only follows an ll that found a
-     vacancy or an item.  On the tag protocol a rollback ([release])
-     re-stores the block its reservation read; the backend keeps that
-     exact (Llsc_cas). *)
+     enqueue stores the [Item] it built once and a dequeue the [Vacant]
+     it built at its first sc (a failed sc leaves the block unstored, so
+     the retry may reuse it), so an empty dequeue still allocates
+     nothing.  Only a vacancy an ABA can reach needs that block: a
+     wrapping ring's, which a later lap may CAS against.  The immediate
+     [Empty] is stored where none can: by [create], and by [recycle],
+     which re-opens a single-lap segment no thread holds.  [Consumed]
+     stays immediate: nothing ever CASes against it, since an sc only
+     follows an ll that found a vacancy or an item.  On the tag protocol
+     a rollback ([release]) re-stores the block its reservation read;
+     the backend keeps that exact (Llsc_cas). *)
   type 'a slot =
     | Empty
     | Vacant of int
@@ -148,7 +150,9 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
       end
     end
 
-  let rec dequeue_loop t h =
+  (* [vac] is the vacancy this dequeue stores: [Empty] until its first sc
+     builds [vacancy hd], which every retry then reuses. *)
+  let rec dequeue_loop t h vac =
     let hd = B.counter_get t.head in
     (* D6: empty test; same monotonicity argument as the full test. *)
     if hd = B.counter_get t.tail then None
@@ -162,20 +166,21 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
             B.release cell h res;
             H.hit Hook.Head_help;
             help t.head hd;
-            dequeue_loop t h
+            dequeue_loop t h vac
         | Item x ->
-            if B.sc cell h res (vacancy hd) then begin
+            let vac = if vac == Empty then vacancy hd else vac in
+            if B.sc cell h res vac then begin
               help t.head hd;
               Some x
             end
             else begin
               H.hit Hook.Sc_fail;
-              dequeue_loop t h
+              dequeue_loop t h vac
             end
         | Reserved _ -> assert false (* [ll] reads through markers *)
       else begin
         B.release cell h res;
-        dequeue_loop t h
+        dequeue_loop t h vac
       end
     end
 
@@ -205,7 +210,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
 
   let dequeue_with t h =
     B.reregister h;
-    dequeue_loop t h
+    dequeue_loop t h Empty
 
   let peek_with t h =
     B.reregister h;
@@ -228,11 +233,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
      full-vs-wrap ambiguity) and [take_loop]'s empty test keeps the
      paper's monotonicity argument unchanged. *)
 
-  let lap_capacity t = t.mask + 1
   let lap_base t = t.lap_base
-
-  (* Sticky full: Tail has passed every slot of this lap. *)
-  let lap_filled t = B.counter_get t.tail - t.lap_base >= t.mask + 1
 
   (* All slots of this lap were filled and consumed; Head can only reach
      [lap_base + capacity] by passing [capacity] consumed slots. *)
@@ -319,15 +320,17 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
      in its hazard slot, so no reservation can be outstanding either);
      Head = Tail = lap_base + capacity at this point, so bumping the base
      by one capacity re-opens all slots without touching the monotonic
-     counters.  Slots go back to a vacancy through the backend's
-     exclusive-owner [reset] — the full ll/sc walk this replaced cost one
-     reservation round-trip per slot, which amortized to a constant (and
-     dominant) per-operation tax on the segmented queue's steady state. *)
+     counters.  Slots go back to the immediate [Empty] through the
+     backend's exclusive-owner [reset] — the full ll/sc walk this
+     replaced cost one reservation round-trip per slot, which amortized
+     to a constant (and dominant) per-operation tax on the segmented
+     queue's steady state.  No fresh block is needed: within a lap a slot
+     never returns to a vacancy, and no reservation or observation spans
+     the reset (DESIGN §13). *)
   let recycle t =
-    let base = t.lap_base + t.mask + 1 in
-    t.lap_base <- base;
+    t.lap_base <- t.lap_base + t.mask + 1;
     for i = 0 to t.mask do
-      B.reset (Array.unsafe_get t.slots i) (vacancy (base + i))
+      B.reset (Array.unsafe_get t.slots i) Empty
     done
 
   (* --- Batch runs (extension, not in the paper) -------------------------
@@ -420,7 +423,7 @@ module Make_probed (B : Nbq_primitives.Llsc_backend.S) (H : Hook.S) = struct
   let rec deq_slow t h left =
     if left <= 0 then []
     else
-      match dequeue_loop t h with
+      match dequeue_loop t h Empty with
       | Some x -> x :: deq_slow t h (left - 1)
       | None -> []
 

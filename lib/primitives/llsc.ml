@@ -115,26 +115,21 @@ module Weak = struct
   (* Retry until the counter is observed past [expected]: a spuriously
      failing sc (paper section 5) must not drop the bump and let a
      lagging counter fool the empty/full tests. *)
-  let counter_advance c expected =
-    let rec go () =
-      let link = ll c in
-      if value link = expected then
-        if not (sc c link (expected + 1)) then go ()
-    in
-    go ()
+  let rec counter_advance c expected =
+    let link = ll c in
+    if value link = expected && not (sc c link (expected + 1)) then
+      counter_advance c expected
+
+  (* Top-level loops over explicit arguments: no closure per call. *)
+  let rec walk c target =
+    let link = ll c in
+    let cur = value link in
+    if cur - target < 0 then begin
+      ignore (sc c link (cur + 1));
+      walk c target
+    end
 
   let counter_publish c ~from ~target =
-    let rec walk () =
-      let link = ll c in
-      let cur = value link in
-      if cur - target < 0 then begin
-        ignore (sc c link (cur + 1));
-        walk ()
-      end
-    in
     let link = ll c in
-    if value link = from then begin
-      if not (sc c link target) then walk ()
-    end
-    else walk ()
+    if not (value link = from && sc c link target) then walk c target
 end

@@ -87,15 +87,16 @@ module Make (A : Atomic_intf.ATOMIC) : S
     and [sc] is one compare-and-set against the value [ll] returned, as
     the paper's Algorithm 1 writes in place.  Block identity then does
     the box's job, under a precondition on the caller
-    ([fresh_stores = true]): {b every value passed to [sc] or [set] is a
-    block allocated for that store and never stored before} (the initial
-    value of [make] is exempt, being stored once).  A value a reservation
+    ([fresh_stores = true]): {b every value passed to [sc] is a block
+    allocated for that store and never stored before} (the initial value
+    of [make], and a [set] made while no reservation is outstanding, are
+    exempt: no CAS expects a value across them).  A value a reservation
     holds can then never come back, so a CAS that finds it proves the
     cell unwritten since the [ll].  Storing an immediate, or a block
     twice, re-opens the ABA window the box closes.  Algorithm 1's ring
     meets the precondition by building one [Item] per enqueue and one
-    [Vacant] per vacancy store, so a store allocates the item's own
-    block and nothing else.  Hook points as in {!Make_probed}. *)
+    [Vacant] per dequeue, so a store allocates the item's own block and
+    nothing else.  Hook points as in {!Make_probed}. *)
 
 module Make_fresh_probed (A : Atomic_intf.ATOMIC) (H : Hook.S) : S
 

@@ -94,7 +94,7 @@ module type S = sig
   val fresh_stores : bool
   (** [true] when the backend stores the value itself and its CASes
       expect the very values stored: every value a caller stores
-      ([sc], [commit], [reset]) must then be a block allocated for that
+      ([sc], [commit]) must then be a block allocated for that
       store and never stored before, so that no value a reservation or
       observation holds can return to the cell
       ({!Nbq_primitives.Llsc.Make_fresh_probed}; on the tag protocol a
@@ -124,15 +124,12 @@ module type S = sig
   (** Linearizable read without leaving a reservation behind. *)
 
   val reset : 'a t -> 'a -> unit
-  (** Exclusive-owner store, no handle needed: the caller guarantees no
-      thread holds (or will take) a reservation or observation on the
-      cell for the duration — the segment-recycle case, where hazard
-      reclamation has proven the ring unreachable.  Implementations must
-      keep the backend's identity discipline (a fresh block per mutation
-      where observe/commit relies on it) so a stale [commit] from a
-      protocol violation still fails rather than corrupting the cell
-      (on a fresh-store backend the caller's fresh value is that
-      block). *)
+  (** Exclusive-owner store of any value, no handle needed: the caller
+      guarantees that no thread holds (or will take) a reservation or
+      observation on the cell for the duration — the segment-recycle
+      case, where hazard reclamation has proven the ring unreachable.
+      No CAS can then expect a value read before the store, so the value
+      need not be fresh, even on a fresh-store backend. *)
 
   val observe : 'a t -> 'a handle -> 'a observation
   val observed_get : 'a observation -> 'a

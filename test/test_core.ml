@@ -220,6 +220,53 @@ let llsc_pair_words () =
   Alcotest.(check int) "all moved" n (Q1.head_index q);
   Alcotest.(check (float 0.)) "words per pair" 6. (words /. float n)
 
+(* A dequeue builds its [Vacant] once, at its first sc: a failed sc leaves
+   the block unstored and the retry stores that same block.  The cells'
+   hook runs one interfering dequeue at the first sc attempt, which takes
+   the item and fails the outer sc; the outer dequeue then takes the next
+   item.  Without the interference's own allocation, it allocates one
+   [Vacant] and its [Some], 4 words (a [Vacant] per attempt would be 6). *)
+let interfere : (unit -> unit) option ref = ref None
+
+module Interfering_hook = struct
+  let hit = function
+    | Nbq_primitives.Hook.Sc_attempt -> (
+        match !interfere with
+        | Some f ->
+            interfere := None;
+            f ()
+        | None -> ())
+    | _ -> ()
+end
+
+module Q1_interfered =
+  Nbq_core.Evequoz_llsc.Make
+    (Nbq_primitives.Llsc.Make_fresh_probed
+       (Nbq_primitives.Atomic_intf.Real)
+       (Interfering_hook))
+
+let failed_dequeue_sc_stores_one_vacant () =
+  let module Q = Q1_interfered in
+  let q = Q.create ~capacity:4 in
+  ignore (Q.try_enqueue q 1 : bool);
+  ignore (Q.try_enqueue q 2 : bool);
+  let inner_words = ref 0 and inner_got = ref None in
+  let inner () =
+    let w0 = Gc.minor_words () in
+    let got = Q.try_dequeue q in
+    inner_words := int_of_float (Gc.minor_words () -. w0);
+    inner_got := got
+  in
+  interfere := Some inner;
+  let w0 = Gc.minor_words () in
+  let got = Q.try_dequeue q in
+  let words = int_of_float (Gc.minor_words () -. w0) - !inner_words in
+  Alcotest.(check bool) "interference ran" true (Option.is_none !interfere);
+  Alcotest.(check (option int)) "interfering dequeue took the first" (Some 1)
+    !inner_got;
+  Alcotest.(check (option int)) "outer dequeue took the second" (Some 2) got;
+  Alcotest.(check int) "words of the outer dequeue" 4 words
+
 (* --- Functor / weak cells --- *)
 
 let weak_queue_correct_under_failures () =
@@ -614,6 +661,8 @@ let () =
           quick "llsc monotonic across wraps" llsc_indices_monotonic;
           quick "llsc indices on rejection" llsc_indices_stop_on_rejection;
           quick "llsc pair allocates 6 words" llsc_pair_words;
+          quick "failed dequeue sc stores one Vacant"
+            failed_dequeue_sc_stores_one_vacant;
           quick "cas monotonic across wraps" cas_indices_monotonic;
         ] );
       ( "capacity",

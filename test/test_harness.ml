@@ -436,14 +436,14 @@ let until_pair_words name () =
    closure.  On the tag protocol (evequoz-cas) the reservation marker is
    the slot's own [Reserved] constructor, allocated once per
    registration.  A segment's take stores the immediate [Consumed] and
-   its recycle one [Vacant] per slot, so evequoz-seg pays the same 6
-   words plus its chain's share.  Every segment shares the queue's tag
-   registry and the hazard slot holds a sentinel, so a segment lap adds
-   only the chain's own links, the successor [Next] and the pool's cons
-   cell (5 words).  Over the 1000 measured pairs that is 0.128 words a
-   pair at 64-slot segments and 0.206 at handoff-burst's 32-slot ones
-   (which lap boundaries and recycling scans the window holds sets the
-   exact figure). *)
+   its recycle the immediate [Empty], so evequoz-seg pays the [Item] and
+   the [Some], 4 words, plus its chain's share.  Every segment shares the
+   queue's tag registry and the hazard slot holds a sentinel, so a
+   segment lap adds only the chain's own links, the successor [Next] and
+   the pool's cons cell (5 words).  Over the 1000 measured pairs that is
+   0.080 words a pair at 64-slot segments and 0.158 at handoff-burst's
+   32-slot ones (which lap boundaries and recycling scans the window
+   holds sets the exact figure). *)
 let llsc_plain_pair_words ?(capacity = 64) name words () =
   let inst = (Registry.find name).Registry.create ~capacity in
   Alcotest.(check (float 0.)) "words per plain pair" words
@@ -496,11 +496,11 @@ let () =
               quick
                 (Printf.sprintf "%s plain pair allocates %g words" name words)
                 (llsc_plain_pair_words name words))
-            [ ("evequoz-llsc", 6.); ("evequoz-cas", 6.); ("evequoz-seg", 6.128) ]
+            [ ("evequoz-llsc", 6.); ("evequoz-cas", 6.); ("evequoz-seg", 4.080) ]
         @ [
-            quick "evequoz-seg plain pair at 32-slot segments allocates 6.206 \
+            quick "evequoz-seg plain pair at 32-slot segments allocates 4.158 \
                    words"
-              (llsc_plain_pair_words ~capacity:32 "evequoz-seg" 6.206);
+              (llsc_plain_pair_words ~capacity:32 "evequoz-seg" 4.158);
           ]
         @ List.map
             (fun name ->

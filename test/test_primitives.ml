@@ -59,6 +59,40 @@ let prng_bool_mixes () =
   done;
   Alcotest.(check bool) "roughly balanced" true (!trues > 400 && !trues < 600)
 
+(* The first outputs of fixed seeds, as the boxed-[int64] generator drew
+   them: the unboxed state keeps every seeded schedule in place. *)
+let prng_pinned_outputs () =
+  let g = Prng.create ~seed:42 in
+  List.iter
+    (fun x -> Alcotest.(check int64) "seed 42" x (Prng.next_int64 g))
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ];
+  let g = Prng.create ~seed:7 in
+  List.iter
+    (fun x -> Alcotest.(check int) "seed 7 int" x (Prng.int g 1000))
+    [ 583; 804; 634 ];
+  List.iter
+    (fun x -> Alcotest.(check (float 0.)) "seed 7 float" x (Prng.float g))
+    [ 0x1.2a75d6e0ce7c5p-1; 0x1.cf4ced99a8788p-2 ];
+  Alcotest.(check int64) "split" 7959962799974569576L
+    (Prng.next_int64 (Prng.split g))
+
+(* A draw allocates nothing: the state is unboxed.  A [float] draw returns
+   a boxed float unless the call is inlined (the release profile inlines
+   it into a comparison), so it may allocate that result's 2 words. *)
+let prng_draws_allocate_nothing () =
+  let g = Prng.create ~seed:8 and hits = ref 0 in
+  let words_per op =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1_000 do op () done;
+    (Gc.minor_words () -. w0) /. 1_000.
+  in
+  Alcotest.(check (float 0.)) "int" 0.
+    (words_per (fun () -> hits := !hits + Prng.int g 100));
+  Alcotest.(check (float 0.)) "bool" 0.
+    (words_per (fun () -> if Prng.bool g then incr hits));
+  let float = words_per (fun () -> if Prng.float g < 0.5 then incr hits) in
+  if float > 2. then Alcotest.failf "float draw allocates %g words" float
+
 let prng_domain_local_stable () =
   let a = Prng.domain_local () in
   let b = Prng.domain_local () in
@@ -676,6 +710,8 @@ let () =
           quick "float range" prng_float_range;
           quick "split independence" prng_split_independent;
           quick "bool mixes" prng_bool_mixes;
+          quick "pinned outputs" prng_pinned_outputs;
+          quick "draws allocate nothing" prng_draws_allocate_nothing;
           quick "domain-local stable" prng_domain_local_stable;
           slow "domain-local distinct" prng_domain_local_distinct;
         ] );
