@@ -66,16 +66,6 @@ let hp factor =
         (Nbq_reclaim.Hazard_pointer.total_scans m)
         (Nbq_reclaim.Hazard_pointer.total_freed m))
 
-let ebr batch =
-  let open Nbq_baselines.Ms_epoch in
-  custom (Printf.sprintf "ms-ebr-b%d" batch)
-    (fun () -> create ~batch_size:batch ())
-    (enqueue, try_dequeue, length)
-    (fun q ->
-      let m = epoch_manager q in
-      Printf.sprintf "freed=%d pending=%d" (Nbq_reclaim.Epoch.total_freed m)
-        (Nbq_reclaim.Epoch.pending m))
-
 let ring_capacity mult =
   cell (Printf.sprintf "min*%d" mult) (fun min ->
       let cap = min * mult in
@@ -131,9 +121,9 @@ let all =
       ~bench:"overhead" ~domains:[ 1 ] ~runs:5 ~scale:0.1 ~base:"seq-ring"
       (List.map
          (fun q -> cell q (fun _ -> of_impl ~capacity:64 (Registry.find q)))
-         [ "seq-ring"; "evequoz-llsc"; "evequoz-cas"; "shann"; "tsigas-zhang";
-           "ms-gc"; "ms-hp-sorted"; "ms-hp-unsorted"; "ms-ebr"; "ms-doherty";
-           "two-lock"; "lock-ring" ]);
+         [ "seq-ring"; "evequoz-llsc"; "evequoz-cas"; "shann"; "ms-gc";
+           "ms-hp-sorted"; "ms-hp-unsorted"; "ms-doherty"; "two-lock";
+           "lock-ring" ]);
     (* E6: the paper measures its CAS queue ~5 % slower than Shann's on a
        machine where CAS64 cost ~4.5x CAS32; here both are single-word. *)
     preset "shann-vs-cas" "E6: Shann (simulated CAS64) vs the CAS queue"
@@ -144,13 +134,11 @@ let all =
       (List.map weak [ 0.0; 0.01; 0.05; 0.1; 0.2; 0.4 ]);
     ablation "hp-threshold" "hazard-pointer retire threshold factor (paper: 4)"
       (List.map hp [ 1; 2; 4; 8; 16; 64 ]);
-    ablation "ebr-batch" "EBR batch size, ms-ebr"
-      (List.map ebr [ 8; 32; 64; 256; 1024 ]);
     ablation "capacity" "ring capacity, evequoz-cas (min = 2 x in-flight)"
       (List.map ring_capacity [ 1; 2; 8; 64 ]);
     ablation "reclamation" "reclamation schemes on the same MS queue"
       ~domains:[ 1; 2; 4; 8; 16 ]
-      (names [ "ms-gc"; "ms-hp-sorted"; "ms-ebr"; "ms-doherty" ]);
+      (names [ "ms-gc"; "ms-hp-sorted"; "ms-doherty" ]);
     (* The tag protocol's singles against its amortized batch runs (one
        ReRegister and one counter CAS per run). *)
     ablation "backends" "LL/SC backend under the ring functor"

@@ -79,8 +79,8 @@ bench fig6-a --trace
 test -s results/bench_summary.json
 dune exec bin/bench_compare.exe -- results/bench_summary.json results/bench_summary.json > /dev/null
 bench fig6-b fig6-c fig6-d fig6-s overhead shann-vs-cas latency \
-  ablation-weak-llsc ablation-hp-threshold ablation-ebr-batch \
-  ablation-capacity ablation-reclamation ablation-backends
+  ablation-weak-llsc ablation-hp-threshold ablation-capacity \
+  ablation-reclamation ablation-backends
 bench contend -q evequoz-cas,evequoz-seg,scq -d 1,2,4
 bench shard-sweep
 bench park-sweep

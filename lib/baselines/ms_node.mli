@@ -26,8 +26,8 @@ val dummy : 'a allocator -> 'a t
 
 val recycle : 'a allocator -> 'a t -> unit
 (** Clear the payload and return the node to the pool.  The caller is
-    responsible for having proven the node unreachable (hazard-pointer scan,
-    epoch grace period, ...). *)
+    responsible for having proven the node unreachable (a hazard-pointer
+    scan). *)
 
 val id : 'a t -> int
 

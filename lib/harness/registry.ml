@@ -23,7 +23,6 @@ type impl = {
   name : string;
   family : family;
   bounded : bool;
-  bounded_delay_assumption : bool;
   relaxed_fifo : bool;
   create : capacity:int -> instance;
   create_probed : metrics:Nbq_obs.Metrics.t -> capacity:int -> instance;
@@ -149,10 +148,8 @@ type kind =
   capacity:int ->
   instance
 
-let row ~name ~family ?(bounded_delay_assumption = false)
-    ?(relaxed_fifo = false) ~(build : builder)
-    ~(conc : (module Queue_intf.CONC))
-    (kind : kind) =
+let row ~name ~family ?(relaxed_fifo = false) ~(build : builder)
+    ~(conc : (module Queue_intf.CONC)) (kind : kind) =
   let module Q = (val conc) in
   let create_observed ?metrics ?tracer ~capacity () =
     let hook, observe = observed ?metrics ?tracer () in
@@ -162,7 +159,6 @@ let row ~name ~family ?(bounded_delay_assumption = false)
     name;
     family;
     bounded = Q.bounded;
-    bounded_delay_assumption;
     relaxed_fifo;
     create =
       (fun ~capacity ->
@@ -179,7 +175,6 @@ module Cap = Queue_intf.Capability
 module Evequoz_llsc_weak_conc =
   Queue_intf.Make (Cap.Bounded (Nbq_core.Evequoz_llsc.On_weak_cells))
 module Shann_conc = Queue_intf.Make (Cap.Bounded (Nbq_baselines.Shann))
-module Tz_conc = Queue_intf.Make (Cap.Bounded (Nbq_baselines.Tsigas_zhang))
 module Valois_conc = Queue_intf.Make (Cap.Bounded (Nbq_baselines.Valois))
 module Lock_conc = Queue_intf.Make (Cap.Bounded (Nbq_baselines.Lock_queue))
 module Seq_conc = Queue_intf.Make (Cap.Bounded (Nbq_baselines.Seq_ring))
@@ -189,7 +184,6 @@ module Ms_hp_sorted_conc =
   Queue_intf.Make (Cap.Unbounded (Nbq_baselines.Ms_hazard.Sorted))
 module Ms_hp_unsorted_conc =
   Queue_intf.Make (Cap.Unbounded (Nbq_baselines.Ms_hazard.Unsorted))
-module Ms_ebr_conc = Queue_intf.Make (Cap.Unbounded (Nbq_baselines.Ms_epoch.Conc))
 module Ms_doherty_conc =
   Queue_intf.Make (Cap.Unbounded (Nbq_baselines.Ms_doherty.Conc))
 module Two_lock_conc =
@@ -289,19 +283,14 @@ let blocking_kind : kind =
         | `Timeout -> None);
   }
 
-let of_conc ~name ~family ?bounded_delay_assumption ?relaxed_fifo
-    (conc : (module Queue_intf.CONC)) =
-  row ~name ~family ?bounded_delay_assumption ?relaxed_fifo
-    ~build:(fun _ -> conc)
-    ~conc plain_kind
+let of_conc ~name ~family (conc : (module Queue_intf.CONC)) =
+  row ~name ~family ~build:(fun _ -> conc) ~conc plain_kind
 
-let custom ~name ~family ?(bounded_delay_assumption = false) ?(bounded = false)
-    create =
+let custom ~name ~family create =
   {
     name;
     family;
-    bounded;
-    bounded_delay_assumption;
+    bounded = false;
     relaxed_fifo = false;
     create;
     (* No queue module to rebuild or wrap: every creation path is the
@@ -360,8 +349,6 @@ module Family = struct
   type t = {
     name : string;
     classification : family;
-    bounded_delay_assumption : bool;
-    relaxed_fifo : bool;
     build : builder;
     conc : (module Queue_intf.CONC);
     shards : int list;
@@ -369,14 +356,11 @@ module Family = struct
     blocking : bool;
   }
 
-  let v ?(classification = Array_based) ?(bounded_delay_assumption = false)
-      ?(relaxed_fifo = false) ?(shards = []) ?shard_build ?(blocking = false)
-      name build =
+  let v ?(classification = Array_based) ?(shards = []) ?shard_build
+      ?(blocking = false) name build =
     {
       name;
       classification;
-      bounded_delay_assumption;
-      relaxed_fifo;
       build;
       conc = build (module Nbq_primitives.Hook.Noop);
       shards;
@@ -385,11 +369,10 @@ module Family = struct
     }
 end
 
-let family_row (f : Family.t) ?(suffix = "") ?(relaxed_fifo = false)
-    ?(build = f.build) ?(conc = f.conc) kind =
-  row ~name:(f.name ^ suffix) ~family:f.classification
-    ~bounded_delay_assumption:f.bounded_delay_assumption
-    ~relaxed_fifo:(relaxed_fifo || f.relaxed_fifo) ~build ~conc kind
+let family_row (f : Family.t) ?(suffix = "") ?relaxed_fifo ?(build = f.build)
+    ?(conc = f.conc) kind =
+  row ~name:(f.name ^ suffix) ~family:f.classification ?relaxed_fifo ~build
+    ~conc kind
 
 let shard_row (f : Family.t) =
   let build, conc =
@@ -475,15 +458,12 @@ let families : Family.t list =
     evequoz_cas_family;
     Family.v "evequoz-llsc-weak" (unhooked (module Evequoz_llsc_weak_conc));
     Family.v "shann" (unhooked (module Shann_conc));
-    Family.v "tsigas-zhang" (unhooked (module Tz_conc));
     Family.v "valois-dcas" (unhooked (module Valois_conc));
     Family.v "ms-gc" ~classification:Link_based (unhooked (module Ms_gc_conc));
     Family.v "ms-hp-sorted" ~classification:Link_based
       (unhooked (module Ms_hp_sorted_conc));
     Family.v "ms-hp-unsorted" ~classification:Link_based
       (unhooked (module Ms_hp_unsorted_conc));
-    Family.v "ms-ebr" ~classification:Link_based
-      (unhooked (module Ms_ebr_conc));
     Family.v "ms-doherty" ~classification:Link_based
       (unhooked (module Ms_doherty_conc));
     Family.v "herlihy-wing" (unhooked (module Hw_conc));

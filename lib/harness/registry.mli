@@ -50,11 +50,6 @@ type impl = {
   name : string;
   family : family;
   bounded : bool;
-  bounded_delay_assumption : bool;
-      (** The algorithm is only correct if no operation is delayed across
-          two full ring wraps (Tsigas–Zhang's published assumption — the
-          very §3 limitation the paper's algorithms remove).  Harnesses
-          honour it by sizing rings generously; see DESIGN.md §7a. *)
   relaxed_fifo : bool;
       (** The implementation keeps items conserved and each shard FIFO but
           relaxes {e global} FIFO order and single-queue linearizability
@@ -95,8 +90,6 @@ module Family : sig
   type t = {
     name : string;
     classification : family;
-    bounded_delay_assumption : bool;
-    relaxed_fifo : bool;
     build : builder;
     conc : (module Nbq_core.Queue_intf.CONC);
         (** [build Hook.Noop], built once: what [create] instantiates. *)
@@ -113,16 +106,14 @@ module Family : sig
 
   val v :
     ?classification:family ->
-    ?bounded_delay_assumption:bool ->
-    ?relaxed_fifo:bool ->
     ?shards:int list ->
     ?shard_build:builder ->
     ?blocking:bool ->
     string ->
     builder ->
     t
-  (** [v name build] with [classification] defaulting to [Array_based],
-      the flags to [false], and no derived rows. *)
+  (** [v name build] with [classification] defaulting to [Array_based]
+      and no derived rows. *)
 end
 
 val register_family : Family.t -> impl list
@@ -149,25 +140,16 @@ val find : string -> impl
 val names : unit -> string list
 
 val of_conc :
-  name:string ->
-  family:family ->
-  ?bounded_delay_assumption:bool ->
-  ?relaxed_fifo:bool ->
-  (module Nbq_core.Queue_intf.CONC) ->
-  impl
-(** Wrap any {!Nbq_core.Queue_intf.CONC} implementation.
-    [bounded_delay_assumption] and [relaxed_fifo] default to [false]. *)
+  name:string -> family:family -> (module Nbq_core.Queue_intf.CONC) -> impl
+(** Wrap any {!Nbq_core.Queue_intf.CONC} implementation as a plain
+    (strict FIFO) row. *)
 
 val custom :
-  name:string ->
-  family:family ->
-  ?bounded_delay_assumption:bool ->
-  ?bounded:bool ->
-  (capacity:int -> instance) ->
-  impl
-(** Build an impl from a bare instance constructor (ad-hoc experiment
-    queues, e.g. the ablation binaries).  [create_probed] and
-    [create_traced] degrade to the uninstrumented [create]. *)
+  name:string -> family:family -> (capacity:int -> instance) -> impl
+(** Build an unbounded, strict-FIFO impl from a bare instance constructor
+    (ad-hoc experiment queues, e.g. the ablation presets).
+    [create_probed] and [create_traced] degrade to the uninstrumented
+    [create]. *)
 
 val basic_instance :
   ?probe:(module Nbq_primitives.Hook.S) ->

@@ -195,7 +195,6 @@ module SimCell =
 module SimQ1 = Nbq_core.Evequoz_llsc.Make_probed (SimCell) (Trace_hook)
 module SimQ2 = Nbq_core.Evequoz_cas.Make_probed (Sim.Atomic) (Trace_hook)
 module SimShann = Nbq_baselines.Shann.Make (Sim.Atomic)
-module SimTz = Nbq_baselines.Tsigas_zhang.Make (Sim.Atomic)
 module SimMs = Nbq_baselines.Michael_scott.Make (Sim.Atomic)
 module SimHw = Nbq_baselines.Herlihy_wing.Make (Sim.Atomic)
 module SimLms = Nbq_baselines.Ladan_mozes_shavit.Make (Sim.Atomic)
@@ -477,14 +476,6 @@ let entries =
     cas;
     seg;
     shann;
-    {
-      name = "tsigas-zhang";
-      progress = Props.Lock_free;
-      instance =
-        simple (fun capacity ->
-            let q = SimTz.create ~capacity in
-            (SimTz.try_enqueue q, fun () -> SimTz.try_dequeue q));
-    };
     {
       name = "ms-gc";
       progress = Props.Lock_free;

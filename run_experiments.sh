@@ -1,7 +1,9 @@
 #!/bin/sh
 # Regenerates every experiment artifact into results/ (see EXPERIMENTS.md).
 set -x
-bench() { dune exec bench/bench.exe -- "$@"; }
+# The release profile, as perfbench builds: the dev profile's -opaque
+# stops cross-module inlining and so measures a different binary.
+bench() { dune exec --profile release bench/bench.exe -- "$@"; }
 dune exec bin/modelcheck_run.exe -- --json results/modelcheck.json > results/modelcheck.txt 2>&1
 bench space > results/space.txt 2>&1
 bench overhead > results/overhead.txt 2>&1
@@ -11,7 +13,7 @@ bench fig6-b --scale 0.1 --plot > results/fig6b.txt 2>&1
 bench fig6-c --scale 0.1 > results/fig6c.txt 2>&1
 bench fig6-d --scale 0.1 > results/fig6d.txt 2>&1
 bench latency > results/latency.txt 2>&1
-bench ablation-weak-llsc ablation-hp-threshold ablation-ebr-batch ablation-capacity \
+bench ablation-weak-llsc ablation-hp-threshold ablation-capacity \
   ablation-reclamation ablation-backends --runs 2 > results/ablation.txt 2>&1
 bench contend --runs 2 --scale 0.1 --plot > results/contend.txt 2>&1
 bench gate-obs > results/obs_overhead.txt 2>&1

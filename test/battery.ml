@@ -11,16 +11,6 @@ let tag_of (p : Registry.payload) = p.Registry.tag
 let fresh (impl : Registry.impl) ?(capacity = 8) () =
   impl.Registry.create ~capacity
 
-(* Concurrent tests honour an implementation's bounded-delay assumption
-   (Tsigas-Zhang: no operation delayed across two ring wraps) by sizing
-   the ring so that two wraps take thousands of operations -- on this
-   single-core box a preempted domain easily sleeps through a 64-slot
-   ring's double wrap, which is exactly the published failure mode the
-   paper's SS3 criticises.  See DESIGN.md SS7a. *)
-let conc_capacity (impl : Registry.impl) requested =
-  if impl.Registry.bounded_delay_assumption then max requested 2048
-  else requested
-
 let enq (q : Registry.instance) v = q.Registry.enqueue (payload v)
 let deq (q : Registry.instance) = Option.map tag_of (q.Registry.dequeue ())
 let len (q : Registry.instance) = q.Registry.length ()
@@ -218,8 +208,7 @@ let qcheck_conservation impl =
 
 let transfer_test ?(check_order = true) impl ~producers ~consumers
     ~per_producer () =
-  let capacity = conc_capacity impl 64 in
-  let q = fresh impl ~capacity () in
+  let q = fresh impl ~capacity:64 () in
   let barrier = Nbq_primitives.Barrier.create ~parties:(producers + consumers) in
   let sinks = Array.init consumers (fun _ -> ref []) in
   let total = producers * per_producer in
@@ -303,7 +292,7 @@ let test_lincheck_small ?with_batches impl ~threads ~rounds ~capacity () =
   | Nbq_lincheck.Checker.Violation msg -> Alcotest.fail msg
 
 let test_big_run impl ~threads () =
-  let q = fresh impl ~capacity:(conc_capacity impl 4096) () in
+  let q = fresh impl ~capacity:4096 () in
   match
     Nbq_lincheck.Stress.check_big_run ~with_batches:true
       ~relaxed_order:impl.Registry.relaxed_fifo ~threads ~ops_per_thread:10_000
@@ -315,7 +304,7 @@ let test_big_run impl ~threads () =
 
 let test_paper_pattern_concurrent impl ~threads () =
   let cfg = { Workload.iterations = 500; enqueue_batch = 5; dequeue_batch = 5 } in
-  let capacity = conc_capacity impl (Workload.min_capacity cfg ~threads) in
+  let capacity = Workload.min_capacity cfg ~threads in
   let q = fresh impl ~capacity () in
   let barrier = Nbq_primitives.Barrier.create ~parties:threads in
   let domains =
@@ -334,7 +323,7 @@ let test_paper_pattern_concurrent impl ~threads () =
 (* Short-lived domains in waves: exercises per-domain state (DLS handles,
    hazard records, tag-variable recycling) across domain lifecycles. *)
 let test_domain_churn impl () =
-  let q = fresh impl ~capacity:(conc_capacity impl 64) () in
+  let q = fresh impl ~capacity:64 () in
   let total = Atomic.make 0 in
   for wave = 0 to 5 do
     let domains =
@@ -363,7 +352,7 @@ let test_domain_churn impl () =
 (* Two domains alternate producer/consumer roles across barrier-separated
    phases; per-phase conservation must hold. *)
 let test_role_swap impl () =
-  let q = fresh impl ~capacity:(conc_capacity impl 64) () in
+  let q = fresh impl ~capacity:64 () in
   let phases = 6 and per_phase = 500 in
   let barrier = Nbq_primitives.Barrier.create ~parties:2 in
   let worker me =
@@ -492,7 +481,7 @@ let test_relaxed_drain impl () =
    is inherited, not introduced, by the sharded sum).  For those we only
    pin non-negativity and quiescent exactness. *)
 let test_length_under_churn impl () =
-  let capacity = conc_capacity impl 64 in
+  let capacity = 64 in
   let q = fresh impl ~capacity () in
   (* A sharded instance rounds capacity up per shard; 64 covers any
      registered shard count with room to spare. *)

@@ -149,43 +149,6 @@ let ms_hp_retire_factor_controls_scans () =
     (Printf.sprintf "factor 1 scans (%d) > factor 64 scans (%d)" frequent rare)
     true (frequent > rare)
 
-(* --- MS-EBR plumbing --- *)
-
-let ms_ebr_reclaims () =
-  let q = Nbq_baselines.Ms_epoch.create ~batch_size:8 () in
-  for i = 1 to 5_000 do
-    Nbq_baselines.Ms_epoch.enqueue q i;
-    ignore (Nbq_baselines.Ms_epoch.try_dequeue q)
-  done;
-  let mgr = Nbq_baselines.Ms_epoch.epoch_manager q in
-  Alcotest.(check bool) "epoch advanced" true
-    (Nbq_reclaim.Epoch.global_epoch mgr > 2);
-  Alcotest.(check bool) "nodes freed" true
-    (Nbq_reclaim.Epoch.total_freed mgr > 0);
-  let allocated =
-    Nbq_baselines.Ms_node.allocated (Nbq_baselines.Ms_epoch.allocator q)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "allocated only %d nodes" allocated)
-    true (allocated < 500)
-
-(* --- Tsigas–Zhang counters --- *)
-
-let tz_indices_lag_bounded () =
-  let module Tz = Nbq_baselines.Tsigas_zhang in
-  let q = Tz.create ~capacity:8 in
-  for i = 1 to 100 do
-    ignore (Tz.try_enqueue q i);
-    ignore (Tz.try_dequeue q)
-  done;
-  (* Lazy updates: the counters lag but stay within a ring of the truth. *)
-  let hd = Tz.head_index q and tl = Tz.tail_index q in
-  Alcotest.(check bool)
-    (Printf.sprintf "head %d and tail %d within lag bound of 100" hd tl)
-    true
-    (hd <= 100 && tl <= 100 && 100 - hd <= 8 && 100 - tl <= 8);
-  Alcotest.(check int) "length exact when quiescent" 0 (Tz.length q)
-
 (* --- Shann indices --- *)
 
 let shann_indices_track () =
@@ -219,7 +182,5 @@ let () =
           quick "recycles nodes" ms_hp_recycles_nodes;
           quick "retire factor controls scans" ms_hp_retire_factor_controls_scans;
         ] );
-      ( "ms-ebr", [ quick "reclaims through epochs" ms_ebr_reclaims ] );
-      ( "tsigas-zhang", [ quick "index lag bounded" tz_indices_lag_bounded ] );
       ( "shann", [ quick "indices track ops" shann_indices_track ] );
     ]

@@ -37,7 +37,7 @@ let registry_concurrent_excludes_sequential () =
   Alcotest.(check int) "all = concurrent + seq"
     (List.length Registry.all)
     (List.length Registry.concurrent + 1);
-  Alcotest.(check int) "twenty-four implementations" 24
+  Alcotest.(check int) "twenty-two implementations" 22
     (List.length Registry.all)
 
 let registry_instances_independent () =
@@ -54,9 +54,9 @@ let registry_expected_members () =
   Alcotest.(check (list string)) "registry rows"
     [
       "evequoz-llsc"; "evequoz-cas"; "evequoz-cas-shard4"; "evequoz-cas-shard8";
-      "evequoz-llsc-weak"; "shann"; "tsigas-zhang"; "valois-dcas"; "ms-gc";
-      "ms-hp-sorted"; "ms-hp-unsorted"; "ms-ebr"; "ms-doherty"; "herlihy-wing";
-      "lms-optimistic"; "two-lock"; "lock-ring"; "evequoz-seg"; "evequoz-seg-shard1";
+      "evequoz-llsc-weak"; "shann"; "valois-dcas"; "ms-gc"; "ms-hp-sorted";
+      "ms-hp-unsorted"; "ms-doherty"; "herlihy-wing"; "lms-optimistic";
+      "two-lock"; "lock-ring"; "evequoz-seg"; "evequoz-seg-shard1";
       "evequoz-seg-shard4"; "scq"; "scq-shard4"; "scq-blocking"; "seq-ring";
     ]
     (Registry.names ())

@@ -317,8 +317,7 @@ let baseline_walks =
   :: walk `Slow "shann three threads" (key "shann" "enq-enq-deq")
   :: List.map
        (fun a -> walk `Slow (a ^ " matrix") (alg [ a ]))
-       [ "tsigas-zhang"; "ms-gc"; "herlihy-wing"; "lms-optimistic";
-         "valois-dcas" ]
+       [ "ms-gc"; "herlihy-wing"; "lms-optimistic"; "valois-dcas" ]
 
 let dpor_walks =
   [
@@ -404,7 +403,6 @@ let exempt =
       "weak cells draw spurious SC failures from a real PRNG on real atomics" );
     ("ms-hp-sorted", "hazard pointers are not functorized over ATOMIC");
     ("ms-hp-unsorted", "hazard pointers are not functorized over ATOMIC");
-    ("ms-ebr", "epoch reclamation is not functorized over ATOMIC");
     ("ms-doherty", "its cells are not functorized over ATOMIC yet");
     ("two-lock", "lock-based: blocking by construction");
     ("lock-ring", "lock-based: blocking by construction");

@@ -1,9 +1,8 @@
-(* Unit tests for the reclamation substrates: free pool, hazard pointers,
-   epochs. *)
+(* Unit tests for the reclamation substrates: free pool, hazard pointers
+   and the segmented queue's hazard cells. *)
 
 module Fp = Nbq_reclaim.Free_pool
 module Hp = Nbq_reclaim.Hazard_pointer
-module Ebr = Nbq_reclaim.Epoch
 module Seg = Nbq_segmented.Segmented
 module Sq = Seg.Cas_core
 
@@ -247,129 +246,6 @@ let qcheck_pool_lifo =
       let popped = List.filter_map (fun _ -> Fp.take p) xs in
       popped = List.rev xs && Fp.take p = None)
 
-(* --- Epochs --- *)
-
-let ebr_manager freed =
-  Ebr.create ~batch_size:1000
-    ~free:(fun n ->
-      n.live <- false;
-      freed := n :: !freed)
-    ()
-
-let ebr_basic_grace_period () =
-  let freed = ref [] in
-  let mgr = ebr_manager freed in
-  let r = Ebr.get_record mgr in
-  Ebr.enter mgr r;
-  let n = { id = 1; live = true } in
-  Ebr.retire mgr r n;
-  Ebr.exit r;
-  (* Two collections to pass the two-epoch grace period. *)
-  Ebr.try_collect mgr r;
-  Ebr.try_collect mgr r;
-  Ebr.try_collect mgr r;
-  Alcotest.(check int) "freed after grace" 1 (List.length !freed);
-  Alcotest.(check bool) "dead" false n.live
-
-let ebr_pinned_blocks_advance () =
-  let freed = ref [] in
-  let mgr = ebr_manager freed in
-  let pinned = Atomic.make false and release = Atomic.make false in
-  let blocker =
-    Domain.spawn (fun () ->
-        let r = Ebr.get_record mgr in
-        Ebr.enter mgr r;
-        Atomic.set pinned true;
-        while not (Atomic.get release) do
-          Domain.cpu_relax ()
-        done;
-        Ebr.exit r)
-  in
-  while not (Atomic.get pinned) do
-    Domain.cpu_relax ()
-  done;
-  let r = Ebr.get_record mgr in
-  Ebr.enter mgr r;
-  Ebr.retire mgr r { id = 1; live = true };
-  Ebr.exit r;
-  let e0 = Ebr.global_epoch mgr in
-  (* The pinned blocker observed the then-current epoch; after at most one
-     advance it blocks all further ones, so repeated collection can never
-     complete the 2-epoch grace period. *)
-  Ebr.try_collect mgr r;
-  Ebr.try_collect mgr r;
-  Ebr.try_collect mgr r;
-  Alcotest.(check bool) "epoch advanced at most once" true
-    (Ebr.global_epoch mgr <= e0 + 1);
-  Alcotest.(check int) "nothing freed while pinned" 0 (List.length !freed);
-  Atomic.set release true;
-  Domain.join blocker;
-  Ebr.try_collect mgr r;
-  Ebr.try_collect mgr r;
-  Ebr.try_collect mgr r;
-  Alcotest.(check int) "freed after unpin" 1 (List.length !freed)
-
-let ebr_batch_triggers_collect () =
-  let freed = ref [] in
-  let mgr =
-    Ebr.create ~batch_size:4
-      ~free:(fun n ->
-        n.live <- false;
-        freed := n :: !freed)
-      ()
-  in
-  let r = Ebr.get_record mgr in
-  for i = 1 to 40 do
-    Ebr.enter mgr r;
-    Ebr.retire mgr r { id = i; live = true };
-    Ebr.exit r
-  done;
-  Ebr.try_collect mgr r;
-  Ebr.try_collect mgr r;
-  Ebr.try_collect mgr r;
-  Alcotest.(check bool) "most retirements collected" true
-    (List.length !freed >= 30);
-  Alcotest.(check int) "accounting matches" (List.length !freed)
-    (Ebr.total_freed mgr);
-  Alcotest.(check int) "pending + freed = retired" 40
-    (Ebr.pending mgr + Ebr.total_freed mgr)
-
-let ebr_concurrent_churn () =
-  let freed = ref [] in
-  let lock = Mutex.create () in
-  let mgr =
-    Ebr.create ~batch_size:16
-      ~free:(fun (n : hp_node) ->
-        Mutex.lock lock;
-        freed := n :: !freed;
-        Mutex.unlock lock)
-      ()
-  in
-  let per_domain = 5_000 and domains = 4 in
-  let workers =
-    List.init domains (fun d ->
-        Domain.spawn (fun () ->
-            let r = Ebr.get_record mgr in
-            for i = 1 to per_domain do
-              Ebr.enter mgr r;
-              Ebr.retire mgr r { id = (d * per_domain) + i; live = true };
-              Ebr.exit r
-            done))
-  in
-  List.iter Domain.join workers;
-  (* Drain what's left. *)
-  let r = Ebr.get_record mgr in
-  for _ = 1 to 5 do
-    Ebr.try_collect mgr r
-  done;
-  let total = domains * per_domain in
-  Alcotest.(check int) "free + pending = retired" total
-    (List.length !freed + Ebr.pending mgr);
-  (* No double frees: ids unique. *)
-  let ids = List.map (fun n -> n.id) !freed in
-  Alcotest.(check int) "no double frees" (List.length ids)
-    (List.length (List.sort_uniq compare ids))
-
 (* --- Segmented-queue hazard reclamation ---------------------------------
 
    The segmented queue's whole safety argument is that a retired segment
@@ -567,13 +443,6 @@ let () =
           slow "record release and reuse" hp_record_released_and_reused;
           quick "configurable slot count" hp_configurable_slots;
           quick "re-protecting a slot" hp_double_protect_single_slot;
-        ] );
-      ( "epochs",
-        [
-          quick "grace period" ebr_basic_grace_period;
-          slow "pinned thread blocks reclamation" ebr_pinned_blocks_advance;
-          quick "batch triggers collection" ebr_batch_triggers_collect;
-          slow "concurrent churn" ebr_concurrent_churn;
         ] );
       ( "segmented-hazards",
         [
