@@ -5,6 +5,8 @@
 
 open Nbq_harness
 module Metrics = Nbq_obs.Metrics
+module Histogram = Nbq_obs.Histogram
+module Clock = Nbq_obs.Clock
 module Recorder = Nbq_trace.Recorder
 
 (* What a cell measures, built at run time from the workload's minimum
@@ -659,30 +661,33 @@ let burst o p =
 (* --- latency: full capture -------------------------------------------- *)
 
 (* Every domain times each of its operations (an enqueue and a dequeue
-   per round, spinning on full/empty): ten operations per paper iteration
-   per domain, so the load follows [scale]. *)
+   per round, spinning on full/empty) into the cell's one histogram: ten
+   operations per paper iteration per domain, so the load follows
+   [scale]. *)
 let latency_cell (impl : Registry.impl) ~threads ~ops =
   let q = impl.create ~capacity:(max 64 (threads * 16)) in
   let barrier = Nbq_primitives.Barrier.create ~parties:threads in
-  let recs = List.init threads (fun _ -> Latency.recorder ~capacity:ops) in
+  let h = Histogram.create () in
   let t0 = Unix.gettimeofday () in
-  let work w r () =
+  let work w () =
     Nbq_primitives.Barrier.await barrier;
     for i = 1 to ops / 2 do
-      Latency.time r (fun () ->
-          while not (q.enqueue { Registry.tag = (w lsl 40) lor i }) do
-            Domain.cpu_relax ()
-          done);
-      Latency.time r (fun () ->
-          while not (got (q.dequeue ())) do Domain.cpu_relax () done)
+      let t = Clock.now_ns () in
+      while not (q.enqueue { Registry.tag = (w lsl 40) lor i }) do
+        Domain.cpu_relax ()
+      done;
+      let t' = Clock.now_ns () in
+      Histogram.record h (t' - t);
+      while not (got (q.dequeue ())) do Domain.cpu_relax () done;
+      Histogram.record h (Clock.now_ns () - t')
     done
   in
-  List.iter Domain.join (List.mapi (fun w r -> Domain.spawn (work w r)) recs);
-  (Latency.summarize recs, Unix.gettimeofday () -. t0)
+  List.iter Domain.join (List.init threads (fun w -> Domain.spawn (work w)));
+  (Histogram.snapshot h, Unix.gettimeofday () -. t0)
 
 let latency o p =
   let ops = 10 * iterations p in
-  let us x = Printf.sprintf "%.2f" (x *. 1e6) in
+  let us ns = Printf.sprintf "%.2f" (ns /. 1e3) in
   let t =
     Table.create
       ~title:(Printf.sprintf "%s  [%d ops/domain, microseconds]" p.title ops)
@@ -691,16 +696,17 @@ let latency o p =
   let cell threads c =
     let impl = (c.make 64).impl in
     say "# %s: %s @ %d domains" p.name c.label threads;
-    let (s : Latency.summary), seconds = latency_cell impl ~threads ~ops in
+    let s, seconds = latency_cell impl ~threads ~ops in
+    let pct = Histogram.percentile_ns s in
     Table.add_row t
-      [ impl.name; string_of_int threads; us s.mean; us s.p50; us s.p99;
-        us s.p999; us s.max ];
+      [ impl.name; string_of_int threads; us (Histogram.mean_ns s);
+        us (pct 0.5); us (pct 0.99); us (pct 0.999); us (Histogram.max_ns s) ];
     { (row p ~variant:p.variant ~queue:impl.name ~domains:threads
          ~items:(threads * (ops / 2) * 2) ~seconds)
       with
-      p50_ns = s.p50 *. 1e9;
-      p99_ns = s.p99 *. 1e9;
-      p999_ns = s.p999 *. 1e9 }
+      p50_ns = pct 0.5;
+      p99_ns = pct 0.99;
+      p999_ns = pct 0.999 }
   in
   let rows =
     List.concat_map (fun d -> List.map (cell d) p.cells) p.domains
@@ -713,7 +719,6 @@ let latency o p =
 module Q2 = Nbq_core.Evequoz_cas
 module Hw = Nbq_baselines.Herlihy_wing
 module Mshp = Nbq_baselines.Ms_hazard
-module Lms = Nbq_baselines.Ladan_mozes_shavit
 
 (* [threads] domains, released together, each running [ops] pairs and
    then [finish]. *)
@@ -743,8 +748,7 @@ let space o p =
         (Printf.sprintf "%s: auxiliary structures after %d ops/domain \
                          (bounds track domains, not ops)" p.title ops)
       ~columns:
-        [ "domains"; "evequoz-cas tagvars"; "ms-hp records"; "ms-hp nodes";
-          "lms fixups" ]
+        [ "domains"; "evequoz-cas tagvars"; "ms-hp records"; "ms-hp nodes" ]
   in
   List.iter
     (fun threads ->
@@ -753,15 +757,13 @@ let space o p =
         ~finish:(fun () -> Q2.deregister_domain q2)
         (fun i -> ignore (Q2.try_enqueue q2 i))
         (fun () -> Q2.try_dequeue q2);
-      let hp = Mshp.create () and lms = Lms.create () in
+      let hp = Mshp.create () in
       wave threads ops (Mshp.enqueue hp) (fun () -> Mshp.try_dequeue hp);
-      wave threads ops (Lms.enqueue lms) (fun () -> Lms.try_dequeue lms);
       Table.add_row t
         (List.map string_of_int
            [ threads; Q2.registry_size q2;
              Nbq_reclaim.Hazard_pointer.participants (Mshp.hp_manager hp);
-             Nbq_baselines.Ms_node.allocated (Mshp.allocator hp);
-             Lms.fix_list_runs lms ]))
+             Nbq_baselines.Ms_node.allocated (Mshp.allocator hp) ]))
     p.domains;
   emit o t;
   let t =

@@ -189,8 +189,6 @@ module Ms_doherty_conc =
 module Two_lock_conc =
   Queue_intf.Make (Cap.Unbounded (Nbq_baselines.Two_lock_queue))
 module Hw_conc = Queue_intf.Make (Cap.Unbounded (Nbq_baselines.Herlihy_wing))
-module Lms_conc =
-  Queue_intf.Make (Cap.Unbounded (Nbq_baselines.Ladan_mozes_shavit))
 
 (* --- Row kinds ------------------------------------------------------------ *)
 
@@ -467,8 +465,6 @@ let families : Family.t list =
     Family.v "ms-doherty" ~classification:Link_based
       (unhooked (module Ms_doherty_conc));
     Family.v "herlihy-wing" (unhooked (module Hw_conc));
-    Family.v "lms-optimistic" ~classification:Link_based
-      (unhooked (module Lms_conc));
     Family.v "two-lock" ~classification:Lock_based
       (unhooked (module Two_lock_conc));
     Family.v "lock-ring" ~classification:Lock_based

@@ -18,11 +18,6 @@ type measurement = {
   metrics : Nbq_obs.Metrics.snapshot option;
 }
 
-let default_config ?(threads = 4) ?(runs = 5) workload =
-  { threads; runs; workload; capacity = None }
-
-let available_domains () = Domain.recommended_domain_count ()
-
 let one_run ?metrics ?tracer ?(batched = false) (impl : Registry.impl) cfg =
   let capacity =
     match cfg.capacity with

@@ -26,8 +26,6 @@ type measurement = {
           all runs of this measurement. *)
 }
 
-val default_config : ?threads:int -> ?runs:int -> Workload.config -> run_config
-
 val measure :
   ?metrics:Nbq_obs.Metrics.t ->
   ?tracer:Nbq_trace.Recorder.t ->
@@ -54,7 +52,3 @@ val measure :
 
     With [~batched:true] workers run {!Workload.run_thread_batched} —
     the same item ledger through the batch entry points. *)
-
-val available_domains : unit -> int
-(** [Domain.recommended_domain_count ()]; sweeps beyond this oversubscribe
-    (which is part of what the paper studies — preemption tolerance). *)

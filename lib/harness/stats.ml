@@ -15,7 +15,7 @@ let mean xs =
   | [] -> invalid_arg "Stats.mean: empty"
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-(* Nearest-rank on a sorted array, same convention as Latency.percentile. *)
+(* Nearest-rank on a sorted array. *)
 let percentile_sorted a q =
   let n = Array.length a in
   let rank = int_of_float (Float.round (q *. float_of_int (n - 1))) in

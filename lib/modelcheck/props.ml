@@ -37,12 +37,6 @@ let progress_to_string = function
   | Obstruction_free -> "obstruction-free"
   | Blocking -> "blocking"
 
-let progress_of_string = function
-  | "lock-free" -> Some Lock_free
-  | "obstruction-free" -> Some Obstruction_free
-  | "blocking" -> Some Blocking
-  | _ -> None
-
 let ints l = String.concat "," (List.map string_of_int l)
 
 let describe_divergence = function

@@ -31,7 +31,6 @@ type divergence =
           state no one will change; a [parked] member is a lost wakeup *)
 
 val progress_to_string : progress -> string
-val progress_of_string : string -> progress option
 val describe_divergence : divergence -> string
 
 val violation_of : progress -> divergence -> string option

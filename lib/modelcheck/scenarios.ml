@@ -197,7 +197,6 @@ module SimQ2 = Nbq_core.Evequoz_cas.Make_probed (Sim.Atomic) (Trace_hook)
 module SimShann = Nbq_baselines.Shann.Make (Sim.Atomic)
 module SimMs = Nbq_baselines.Michael_scott.Make (Sim.Atomic)
 module SimHw = Nbq_baselines.Herlihy_wing.Make (Sim.Atomic)
-module SimLms = Nbq_baselines.Ladan_mozes_shavit.Make (Sim.Atomic)
 module SimValois = Nbq_baselines.Valois.Make (Sim.Atomic)
 
 (* The segmented unbounded queue with ideal LL/SC cells inside each
@@ -498,17 +497,6 @@ let entries =
                 SimHw.enqueue q v;
                 true),
               fun () -> SimHw.try_dequeue q ));
-    };
-    {
-      name = "lms-optimistic";
-      progress = Props.Lock_free;
-      instance =
-        simple ~unbounded:true (fun _ ->
-            let q = SimLms.create () in
-            ( (fun v ->
-                SimLms.enqueue q v;
-                true),
-              fun () -> SimLms.try_dequeue q ));
     };
     {
       name = "valois-dcas";

@@ -55,18 +55,18 @@ type spec = {
 val specs : unit -> spec list
 (** The full catalog: {!standard_matrix} × every algorithm that runs on
     simulated atomics (both of the paper's algorithms, the segmented queue
-    [evequoz-seg], Shann, Michael–Scott [ms-gc], Herlihy–Wing,
-    Ladan-Mozes–Shavit [lms-optimistic], Valois over software DCAS, and
-    SCQ), plus extras: peek raced against mutators and a three-thread
-    scenario (Algorithms 1 and 2; three threads on Shann too), the sharded
-    facade's steal-sweep race, the batch-run commit and drain races on the
-    tag-protocol cells, the segmented queue's grow-during-drain race, the
-    production eventcount under simulation (park/wake with no lost
-    wakeup), and the seeded-bug scenarios ([expect = `Violation _]): a
-    deliberately blocking toy and a two-writer livelock toy, both claimed
-    lock-free, the eventcount handshake with its Dekker re-check removed,
-    the segmented queue's retire with the hazard hand-off skipped, and SCQ
-    without its threshold budget. *)
+    [evequoz-seg], Shann, Michael–Scott [ms-gc], Herlihy–Wing, Valois over
+    software DCAS, and SCQ), plus extras: peek raced against mutators and
+    a three-thread scenario (Algorithms 1 and 2; three threads on Shann
+    too), the sharded facade's steal-sweep race, the batch-run commit and
+    drain races on the tag-protocol cells, the segmented queue's
+    grow-during-drain race, the production eventcount under simulation
+    (park/wake with no lost wakeup), and the seeded-bug scenarios
+    ([expect = `Violation _]): a deliberately blocking toy and a
+    two-writer livelock toy, both claimed lock-free, the eventcount
+    handshake with its Dekker re-check removed, the segmented queue's
+    retire with the hazard hand-off skipped, and SCQ without its threshold
+    budget. *)
 
 val algorithms : string list
 (** Every [algorithm] in {!specs}, in catalog order — the queue

@@ -103,8 +103,6 @@ module Exec = struct
       progress_hit = false;
     }
 
-  let ntasks t = Array.length t.st
-
   let enabled t =
     let acc = ref [] in
     Array.iteri

@@ -79,7 +79,6 @@ module Exec : sig
   }
 
   val start : (unit -> unit) array -> t
-  val ntasks : t -> int
 
   val enabled : t -> int list
   (** Unfinished task indices, ascending. *)

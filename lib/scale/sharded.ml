@@ -273,8 +273,6 @@ let waitable ?hook base =
     enq_cond = (fun x -> if try_enqueue base x then Some () else None);
   }
 
-let base w = w.base
-
 (* Mirror of the steal sweep: try the home eventcount, then the others in
    cyclic order, stopping at the first delivered wake.  Stopping early is
    what keeps one enqueue from waking the whole fleet; sweeping at all is
@@ -300,12 +298,3 @@ let dequeue_until w ~deadline =
       wake_sweep w.not_full h 0;
       r
   | None -> None
-
-let enqueue w x =
-  let ok = enqueue_until w ~deadline:infinity x in
-  assert ok (* no deadline *)
-
-let dequeue w =
-  match dequeue_until w ~deadline:infinity with
-  | Some x -> x
-  | None -> assert false (* no deadline *)

@@ -170,25 +170,17 @@ val waitable :
     the backstop, waking within tens of milliseconds rather than
     promptly. *)
 
-val base : 'a waitable -> 'a t
-(** The underlying facade (shared, not copied). *)
-
-val enqueue : 'a waitable -> 'a -> unit
-(** Spin briefly, then park on the home shard's not-full eventcount until
-    some shard accepts; wakes one not-empty waiter (sweeping) on
-    success. *)
-
-val dequeue : 'a waitable -> 'a
-(** Spin briefly, then park on the home shard's not-empty eventcount until
-    some shard yields an item; wakes one not-full waiter on success. *)
-
 val enqueue_until : 'a waitable -> deadline:float -> 'a -> bool
-(** {!enqueue} with an absolute [Unix.gettimeofday] deadline (resolution:
+(** Spin briefly, then park on the home shard's not-full eventcount until
+    some shard accepts; wakes one not-empty waiter (sweeping) on success.
+    The deadline is an absolute [Unix.gettimeofday] time (resolution:
     the wait layer's ~1ms tick; [infinity] for none); [false] on timeout.
     Always makes at least one attempt; never parks once the deadline has
     passed.  A call that does not park allocates nothing beyond what the
     shard operations do. *)
 
 val dequeue_until : 'a waitable -> deadline:float -> 'a option
-(** {!dequeue} with a deadline, as {!enqueue_until}; [None] on timeout.
+(** Spin briefly, then park on the home shard's not-empty eventcount until
+    some shard yields an item; wakes one not-full waiter on success.  The
+    deadline is as {!enqueue_until}'s; [None] on timeout.
     The [Some] is the one the facade's [try_dequeue] built. *)

@@ -55,12 +55,9 @@ let create ?(ring_bits = 12) ?(sample = 64) () =
   }
 
 let armed t = Atomic.get t.armed
-let epoch_ns t = t.epoch
 
 let rings t =
   List.sort (fun a b -> compare (Ring.dom a) (Ring.dom b)) (Atomic.get t.rings)
-
-let my_ring t = Domain.DLS.get t.dls
 
 (* Arming resets span state so a span id from a previous armed window can
    never pair with a fresh end record.  Only disarm/arm between operations

@@ -28,14 +28,8 @@ val full : t -> bool
     armed mode — the one the overhead gate measures — pays per-hook cost
     nowhere and per-op cost once. *)
 
-val epoch_ns : t -> int
-(** Monotonic-ns origin; record timestamps are relative to this. *)
-
 val rings : t -> Ring.t list
 (** All rings born so far, sorted by domain id. *)
-
-val my_ring : t -> Ring.t
-(** The calling domain's ring (created on first use). *)
 
 (** {2 Recording} — each is a no-op unless {!armed} *)
 

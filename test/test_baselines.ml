@@ -50,47 +50,6 @@ let hw_scan_cost_grows () =
   Alcotest.(check (option int)) "works after 20k history" (Some 42)
     (Hw.try_dequeue q)
 
-(* --- Ladan-Mozes–Shavit --- *)
-
-module Lms = Nbq_baselines.Ladan_mozes_shavit
-
-let lms_fix_counter_starts_zero () =
-  let q = Lms.create () in
-  for i = 1 to 100 do
-    Lms.enqueue q i
-  done;
-  for i = 1 to 100 do
-    Alcotest.(check (option int)) "fifo" (Some i) (Lms.try_dequeue q)
-  done;
-  (* Sequential use never breaks the optimism. *)
-  Alcotest.(check int) "no fixups sequentially" 0 (Lms.fix_list_runs q)
-
-let lms_survives_fix_path () =
-  (* Force the repair path deterministically: enqueue via the functor on
-     sim atomics is overkill here; instead exercise heavy interleaving and
-     only assert integrity (the model checker covers the fix path
-     exhaustively). *)
-  let q = Lms.create () in
-  let n = 20_000 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to n do
-          Lms.enqueue q i
-        done)
-  in
-  let got = ref 0 and last = ref 0 and ordered = ref true in
-  while !got < n do
-    match Lms.try_dequeue q with
-    | Some v ->
-        if v <= !last then ordered := false;
-        last := v;
-        incr got
-    | None -> Domain.cpu_relax ()
-  done;
-  Domain.join producer;
-  Alcotest.(check bool) "strictly increasing" true !ordered;
-  Alcotest.(check int) "drained" 0 (Lms.length q)
-
 (* --- MS-Doherty --- *)
 
 let doherty_registry_bounded () =
@@ -169,11 +128,6 @@ let () =
           quick "ticket counter" hw_ticket_counter;
           quick "crosses chunk boundaries" hw_crosses_chunk_boundary;
           slow "works after long history" hw_scan_cost_grows;
-        ] );
-      ( "lms-optimistic",
-        [
-          quick "no fixups sequentially" lms_fix_counter_starts_zero;
-          slow "concurrent integrity" lms_survives_fix_path;
         ] );
       ( "ms-doherty",
         [ slow "registry bounded by concurrency" doherty_registry_bounded ] );

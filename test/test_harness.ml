@@ -37,7 +37,7 @@ let registry_concurrent_excludes_sequential () =
   Alcotest.(check int) "all = concurrent + seq"
     (List.length Registry.all)
     (List.length Registry.concurrent + 1);
-  Alcotest.(check int) "twenty-two implementations" 22
+  Alcotest.(check int) "twenty-one implementations" 21
     (List.length Registry.all)
 
 let registry_instances_independent () =
@@ -55,9 +55,9 @@ let registry_expected_members () =
     [
       "evequoz-llsc"; "evequoz-cas"; "evequoz-cas-shard4"; "evequoz-cas-shard8";
       "evequoz-llsc-weak"; "shann"; "valois-dcas"; "ms-gc"; "ms-hp-sorted";
-      "ms-hp-unsorted"; "ms-doherty"; "herlihy-wing"; "lms-optimistic";
-      "two-lock"; "lock-ring"; "evequoz-seg"; "evequoz-seg-shard1";
-      "evequoz-seg-shard4"; "scq"; "scq-shard4"; "scq-blocking"; "seq-ring";
+      "ms-hp-unsorted"; "ms-doherty"; "herlihy-wing"; "two-lock"; "lock-ring";
+      "evequoz-seg"; "evequoz-seg-shard1"; "evequoz-seg-shard4"; "scq";
+      "scq-shard4"; "scq-blocking"; "seq-ring";
     ]
     (Registry.names ())
 
@@ -160,52 +160,6 @@ let table_cell_count_checked () =
   let t = Table.create ~title:"demo" ~columns:[ "x"; "y" ] in
   match Table.add_row t [ "only-one" ] with
   | () -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
-(* --- Latency --- *)
-
-let latency_basic () =
-  let r = Latency.recorder ~capacity:10 in
-  List.iter (Latency.record r) [ 0.001; 0.002; 0.003; 0.004; 0.005 ];
-  let s = Latency.summarize [ r ] in
-  Alcotest.(check int) "samples" 5 s.Latency.samples;
-  Alcotest.check feq "p50" 0.003 s.Latency.p50;
-  Alcotest.check feq "max" 0.005 s.Latency.max;
-  Alcotest.check (Alcotest.float 1e-9) "mean" 0.003 s.Latency.mean
-
-let latency_drop_counting () =
-  let r = Latency.recorder ~capacity:2 in
-  List.iter (Latency.record r) [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check int) "dropped" 2 (Latency.dropped r);
-  Alcotest.(check int) "kept" 2 (Latency.summarize [ r ]).Latency.samples
-
-let latency_merge () =
-  let a = Latency.recorder ~capacity:4 and b = Latency.recorder ~capacity:4 in
-  Latency.record a 1.0;
-  Latency.record b 3.0;
-  Latency.record b 2.0;
-  let s = Latency.summarize [ a; b ] in
-  Alcotest.(check int) "merged" 3 s.Latency.samples;
-  Alcotest.check feq "p50 across recorders" 2.0 s.Latency.p50
-
-let latency_percentile_unit () =
-  let sorted = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  Alcotest.check feq "p0" 1.0 (Latency.percentile sorted 0.0);
-  Alcotest.check feq "p100" 5.0 (Latency.percentile sorted 1.0);
-  Alcotest.check feq "p50" 3.0 (Latency.percentile sorted 0.5);
-  Alcotest.check feq "p75 nearest-rank" 4.0 (Latency.percentile sorted 0.75)
-
-let latency_time_records () =
-  let r = Latency.recorder ~capacity:4 in
-  let x = Latency.time r (fun () -> 42) in
-  Alcotest.(check int) "thunk result" 42 x;
-  let s = Latency.summarize [ r ] in
-  Alcotest.(check int) "one sample" 1 s.Latency.samples;
-  Alcotest.(check bool) "nonnegative" true (s.Latency.max >= 0.0)
-
-let latency_empty_raises () =
-  match Latency.summarize [ Latency.recorder ~capacity:1 ] with
-  | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
 (* --- Ascii_plot --- *)
@@ -523,15 +477,6 @@ let () =
           quick "render" table_render;
           quick "csv quoting" table_csv;
           quick "cell count checked" table_cell_count_checked;
-        ] );
-      ( "latency",
-        [
-          quick "basic summary" latency_basic;
-          quick "drop counting" latency_drop_counting;
-          quick "merge recorders" latency_merge;
-          quick "percentile unit" latency_percentile_unit;
-          quick "time records" latency_time_records;
-          quick "empty raises" latency_empty_raises;
         ] );
       ( "ascii-plot",
         [

@@ -317,7 +317,7 @@ let baseline_walks =
   :: walk `Slow "shann three threads" (key "shann" "enq-enq-deq")
   :: List.map
        (fun a -> walk `Slow (a ^ " matrix") (alg [ a ]))
-       [ "ms-gc"; "herlihy-wing"; "lms-optimistic"; "valois-dcas" ]
+       [ "ms-gc"; "herlihy-wing"; "valois-dcas" ]
 
 let dpor_walks =
   [
