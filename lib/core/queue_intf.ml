@@ -250,7 +250,7 @@ end
     {!Blocking} additionally fixes the hook to a no-op.
 
     Unlike a spin loop, a blocked operation here polls the queue only
-    briefly (about once a microsecond, for about a millisecond) and then
+    briefly (about every 0.1 microsecond, for 1.2 milliseconds) and then
     {e parks its domain} on an eventcount (one for "became non-empty",
     one for "became non-full"), so waiting costs no CPU and —
     crucially under oversubscription — no scheduler slices that the

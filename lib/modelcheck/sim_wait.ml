@@ -57,9 +57,11 @@ module Make () = struct
     end
 
     let past d = 0. >= d
-    let default_spin = 0
-    (* No pre-park spin: under simulation the spin phase only multiplies
-       schedule states without reaching different protocol states. *)
+    let spin_ns = 0
+    let now_ns () = 0
+    (* No pre-park spin, so [await] never reads [now_ns]: under simulation
+       the spin phase only multiplies schedule states without reaching
+       different protocol states. *)
   end
 
   module EC = Nbq_wait.Eventcount_core.Make (Env)

@@ -1,4 +1,4 @@
-(* Nanosecond monotonic clock.  bechamel's monotonic_clock stub reads
-   CLOCK_MONOTONIC directly; Unix.gettimeofday only gives microseconds. *)
+(* The one monotonic clock (Nbq_primitives.Clock), re-exported so that
+   observability code and its callers keep reading [Nbq_obs.Clock]. *)
 
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
+include Nbq_primitives.Clock

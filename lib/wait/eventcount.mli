@@ -98,14 +98,16 @@ val wake_all : t -> int
 val await :
   ?max_park:int -> t -> deadline:float -> ('b -> 'a option) -> 'b -> 'a option
 (** [await t ~deadline cond arg] — the full wait loop: try [cond arg]
-    once; then spin, polling [cond arg] every 32 [Domain.cpu_relax] pauses
-    (about 1 us) for up to 1280 polls (about 1.3 ms), reading the clock
-    for [deadline] every 64 polls; then repeat \{prepare; re-check;
+    once; then spin, polling [cond arg] every 4 [Domain.cpu_relax] pauses
+    (about 0.1 us) for 1.2 ms of monotonic-clock time, reading the clocks
+    every 256 polls (the wall clock for [deadline] first, then the
+    monotonic one for the spin budget); then repeat \{prepare; re-check;
     commit\} until [cond arg] yields [Some v] or [deadline] passes.
 
     The result is [cond]'s own [Some v], returned as it is, or [None] on
     timeout.  [deadline] is an absolute [Unix.gettimeofday] time;
-    [infinity] means no deadline, and then the clock is never read.  The
+    [infinity] means no deadline, and then the wall clock is never read
+    (the spin still reads the monotonic clock for its budget).  The
     condition takes its argument explicitly so that a caller can pass a
     function built once (or a top-level one) instead of a closure per
     call: a wait whose condition holds before any park allocates nothing
@@ -113,9 +115,9 @@ val await :
     per poll.
 
     A condition that comes true during the spin is seen within about one
-    poll.  A deadline that passes during the spin is noticed within 64
-    polls, without parking.  A deadline already in the past still tries
-    [cond] (at least once) but never parks.  [max_park] is passed through
+    poll.  A deadline that passes during the spin is noticed within 256
+    polls (tens of microseconds), without parking.  A deadline already in
+    the past still tries [cond] (at least once) but never parks.  [max_park] is passed through
     to {!commit_wait}.  [cond] must be safe to call repeatedly from the
     waiting domain. *)
 

@@ -1,12 +1,13 @@
 (* The eventcount protocol, abstracted over its environment.
 
-   The algorithm (see eventcount.mli and DESIGN.md §10) only needs three
-   things from the world: single-word atomics, a per-thread parker, and a
-   clock.  Functorizing over them lets the exact production protocol run
-   under the model checker's simulated atomics and cooperative parker
+   The algorithm (see eventcount.mli and DESIGN.md §10) only needs four
+   things from the world: single-word atomics, a per-thread parker, the
+   wall clock for deadlines and a monotonic clock for the spin budget.
+   Functorizing over them lets the exact production protocol run under
+   the model checker's simulated atomics and cooperative parker
    (Nbq_modelcheck.Sim_wait), where the no-lost-wakeup property is checked
    exhaustively — any divergence between what is verified and what ships
-   would have to live in this file's ENV instantiation, which is four
+   would have to live in this file's ENV instantiation, which is five
    lines.
 
    Eventcount.{ml,mli} is the production instantiation and keeps its
@@ -43,10 +44,16 @@ module type ENV = sig
       simulated env freezes the clock at 0).  A predicate rather than a
       clock read, so checking a deadline boxes no float. *)
 
-  val default_spin : int
-  (** [await]'s pre-park spin budget, in polls of the condition.  0 under
-      simulation: the spin phase is pure scheduling noise there, and
-      skipping it keeps the choice tree at its real protocol states. *)
+  val spin_ns : int
+  (** [await]'s pre-park spin budget, in nanoseconds of [now_ns].  0
+      under simulation: [await] then goes straight to its park loop and
+      never reads [now_ns].  The spin phase is pure scheduling noise
+      there, and skipping it keeps the choice tree at its real protocol
+      states. *)
+
+  val now_ns : unit -> int
+  (** A monotonic clock in nanoseconds that allocates nothing; it times
+      the spin budget only. *)
 end
 
 module Hook = Nbq_primitives.Hook
@@ -266,31 +273,36 @@ module Make (E : ENV) = struct
 
   (* ---- the full wait loop --------------------------------------------- *)
 
-  (* The spin phase polls [cond arg] at a fixed grain: [poll_relax] pauses
-     (about 1 us) between polls, for [E.default_spin] polls.  A condition
-     that comes true mid-spin is therefore seen within about one grain.
-     The clock is read only every [clock_polls] polls, so a deadline
-     overshoots by at most that many grains.  The loop allocates nothing
-     per poll.
+  (* The spin phase polls [cond arg] at a fixed grain: [poll_relax]
+     pauses (about 0.1 us) between polls, so a condition that comes true
+     mid-spin is seen within about one grain.  Its budget is time, not a
+     poll count, so the grain and the condition's own cost do not stretch
+     it: the spin parks once [E.now_ns] reaches [until].  The clocks are
+     read only every [clock_polls] polls (tens of microseconds), the
+     deadline first and then the budget, and always after a poll of the
+     condition; a deadline therefore overshoots, and the budget runs
+     over, by at most that many polls.  The loop allocates
+     nothing per poll.
 
      The loops below are top-level functions that carry the condition and
      its argument explicitly, and the condition's own [Some] is the
      result: a wait that needs no park allocates nothing. *)
-  let poll_relax = 32
-  let clock_polls = 64
+  let poll_relax = 4
+  let clock_polls = 256
 
-  let rec spin_phase t ~deadline ~max_park cond arg n =
-    if n <= 0 then park_loop t ~deadline ~max_park cond arg
-    else begin
-      for _ = 1 to poll_relax do
-        Domain.cpu_relax ()
-      done;
-      match cond arg with
-      | Some _ as r -> r
-      | None ->
-          if n land (clock_polls - 1) = 0 && past deadline then None
-          else spin_phase t ~deadline ~max_park cond arg (n - 1)
-    end
+  let rec spin_phase t ~deadline ~max_park cond arg ~until n =
+    for _ = 1 to poll_relax do
+      Domain.cpu_relax ()
+    done;
+    match cond arg with
+    | Some _ as r -> r
+    | None ->
+        if n land (clock_polls - 1) <> 0 then
+          spin_phase t ~deadline ~max_park cond arg ~until (n + 1)
+        else if past deadline then None
+        else if E.now_ns () >= until then
+          park_loop t ~deadline ~max_park cond arg
+        else spin_phase t ~deadline ~max_park cond arg ~until (n + 1)
 
   and park_loop t ~deadline ~max_park cond arg =
     match cond arg with
@@ -318,5 +330,8 @@ module Make (E : ENV) = struct
     | Some _ as r -> r
     | None ->
         if past deadline then None
-        else spin_phase t ~deadline ~max_park cond arg E.default_spin
+        else if E.spin_ns <= 0 then park_loop t ~deadline ~max_park cond arg
+        else
+          spin_phase t ~deadline ~max_park cond arg
+            ~until:(E.now_ns () + E.spin_ns) 1
 end

@@ -197,32 +197,107 @@ let test_max_park_backstop () =
 (* --- Spin phase ---
 
    Before it parks, [await] polls its condition at a fixed grain for a
-   fixed number of polls.  Each poll must allocate nothing, and a wait
-   that ends inside the spin budget must never park. *)
+   fixed span of wall time.  Each poll must allocate nothing, a wait that
+   ends inside the spin budget must never park, and the budget must not
+   stretch with the cost of the condition. *)
 
-(* Minor words for one [await] whose condition holds on its [k]-th call,
-   which must not park. *)
-let spin_cost k =
-  let parks = ref 0 and calls = ref 0 in
+let now_ns = Nbq_primitives.Clock.now_ns
+
+(* Minor words for one [await] whose condition comes true [after_ns]
+   after the call, which must not park.  The condition is timed by the
+   clock, not counted in polls: the spin's budget is time, so a domain
+   descheduled mid-spin may pass the budget before any given poll, but
+   [await] re-polls before it parks, and a condition timed to come true
+   well inside the budget is true by then. *)
+let spin_cost after_ns =
+  let parks = ref 0 in
   let ec = EC.create ~hook:(on Wait_park (fun () -> incr parks)) () in
-  let cond () =
-    incr calls;
-    if !calls >= k then Some !calls else None
-  in
+  let cond until = if now_ns () >= until then Some until else None in
   let deadline = now () +. 5. in
   let w0 = Gc.minor_words () in
-  let r = EC.await ec ~deadline cond () in
+  let r = EC.await ec ~deadline cond (now_ns () + after_ns) in
   let words = Gc.minor_words () -. w0 in
-  Alcotest.(check int) (Printf.sprintf "%d polls never park" k) 0 !parks;
-  Alcotest.(check (option int)) "condition met on its k-th call" (Some k) r;
+  Alcotest.(check int)
+    (Printf.sprintf "a %d ns wait never parks" after_ns)
+    0 !parks;
+  Alcotest.(check bool) "condition met" true (Option.is_some r);
   words
 
 let test_spin_allocates_nothing_per_poll () =
-  let w10 = spin_cost 10 in
-  let w1000 = spin_cost 1000 in
-  if Float.abs (w1000 -. w10) > 16. then
-    Alcotest.failf "1000 polls took %.0f minor words, 10 polls %.0f" w1000
-      w10
+  let w_now = spin_cost 0 in
+  let w_300us = spin_cost 300_000 in
+  if Float.abs (w_300us -. w_now) > 16. then
+    Alcotest.failf "a 300 us spin took %.0f minor words, an instant one %.0f"
+      w_300us w_now
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* Nanoseconds from the call of an [await] on [cond] to its first park,
+   the least of 5 awaits: being descheduled only lengthens a spin.
+   [cond] never comes true before that park and always after it, which
+   ends the wait within one park slice. *)
+let time_to_first_park cond =
+  let once () =
+    let first = ref 0 in
+    let ec =
+      EC.create
+        ~hook:(on Wait_park (fun () -> if !first = 0 then first := now_ns ()))
+        ()
+    in
+    let until_parked () = if !first <> 0 then Some () else cond () in
+    let t0 = now_ns () in
+    ignore
+      (EC.await ~max_park:1 ec ~deadline:(now () +. 10.) until_parked ()
+        : unit option);
+    !first - t0
+  in
+  List.fold_left min max_int (List.init 5 (fun _ -> once ()))
+
+(* A condition that costs about 1 us a call (40 pauses) polls about a
+   tenth as often as a cheap one, yet both park after the same span of
+   time: under a budget of polls the costly one would spin about twice
+   as long. *)
+let test_spin_budget_is_time () =
+  let cheap () = None in
+  let costly () =
+    for _ = 1 to 40 do
+      Domain.cpu_relax ()
+    done;
+    None
+  in
+  let t_cheap = time_to_first_park cheap in
+  let t_costly = time_to_first_park costly in
+  let ratio = float t_costly /. float t_cheap in
+  if ratio >= 1.5 || ratio <= 1. /. 1.5 then
+    Alcotest.failf "first park after %d ns (cheap) vs %d ns (costly): %.2fx"
+      t_cheap t_costly ratio
+
+(* The poll grain: 1000 polls of a condition that is false until its
+   1001st call, timed from its first call to that one, the median of 5
+   awaits: at 4 pauses a poll, well under 400 us. *)
+let test_spin_grain () =
+  let once () =
+    let calls = ref 0 and t0 = ref 0 and t1 = ref 0 in
+    let cond () =
+      incr calls;
+      if !calls = 1 then t0 := now_ns ();
+      if !calls < 1001 then None
+      else begin
+        t1 := now_ns ();
+        Some ()
+      end
+    in
+    let ec = EC.create () in
+    ignore
+      (EC.await ~max_park:1 ec ~deadline:(now () +. 10.) cond ()
+        : unit option);
+    !t1 - !t0
+  in
+  let ns = median (List.init 5 (fun _ -> once ())) in
+  if ns >= 400_000 then Alcotest.failf "1000 polls took %d ns" ns
 
 (* A condition that holds on its first call: [await] returns the
    condition's own [Some] and allocates nothing itself, with a deadline or
@@ -358,6 +433,9 @@ let () =
             test_spin_allocates_nothing_per_poll;
           Alcotest.test_case "deadline inside the spin never parks" `Quick
             test_spin_deadline_no_park;
+          Alcotest.test_case "spin budget is time" `Quick
+            test_spin_budget_is_time;
+          Alcotest.test_case "spin grain" `Quick test_spin_grain;
           Alcotest.test_case "ready await allocates nothing" `Quick
             test_ready_await_allocates_nothing;
         ] );
